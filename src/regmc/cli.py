@@ -6,7 +6,8 @@ and reachability queries for a configuration, ``check`` model-checks a
 formula, and ``simulate`` walks a random concrete run.  Exit status 0
 means the property holds (or the configuration is a member / reachable),
 1 means it does not, and 2 flags a usage or parse problem — in which
-case nothing is written to stdout.
+case nothing is written to stdout.  Any other failure is a bug in regmc:
+it exits 3 with the traceback on stderr, so it never reads as an answer.
 
 Listings are deterministic: matrices appear in the enumeration order of
 ``universe`` and locations in declaration order, so outputs can serve as
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import traceback
 from collections.abc import Sequence
 
 from regmc import dsl, reference
@@ -223,6 +225,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        print("internal error: this is a bug in regmc", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

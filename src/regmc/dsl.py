@@ -15,7 +15,12 @@ declared constants, the connectives ``!``, ``&``, ``|``, ``->``, the
 temporal operators ``EX EF EG AX AF AG`` and ``E [ f U g ]``; ``!`` and
 the prefix operators bind tightest, then ``&``, then ``|``, then the
 right-associative ``->``.  Derived operators expand on the spot, so the
-parsed tree is over the core connectives only.
+parsed tree is over the core connectives only.  A formula may nest at most
+``MAX_FORMULA_DEPTH`` levels, counted both on that tree and on the
+brackets of the text (parentheses, ``E [ … ]`` and ``->`` chains); deeper
+input is a ``ParseError``, so the recursive evaluator and serializer stay
+inside the interpreter's recursion limit.  The serializer writes at most
+one bracket per tree level, so every accepted formula round-trips.
 
 A representative configuration is a location plus the partition of the
 registers into equality classes, constants attached to their class::
@@ -391,36 +396,57 @@ def _parse_transition(
 
 # --- formulas ---
 
+MAX_FORMULA_DEPTH = 150
+
 
 def parse_formula(text: str, ra: RegisterAutomaton) -> CtlFormula:
     cur = _Cursor(_tokenize(text))
     cur.skip_newlines()
-    f = _formula(cur, ra)
+    first = cur.peek()
+    f = _formula(cur, ra, 1)
     cur.skip_newlines()
     trailing = cur.peek()
     if trailing.kind != "eof":
         raise ParseError(trailing.span, f"unexpected {trailing.text!r} after the formula")
+    if _tree_depth(f) > MAX_FORMULA_DEPTH:
+        raise ParseError(first.span, f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
     return f
 
 
-def _formula(cur: _Cursor, ra: RegisterAutomaton) -> CtlFormula:
-    left = _or_level(cur, ra)
+def _tree_depth(f: CtlFormula) -> int:
+    deepest = 0
+    stack = [(f, 1)]
+    while stack:
+        g, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(g, (Not, EX, EG)):
+            stack.append((g.f, d + 1))
+        elif isinstance(g, (And, EU)):
+            stack += [(g.f0, d + 1), (g.f1, d + 1)]
+    return deepest
+
+
+def _formula(cur: _Cursor, ra: RegisterAutomaton, brackets: int) -> CtlFormula:
+    """One formula, ``brackets`` deep in parentheses, ``E [`` and ``->``."""
+    if brackets > MAX_FORMULA_DEPTH:
+        raise ParseError(cur.peek().span, f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
+    left = _or_level(cur, ra, brackets)
     if cur.eat_op("->"):
-        return ctl.implies(left, _formula(cur, ra))
+        return ctl.implies(left, _formula(cur, ra, brackets + 1))
     return left
 
 
-def _or_level(cur: _Cursor, ra: RegisterAutomaton) -> CtlFormula:
-    out = _and_level(cur, ra)
+def _or_level(cur: _Cursor, ra: RegisterAutomaton, brackets: int) -> CtlFormula:
+    out = _and_level(cur, ra, brackets)
     while cur.eat_op("|"):
-        out = ctl.or_(out, _and_level(cur, ra))
+        out = ctl.or_(out, _and_level(cur, ra, brackets))
     return out
 
 
-def _and_level(cur: _Cursor, ra: RegisterAutomaton) -> CtlFormula:
-    out = _unary(cur, ra)
+def _and_level(cur: _Cursor, ra: RegisterAutomaton, brackets: int) -> CtlFormula:
+    out = _unary(cur, ra, brackets)
     while cur.eat_op("&"):
-        out = And(out, _unary(cur, ra))
+        out = And(out, _unary(cur, ra, brackets))
     return out
 
 
@@ -434,12 +460,29 @@ _PREFIX = {
 }
 
 
-def _unary(cur: _Cursor, ra: RegisterAutomaton) -> CtlFormula:
+def _unary(cur: _Cursor, ra: RegisterAutomaton, brackets: int) -> CtlFormula:
+    # prefix operators are collected in a loop, not by recursion, so a long
+    # run of them is refused by the depth check instead of overflowing
+    wraps = []
+    while True:
+        tok = cur.peek()
+        if cur.eat_op("!"):
+            wraps.append(Not)
+        elif tok.kind == "name" and tok.text in _PREFIX:
+            cur.next()
+            wraps.append(_PREFIX[tok.text])
+        else:
+            break
+    out = _operand(cur, ra, brackets)
+    for wrap in reversed(wraps):
+        out = wrap(out)
+    return out
+
+
+def _operand(cur: _Cursor, ra: RegisterAutomaton, brackets: int) -> CtlFormula:
     tok = cur.peek()
-    if cur.eat_op("!"):
-        return Not(_unary(cur, ra))
     if cur.eat_op("("):
-        inner = _formula(cur, ra)
+        inner = _formula(cur, ra, brackets + 1)
         cur.expect_op(")")
         return inner
     if cur.eat_op("@"):
@@ -448,17 +491,14 @@ def _unary(cur: _Cursor, ra: RegisterAutomaton) -> CtlFormula:
             raise ParseError(loc.span, f"unknown location {loc.text!r}")
         return AtLocation(loc.text)
     if tok.kind == "name":
-        if tok.text in _PREFIX:
-            cur.next()
-            return _PREFIX[tok.text](_unary(cur, ra))
         if tok.text == "E":
             cur.next()
             cur.expect_op("[")
-            f0 = _formula(cur, ra)
+            f0 = _formula(cur, ra, brackets + 1)
             u = cur.expect_name("'U'")
             if u.text != "U":
                 raise ParseError(u.span, "expected 'U'", ("U",))
-            f1 = _formula(cur, ra)
+            f1 = _formula(cur, ra, brackets + 1)
             cur.expect_op("]")
             return EU(f0, f1)
         if tok.text == "true":

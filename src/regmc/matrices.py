@@ -241,6 +241,15 @@ def canonical_valuation(m: RepMatrix, constants: Sequence[int]) -> Valuation:
     """
     if not is_consistent_matrix(m, constants):
         raise ValueError("matrix is not consistent")
+    return _witness_valuation(m, constants)
+
+
+def _witness_valuation(m: RepMatrix, constants: Sequence[int]) -> Valuation:
+    """``canonical_valuation`` without the consistency check.
+
+    For matrices already known to be consistent, such as ``universe``
+    members; on any other matrix the result is meaningless.
+    """
     fresh = fresh_symbols(constants, m.n)
     w = [m.rows[i][i] if m.rows[i][i] != ONE else fresh[i] for i in range(m.n)]
     for i in range(m.n):

@@ -13,19 +13,20 @@ unassigned, which may take any value) are free.  Filtering the universe by
 the forced entries is exact because the valuation descriptions carry each
 register's complete relationship to every other read register and constant.
 
-``quotient_graph`` materializes the node set and shares successor work
-across all matrices at a location: the forced skeleton depends only on the
-sub-matrix over the registers the transition actually reads, so matrices
-are grouped by that sub-matrix and each group is solved once.  Per group it
-stores the compatible-successor index set, which lets reachability and the
-branching-time operators run as boolean-vector passes rather than per-node
-set operations.
+``quotient_graph`` materializes the node set and stores each transition as
+a partitioned relation between two groupings of the universe.  The forced
+skeleton depends only on the sub-matrix over the registers the transition
+reads, so matrices with one such *read key* share a single closure; and
+the skeleton constrains only the sub-matrix over the assigned registers,
+so the successor set of a read group is a union of *target-key* groups,
+found by filtering one representative per target key.  Reachability and
+the branching-time operators then run as a few numpy passes per transition
+(see Burch, Clarke & Long, "Symbolic model checking with partitioned
+transition relations", 1991).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
@@ -39,14 +40,13 @@ from regmc.matrices import (
     ZERO,
     RepConfig,
     RepMatrix,
+    _witness_valuation,
     canonical_valuation,
     formula_E_of_assignment,
     formula_E_of_valuation,
     system_of_guard,
     universe,
 )
-
-_INDEX_LIMIT = 4096  # compat sets up to this size are stored as index arrays
 
 
 @lru_cache(maxsize=None)
@@ -156,19 +156,25 @@ def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
     return out
 
 
-def _group_by_submatrix(
-    ua: np.ndarray, reads: list[int]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Group universe indices by their sub-matrix over the read registers."""
-    m = len(ua)
-    if not reads:
-        return np.zeros(m, dtype=np.int32), [np.arange(m, dtype=np.int32)]
-    flat = ua[:, reads][:, :, reads].reshape(m, -1)
-    _, inverse = np.unique(flat, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1).astype(np.int32)
-    order = np.argsort(inverse, kind="stable").astype(np.int32)
-    boundaries = np.searchsorted(inverse[order], np.arange(inverse.max() + 1))
-    return inverse, np.split(order, boundaries[1:].tolist())
+def _group_keys(ua: np.ndarray, regs: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Group universe rows by their sub-matrix over ``regs``.
+
+    Returns each row's dense group id and the first row of every group.
+    The sub-matrix is fixed by, for each listed register, the position of
+    the first listed register related to it and its diagonal label; each
+    register adds that pair as one integer column, and re-ranking after
+    every column keeps the running code below the row count.
+    """
+    key = np.zeros(len(ua), dtype=np.int64)
+    for p, r in enumerate(regs):
+        first = np.argmax(ua[:, r, regs[: p + 1]] != ZERO, axis=1)
+        labels, label = np.unique(ua[:, r, r], return_inverse=True)
+        width = (p + 1) * len(labels)
+        key = key * width + first * len(labels) + label.reshape(-1)
+        _, key = np.unique(key, return_inverse=True)
+        key = key.reshape(-1)
+    _, first_rows, key = np.unique(key, return_index=True, return_inverse=True)
+    return key.reshape(-1).astype(np.int32), first_rows
 
 
 def _is_full_identity(ra: RegisterAutomaton, t: Transition) -> bool:
@@ -181,28 +187,48 @@ def _is_full_identity(ra: RegisterAutomaton, t: Transition) -> bool:
 
 @dataclass
 class _Kernel:
-    """Per-transition successor machinery over universe indices.
+    """One transition's successor relation over universe indices, factored.
 
-    Either ``selfmask`` is set — the assignment is the identity on every
-    register, so each source matrix steps exactly to itself wherever the
-    guard is satisfiable — or the general form applies: ``key_of`` maps a
-    universe index to its read-set group, ``members`` lists each group, and
-    ``compat`` holds each group's successor indices (an int32 index array,
-    a boolean vector for large sets, or None when the group cannot fire).
+    Class ``u`` steps to class ``v`` exactly when the read group
+    ``key_of[u]`` relates to the target group ``tkey_of[v]``; the relation
+    is stored as CSR rows (``indptr``, ``indices``), one row of target
+    groups per read group, empty when the group cannot fire.  A read group
+    collects the classes with one sub-matrix over the registers the guard
+    and the assignment read, a target group those with one sub-matrix over
+    the assigned registers.  A transition that keeps every register is the
+    diagonal case: every class is its own read and target group, and its
+    row holds itself wherever the guard is satisfiable.
     """
 
-    selfmask: np.ndarray | None = None
-    key_of: np.ndarray | None = None
-    members: list[np.ndarray] = field(default_factory=list)
-    compat: list[np.ndarray | None] = field(default_factory=list)
+    key_of: np.ndarray
+    tkey_of: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    num_targets: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.num_targets = int(self.tkey_of.max()) + 1
 
     def successor_indices(self, u: int) -> np.ndarray:
-        if self.selfmask is not None:
-            return np.array([u], dtype=np.int32) if self.selfmask[u] else np.array([], dtype=np.int32)
-        comp = self.compat[self.key_of[u]]
-        if comp is None:
-            return np.array([], dtype=np.int32)
-        return comp if comp.dtype != np.bool_ else np.nonzero(comp)[0]
+        g = self.key_of[u]
+        hit = np.zeros(self.num_targets, dtype=bool)
+        hit[self.indices[self.indptr[g] : self.indptr[g + 1]]] = True
+        return np.nonzero(hit[self.tkey_of])[0]
+
+    def pre(self, target: np.ndarray) -> np.ndarray:
+        """Classes with at least one successor inside ``target``."""
+        hit = np.zeros(self.num_targets, dtype=bool)
+        hit[self.tkey_of[target]] = True
+        seen = np.concatenate(([0], np.cumsum(hit[self.indices])))
+        return (seen[self.indptr[1:]] > seen[self.indptr[:-1]])[self.key_of]
+
+    def image(self, source: np.ndarray) -> np.ndarray:
+        """Classes with at least one predecessor inside ``source``."""
+        active = np.zeros(len(self.indptr) - 1, dtype=bool)
+        active[self.key_of[source]] = True
+        hit = np.zeros(self.num_targets, dtype=bool)
+        hit[self.indices[np.repeat(active, np.diff(self.indptr))]] = True
+        return hit[self.tkey_of]
 
 
 def _build_kernel(
@@ -213,29 +239,37 @@ def _build_kernel(
 ) -> _Kernel:
     constants = ra.constants
     if _is_full_identity(ra, t):
-        _, groups = _group_by_submatrix(ua, sorted(_guard_registers(t)))
-        selfmask = np.zeros(len(ua), dtype=bool)
-        for members in groups:
-            w = canonical_valuation(mats[members[0]], constants)
-            step = eqlogic.merge(
-                system_of_guard(t.guard), formula_E_of_valuation(w, constants)
-            )
-            if eqlogic.is_consistent(step):
-                selfmask[members] = True
-        return _Kernel(selfmask=selfmask)
-    reads = sorted(_guard_registers(t) | _source_registers(t))
-    key_of, groups = _group_by_submatrix(ua, reads)
-    compat: list[np.ndarray | None] = []
-    for members in groups:
-        w = canonical_valuation(mats[members[0]], constants)
-        conds = _step_conditions(ra, t, w)
+        guard_of, reps = _group_keys(ua, sorted(_guard_registers(t)))
+        guard = system_of_guard(t.guard)
+        fires = np.array(
+            [
+                eqlogic.is_consistent(
+                    eqlogic.merge(
+                        guard,
+                        formula_E_of_valuation(_witness_valuation(mats[r], constants), constants),
+                    )
+                )
+                for r in reps
+            ],
+            dtype=bool,
+        )[guard_of]
+        every = np.arange(len(ua), dtype=np.int32)
+        indptr = np.zeros(len(ua) + 1, dtype=np.int64)
+        np.cumsum(fires, out=indptr[1:])
+        return _Kernel(every, every, indptr, every[fires])
+    key_of, reps = _group_keys(ua, sorted(_guard_registers(t) | _source_registers(t)))
+    tkey_of, treps = _group_keys(ua, sorted(t.assignment.targets()))
+    target_rows = ua[treps]
+    rows = []
+    for r in reps:
+        conds = _step_conditions(ra, t, _witness_valuation(mats[r], constants))
         if conds is None:
-            compat.append(None)
-            continue
-        mask = _filter_universe(ua, conds)
-        idx = np.nonzero(mask)[0].astype(np.int32)
-        compat.append(idx if len(idx) <= _INDEX_LIMIT else mask)
-    return _Kernel(key_of=key_of, members=groups, compat=compat)
+            rows.append(np.zeros(0, dtype=np.int32))
+        else:
+            rows.append(np.nonzero(_filter_universe(target_rows, conds))[0])
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    return _Kernel(key_of, tkey_of, indptr, np.concatenate(rows).astype(np.int32))
 
 
 @dataclass
@@ -243,9 +277,10 @@ class QuotientGraph:
     """The full abstract transition system of one automaton.
 
     Nodes are every (location, universe matrix) pair; edges are the
-    one-step successor relation.  Successor work is shared per transition
-    across matrices with the same read-set sub-matrix, and stored in vector
-    form so whole-graph fixpoints run as boolean passes.
+    one-step successor relation, held per transition as a factored
+    relation between read groups and target groups (``_Kernel``).  The
+    whole-graph fixpoints run as one vectorized pass per transition over
+    per-location boolean vectors aligned with the universe enumeration.
     """
 
     ra: RegisterAutomaton
@@ -307,17 +342,7 @@ class QuotientGraph:
         """Sources with at least one successor inside ``target``."""
         out = self._empty_masks()
         for t, ker in zip(self.ra.transitions, self._kernels):
-            tm = target[t.target]
-            res = out[t.source]
-            if ker.selfmask is not None:
-                res |= ker.selfmask & tm
-                continue
-            for members, comp in zip(ker.members, ker.compat):
-                if comp is None or res[members].all():
-                    continue
-                hit = tm[comp].any() if comp.dtype != np.bool_ else (tm & comp).any()
-                if hit:
-                    res[members] = True
+            out[t.source] |= ker.pre(target[t.target])
         return out
 
     def _reachable_masks(self) -> dict[str, np.ndarray]:
@@ -327,50 +352,19 @@ class QuotientGraph:
         while changed:
             changed = False
             for t, ker in zip(self.ra.transitions, self._kernels):
-                src = reached[t.source]
                 dst = reached[t.target]
-                if ker.selfmask is not None:
-                    add = ker.selfmask & src & ~dst
-                    if add.any():
-                        dst |= add
-                        changed = True
-                    continue
-                for members, comp in zip(ker.members, ker.compat):
-                    if comp is None or not src[members].any():
-                        continue
-                    if comp.dtype != np.bool_:
-                        if not dst[comp].all():
-                            dst[comp] = True
-                            changed = True
-                    else:
-                        if (comp & ~dst).any():
-                            dst |= comp
-                            changed = True
+                add = ker.image(reached[t.source]) & ~dst
+                if add.any():
+                    dst |= add
+                    changed = True
         return reached
 
 
-def quotient_graph(ra: RegisterAutomaton, threads: int | None = None) -> QuotientGraph:
-    """Build the abstract transition system, once, for shared use.
-
-    ``threads=None`` reads ``REGMC_THREADS`` (default 0).  0 or 1 builds
-    sequentially; larger values fan independent per-transition kernels out
-    to a thread pool.  The result is identical either way.
-    """
-    if threads is None:
-        raw = os.environ.get("REGMC_THREADS", "0")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"REGMC_THREADS must be a non-negative integer, got {raw!r}")
-    if threads < 0:
-        raise ValueError(f"thread count must be non-negative, got {threads}")
+def quotient_graph(ra: RegisterAutomaton) -> QuotientGraph:
+    """Build the abstract transition system, once, for shared use."""
     mats = universe(ra.num_registers, ra.constants)
     ua = _universe_array(ra.num_registers, ra.constants)
-    if threads > 1 and len(ra.transitions) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(ra.transitions))) as pool:
-            kernels = list(pool.map(lambda t: _build_kernel(ra, t, mats, ua), ra.transitions))
-    else:
-        kernels = [_build_kernel(ra, t, mats, ua) for t in ra.transitions]
+    kernels = [_build_kernel(ra, t, mats, ua) for t in ra.transitions]
     return QuotientGraph(ra, mats, _universe_index(ra.num_registers, ra.constants), kernels)
 
 

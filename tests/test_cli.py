@@ -204,10 +204,23 @@ def test_parse_failures_exit_2_silently(capsys):
     assert (rc, out) == (2, "")
 
 
-def test_bad_thread_setting_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("REGMC_THREADS", "many")
-    rc, out = run(capsys, "check", FIG, "EF @l1")
-    assert (rc, out) == (2, "")
+def test_deep_formulas_exit_2(capsys):
+    for formula in ("!" * 3000 + "x1 = x2", "(" * 3000 + "x1 = x2" + ")" * 3000):
+        rc, out = run(capsys, "check", FIG, formula)
+        assert (rc, out) == (2, "")
+    deepest = "!" * 148 + "(" * 148 + "x1 = x2" + ")" * 148  # at the limit
+    assert run(capsys, "check", FIG, deepest) == run(capsys, "check", FIG, "x1 = x2")
+
+
+def test_internal_errors_exit_3(capsys, monkeypatch):
+    def broken(ra):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("regmc.cli.quotient_graph", broken)
+    assert main(["check", FIG, "EF @l1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RuntimeError: boom" in captured.err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -201,6 +201,27 @@ def test_formula_errors():
     fails("@l0 &", dsl.parse_formula, fig)
 
 
+def test_formula_nesting_limit():
+    fig = figure_one()
+    atom = "x1 = x2"
+    fails("!" * 3000 + atom, dsl.parse_formula, fig)
+    fails("(" * 3000 + atom + ")" * 3000, dsl.parse_formula, fig)
+    fails(" & ".join([atom] * 3000), dsl.parse_formula, fig)
+    fails(" -> ".join([atom] * 3000), dsl.parse_formula, fig)
+    fails("E [ " * 3000 + atom + " U @l0 ]" * 3000, dsl.parse_formula, fig)
+
+    limit = dsl.MAX_FORMULA_DEPTH
+    leaf = RegEq(0, 1)
+    chains = [leaf, leaf, leaf]
+    for _ in range(limit - 1):
+        chains = [Not(chains[0]), And(chains[1], leaf), EU(leaf, chains[2])]
+    for f in chains:  # exactly at the limit: accepted, and round-trips
+        assert dsl.parse_formula(dsl.serialize(f, fig), fig) == f
+        fails(dsl.serialize(EX(f), fig), dsl.parse_formula, fig)
+    assert dsl.parse_formula("(" * (limit - 1) + atom + ")" * (limit - 1), fig) == leaf
+    fails("(" * limit + atom + ")" * limit, dsl.parse_formula, fig)
+
+
 # --- representative configurations ---
 
 

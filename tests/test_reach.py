@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -20,7 +22,7 @@ from regmc.core import (
     sufficient_pool,
 )
 from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, universe
-from regmc.reach import post, quotient_graph, reach, reachable_set
+from regmc.reach import _group_keys, _universe_array, post, quotient_graph, reach, reachable_set
 from regmc.reference import literal_post
 
 O, Z = ONE, ZERO
@@ -210,27 +212,85 @@ def test_reach_agrees_with_reachable_set():
             assert reach(ra, node) == (node in everything)
 
 
-def test_threaded_build_matches_sequential(fig):
-    seq = quotient_graph(fig)
-    par = quotient_graph(fig, threads=4)
-    for node in seq.nodes:
-        assert seq.edges(node) == par.edges(node)
-
-
-def test_thread_configuration_errors(fig, monkeypatch):
-    with pytest.raises(ValueError):
-        quotient_graph(fig, threads=-1)
-    monkeypatch.setenv("REGMC_THREADS", "many")
-    with pytest.raises(ValueError):
-        quotient_graph(fig)
-    monkeypatch.setenv("REGMC_THREADS", "2")
-    g = quotient_graph(fig)
-    assert len(g.nodes) == 10
-
-
 def test_oracle_pool_validation(fig):
     with pytest.raises(ValueError):
         oracles.check_pool(fig, (1, 3, 4, 5, 6, 7))  # constant 2 missing
     with pytest.raises(ValueError):
         oracles.check_pool(fig, (2, 1, 3))  # too few fresh values
     oracles.check_pool(fig, sufficient_pool(fig))
+
+
+def test_byzantine_edges_match_post(byz):
+    g = quotient_graph(byz)
+    rng = random.Random(25)
+    for loc in byz.locations:
+        for m in rng.sample(g.matrices, 6):
+            node = RepConfig(loc, m)
+            assert g.edges(node) == post(byz, node), node
+
+
+def _with_special_transitions(rng: random.Random, ra: RegisterAutomaton) -> RegisterAutomaton:
+    """``ra`` plus a havoc-everything step, a step reading nothing, and a guarded identity."""
+    n = ra.num_registers
+    action = ra.actions[0]
+    guard = tuple(
+        Atom(RegisterTerm(rng.randrange(n)), RegisterTerm(rng.randrange(n)), rng.random() < 0.5)
+        for _ in range(rng.randint(0, 2))
+    )
+    blind = Assignment(
+        tuple((i, ParameterTerm(1)) for i in range(n) if rng.random() < 0.5)
+        if action.arity
+        else ()
+    )
+    extra = (
+        Transition(rng.choice(ra.locations), action.name, (), Assignment(), rng.choice(ra.locations)),
+        Transition(rng.choice(ra.locations), action.name, (), blind, rng.choice(ra.locations)),
+        Transition(
+            rng.choice(ra.locations), action.name, guard, Assignment.identity(range(n)), rng.choice(ra.locations)
+        ),
+    )
+    return dataclasses.replace(ra, transitions=ra.transitions + extra)
+
+
+def test_vector_passes_match_per_node_edges():
+    rng = random.Random(26)
+    for _ in range(40):
+        ra = _with_special_transitions(rng, random_automaton(rng))
+        g = quotient_graph(ra)
+        nodes = sorted(g.nodes, key=lambda c: (c.location, c.matrix.rows))
+        some = set(rng.sample(nodes, len(nodes) // 3))
+        masks = g._masks_of(some)
+        ex = g._labelset(g._ex_masks(masks))
+        assert ex == {c for c in nodes if g.edges(c) & some}, ra
+
+        image = g._empty_masks()
+        for t, ker in zip(ra.transitions, g._kernels):
+            image[t.target] |= ker.image(masks[t.source])
+        assert g._labelset(image) == {v for u in some for v in g.edges(u)}, ra
+
+        seen = {c for c in nodes if c.location == ra.initial}
+        frontier = list(seen)
+        while frontier:
+            for nxt in g.edges(frontier.pop()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        assert g._labelset(g._reachable_masks()) == seen, ra
+
+
+@pytest.mark.parametrize("constants", [(), (0,), (0, 5)])
+def test_group_keys_match_submatrix_partition(constants):
+    rng = random.Random(27)
+    for n in range(1, 7):
+        ua = _universe_array(n, constants)
+        subsets = [[], list(range(n))] + [
+            sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(4)
+        ]
+        for regs in subsets:
+            key, first_rows = _group_keys(ua, regs)
+            flat = ua[:, regs][:, :, regs].reshape(len(ua), -1)
+            _, want = np.unique(flat, axis=0, return_inverse=True)
+            pairs = set(zip(key.tolist(), want.reshape(-1).tolist()))
+            assert len(pairs) == len(set(key.tolist())) == len(set(want.reshape(-1).tolist()))
+            # dense ids, each group represented by its first row
+            assert first_rows.tolist() == [np.argmax(key == g) for g in range(key.max() + 1)]
