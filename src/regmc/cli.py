@@ -5,9 +5,10 @@ matrices over a register count, ``post`` and ``reach`` answer successor
 and reachability queries for a configuration, ``check`` model-checks a
 formula, and ``simulate`` walks a random concrete run.  Exit status 0
 means the property holds (or the configuration is a member / reachable),
-1 means it does not, and 2 flags a usage or parse problem — in which
-case nothing is written to stdout.  Any other failure is a bug in regmc:
-it exits 3 with the traceback on stderr, so it never reads as an answer.
+1 means it does not, and 2 flags a usage or parse problem or an input over
+a size limit — in which case nothing is written to stdout.  Any other
+failure is a bug in regmc: it exits 3 with the traceback on stderr, so it
+never reads as an answer.
 
 Listings are deterministic: matrices appear in the enumeration order of
 ``universe`` and locations in declaration order, so outputs can serve as
@@ -25,15 +26,9 @@ import traceback
 from collections.abc import Sequence
 
 from regmc import dsl, reference
-from regmc.core import (
-    Configuration,
-    RegisterAutomaton,
-    apply_assignment,
-    eval_guard,
-    sufficient_pool,
-)
+from regmc.core import Configuration, RegisterAutomaton, concrete_steps, sufficient_pool
 from regmc.ctl import compute_ctl, model_check
-from regmc.matrices import RepConfig, matrix_of_valuation, universe
+from regmc.matrices import RepConfig, matrix_of_valuation, universe_table
 from regmc.reach import post, quotient_graph, reach
 
 
@@ -43,21 +38,21 @@ def _load_automaton(path: str) -> RegisterAutomaton:
 
 
 def _ordered(ra: RegisterAutomaton, configs: set[RepConfig]) -> list[RepConfig]:
-    rank = {m: i for i, m in enumerate(universe(ra.num_registers, ra.constants))}
+    index = universe_table(ra.num_registers, ra.constants).index
     return sorted(
-        configs, key=lambda c: (ra.locations.index(c.location), rank[c.matrix])
+        configs, key=lambda c: (ra.locations.index(c.location), index[c.matrix])
     )
 
 
 def _cmd_universe(args: argparse.Namespace) -> int:
     constants = tuple(dict.fromkeys(args.constants))
     names = tuple(f"x{i + 1}" for i in range(args.registers))
-    matrices = universe(args.registers, constants)
+    table = universe_table(args.registers, constants)
+    matrices = table.matrices
     if args.oracle:
         # same canonical presentation order; only the computation differs
-        rank = {m: i for i, m in enumerate(matrices)}
         scanned = reference.literal_universe(args.registers, constants)
-        matrices = sorted(scanned, key=lambda m: rank.get(m, len(rank)))
+        matrices = sorted(scanned, key=lambda m: table.index.get(m, len(matrices)))
     for m in matrices:
         print(dsl.classes_text(m, names))
     print(f"count: {len(matrices)}")
@@ -101,28 +96,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1
 
 
-def _concrete_steps(
-    ra: RegisterAutomaton, config: Configuration, pool: Sequence[int]
-) -> list[tuple[str, tuple[int, ...], Configuration]]:
-    """Every labelled successor: (action, data, next configuration)."""
-    out = []
-    for t in ra.transitions:
-        if t.source != config.location:
-            continue
-        arity = ra.action_arity(t.action)
-        stack: list[tuple[int, ...]] = [()]
-        while stack:
-            args = stack.pop()
-            if len(args) < arity:
-                stack.extend(args + (d,) for d in pool)
-                continue
-            if not eval_guard(t.guard, config.valuation, args):
-                continue
-            for v in apply_assignment(t.assignment, config.valuation, args, pool):
-                out.append((t.action, args, Configuration(t.target, v)))
-    return out
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     ra = _load_automaton(args.file)
     if args.steps < 0:
@@ -156,7 +129,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     show(current)
     for _ in range(args.steps):
-        steps = _concrete_steps(ra, current, pool)
+        steps = list(concrete_steps(ra, current, pool))
         if not steps:
             break
         action, data, current = rng.choice(steps)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -194,11 +194,14 @@ def apply_assignment(
     return out
 
 
-def concrete_successors(
+def concrete_steps(
     ra: RegisterAutomaton, config: Configuration, pool: Sequence[int]
-) -> set[Configuration]:
-    """One-step successors with action arguments and havoc drawn from ``pool``."""
-    out: set[Configuration] = set()
+) -> Iterator[tuple[str, tuple[int, ...], Configuration]]:
+    """Every labelled one-step successor: (action, arguments, next configuration).
+
+    Action arguments and havocked values are drawn from ``pool``; transitions
+    come in declaration order and arguments in ``itertools.product`` order.
+    """
     for t in ra.transitions:
         if t.source != config.location:
             continue
@@ -206,8 +209,14 @@ def concrete_successors(
             if not eval_guard(t.guard, config.valuation, args):
                 continue
             for val in apply_assignment(t.assignment, config.valuation, args, pool):
-                out.add(Configuration(t.target, val))
-    return out
+                yield t.action, args, Configuration(t.target, val)
+
+
+def concrete_successors(
+    ra: RegisterAutomaton, config: Configuration, pool: Sequence[int]
+) -> set[Configuration]:
+    """One-step successors with action arguments and havoc drawn from ``pool``."""
+    return {c for _, _, c in concrete_steps(ra, config, pool)}
 
 
 def check_run(

@@ -5,16 +5,21 @@ observations the finite quotient preserves — under the usual boolean and
 path operators with next (EX), until (EU), and always-on-some-path (EG) as
 the core; the remaining operators are abbreviations expanded at
 construction time.  Satisfaction sets are computed by the standard labeling
-recursion: atoms read the matrix entries directly, EU is a least fixpoint
-of ``Z ↦ f₁ ∪ (f₀ ∩ EX Z)``, EG a greatest fixpoint of ``Z ↦ f ∩ EX Z``
+recursion: atoms compare the block and label columns of the universe table
+(``matrices.universe_table``), EU is a least fixpoint of
+``Z ↦ f₁ ∪ (f₀ ∩ EX Z)``, EG a greatest fixpoint of ``Z ↦ f ∩ EX Z``
 started at the full labeling of ``f``.  A class satisfies a formula exactly
 when every valuation in it does, so answers transfer verbatim to the
 infinite concrete system; the test suite checks this against an
 explicit-state checker over bounded concrete graphs.
 
-The public operations exchange plain sets of configurations; internally
-everything runs on per-location boolean vectors aligned with the universe
-enumeration, with results memoized per structurally-equal subformula.
+The public operations exchange plain sets of configurations; internally a
+set is one (locations × classes) boolean array, rows in declaration order
+and columns in universe order, so NOT, AND and the fixpoint steps are plain
+array expressions, with results memoized per structurally-equal
+subformula.  Evaluation and hashing recurse over the formula, so
+``model_check`` and ``compute_ctl`` refuse formulas nested deeper than
+``MAX_FORMULA_DEPTH`` with ``ValueError`` before touching them.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from regmc.matrices import ZERO, RepConfig
-from regmc.reach import QuotientGraph, _universe_array
+from regmc.matrices import RepConfig
+from regmc.reach import QuotientGraph
 
 
 @dataclass(frozen=True)
@@ -103,69 +108,78 @@ def af(f: CtlFormula) -> CtlFormula:
     return Not(EG(Not(f)))
 
 
-Masks = dict[str, np.ndarray]
+# Evaluation, structural hashing and serialization recurse over the formula
+# tree; this depth keeps them well inside the interpreter's recursion limit.
+MAX_FORMULA_DEPTH = 150
 
 
-def _ap_masks(graph: QuotientGraph, atom: CtlFormula) -> Masks:
-    ra = graph.ra
-    n = ra.num_registers
-    ua = _universe_array(n, ra.constants)
+def formula_depth(f: CtlFormula) -> int:
+    """Nesting depth of ``f``, counted iteratively and without hashing."""
+    deepest = 0
+    stack = [(f, 1)]
+    while stack:
+        g, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(g, (Not, EX, EG)):
+            stack.append((g.f, d + 1))
+        elif isinstance(g, (And, EU)):
+            stack += [(g.f0, d + 1), (g.f1, d + 1)]
+    return deepest
+
+
+def check_depth(f: CtlFormula) -> None:
+    """Raise ``ValueError`` for a formula nested deeper than ``MAX_FORMULA_DEPTH``."""
+    if formula_depth(f) > MAX_FORMULA_DEPTH:
+        raise ValueError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
+
+
+def _ap_masks(graph: QuotientGraph, atom: CtlFormula) -> np.ndarray:
+    n = graph.ra.num_registers
     if isinstance(atom, AtLocation):
-        if atom.location not in ra.locations:
-            raise ValueError(f"unknown location: {atom.location}")
         masks = graph._empty_masks()
-        masks[atom.location][:] = True
+        masks[graph._location_index(atom.location)] = True
         return masks
     if isinstance(atom, RegEq):
         if not (0 <= atom.i < n and 0 <= atom.j < n):
             raise ValueError(f"register index out of range: {atom}")
-        row = ua[:, atom.i, atom.j] != ZERO
+        row = graph.table.block[:, atom.i] == graph.table.block[:, atom.j]
     elif isinstance(atom, RegEqConst):
         if not 0 <= atom.i < n:
             raise ValueError(f"register index out of range: {atom}")
-        row = ua[:, atom.i, atom.i] == atom.c
+        row = graph.table.label[:, atom.i] == atom.c
     else:
         raise ValueError(f"not an atomic formula: {atom}")
-    return {l: row.copy() for l in ra.locations}
+    return np.repeat(row[None, :], len(graph.ra.locations), axis=0)
 
 
-def _masks_equal(a: Masks, b: Masks) -> bool:
-    return all(np.array_equal(a[l], b[l]) for l in a)
-
-
-def _eu_masks(graph: QuotientGraph, m0: Masks, m1: Masks) -> Masks:
-    out = {l: m.copy() for l, m in m1.items()}
+def _eu_masks(graph: QuotientGraph, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    out = m1
     while True:
-        ex = graph._ex_masks(out)
-        nxt = {l: m1[l] | (m0[l] & ex[l]) for l in out}
-        if _masks_equal(nxt, out):
+        nxt = m1 | (m0 & graph._ex_masks(out))
+        if np.array_equal(nxt, out):
             return out
         out = nxt
 
 
-def _eg_masks(graph: QuotientGraph, s: Masks) -> Masks:
-    out = {l: m.copy() for l, m in s.items()}
+def _eg_masks(graph: QuotientGraph, s: np.ndarray) -> np.ndarray:
+    out = s
     while True:
-        ex = graph._ex_masks(out)
-        nxt = {l: out[l] & ex[l] for l in out}
-        if _masks_equal(nxt, out):
+        nxt = out & graph._ex_masks(out)
+        if np.array_equal(nxt, out):
             return out
         out = nxt
 
 
-def _eval(graph: QuotientGraph, f: CtlFormula, memo: dict[CtlFormula, Masks]) -> Masks:
+def _eval(graph: QuotientGraph, f: CtlFormula, memo: dict[CtlFormula, np.ndarray]) -> np.ndarray:
     hit = memo.get(f)
     if hit is not None:
         return hit
     if isinstance(f, (AtLocation, RegEq, RegEqConst)):
         out = _ap_masks(graph, f)
     elif isinstance(f, Not):
-        inner = _eval(graph, f.f, memo)
-        out = {l: ~m for l, m in inner.items()}
+        out = ~_eval(graph, f.f, memo)
     elif isinstance(f, And):
-        m0 = _eval(graph, f.f0, memo)
-        m1 = _eval(graph, f.f1, memo)
-        out = {l: m0[l] & m1[l] for l in m0}
+        out = _eval(graph, f.f0, memo) & _eval(graph, f.f1, memo)
     elif isinstance(f, EX):
         out = graph._ex_masks(_eval(graph, f.f, memo))
     elif isinstance(f, EU):
@@ -185,7 +199,7 @@ def compute_ap(graph: QuotientGraph, atom: CtlFormula) -> LabelSet:
 
 def compute_not(graph: QuotientGraph, s: LabelSet) -> LabelSet:
     """Complement within the graph's node set."""
-    return graph._labelset({l: ~m for l, m in graph._masks_of(s).items()})
+    return graph._labelset(~graph._masks_of(s))
 
 
 def compute_and(s0: LabelSet, s1: LabelSet) -> LabelSet:
@@ -209,10 +223,12 @@ def compute_eg(graph: QuotientGraph, s: LabelSet) -> LabelSet:
 
 def compute_ctl(graph: QuotientGraph, f: CtlFormula) -> LabelSet:
     """All configurations satisfying ``f``, by memoized structural labeling."""
+    check_depth(f)
     return graph._labelset(_eval(graph, f, {}))
 
 
 def model_check(graph: QuotientGraph, f: CtlFormula) -> bool:
     """Whether every initial-location configuration satisfies ``f``."""
+    check_depth(f)
     sat = _eval(graph, f, {})
-    return bool(sat[graph.ra.initial].all())
+    return bool(sat[graph._location_index(graph.ra.initial)].all())

@@ -16,11 +16,11 @@ temporal operators ``EX EF EG AX AF AG`` and ``E [ f U g ]``; ``!`` and
 the prefix operators bind tightest, then ``&``, then ``|``, then the
 right-associative ``->``.  Derived operators expand on the spot, so the
 parsed tree is over the core connectives only.  A formula may nest at most
-``MAX_FORMULA_DEPTH`` levels, counted both on that tree and on the
+``ctl.MAX_FORMULA_DEPTH`` levels, counted both on that tree and on the
 brackets of the text (parentheses, ``E [ … ]`` and ``->`` chains); deeper
-input is a ``ParseError``, so the recursive evaluator and serializer stay
-inside the interpreter's recursion limit.  The serializer writes at most
-one bracket per tree level, so every accepted formula round-trips.
+input is a ``ParseError``.  The serializer refuses a deeper formula built
+in Python with ``ValueError``, and writes at most one bracket per tree
+level, so every accepted formula round-trips.
 
 A representative configuration is a location plus the partition of the
 registers into equality classes, constants attached to their class::
@@ -48,7 +48,9 @@ from regmc.core import (
     Term,
     Transition,
 )
-from regmc.ctl import EG, EU, EX, And, AtLocation, CtlFormula, Not, RegEq, RegEqConst
+from regmc.ctl import (
+    EG, EU, EX, MAX_FORMULA_DEPTH, And, AtLocation, CtlFormula, Not, RegEq, RegEqConst,
+)
 from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix
 
 
@@ -396,9 +398,6 @@ def _parse_transition(
 
 # --- formulas ---
 
-MAX_FORMULA_DEPTH = 150
-
-
 def parse_formula(text: str, ra: RegisterAutomaton) -> CtlFormula:
     cur = _Cursor(_tokenize(text))
     cur.skip_newlines()
@@ -408,22 +407,9 @@ def parse_formula(text: str, ra: RegisterAutomaton) -> CtlFormula:
     trailing = cur.peek()
     if trailing.kind != "eof":
         raise ParseError(trailing.span, f"unexpected {trailing.text!r} after the formula")
-    if _tree_depth(f) > MAX_FORMULA_DEPTH:
+    if ctl.formula_depth(f) > MAX_FORMULA_DEPTH:
         raise ParseError(first.span, f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
     return f
-
-
-def _tree_depth(f: CtlFormula) -> int:
-    deepest = 0
-    stack = [(f, 1)]
-    while stack:
-        g, d = stack.pop()
-        deepest = max(deepest, d)
-        if isinstance(g, (Not, EX, EG)):
-            stack.append((g.f, d + 1))
-        elif isinstance(g, (And, EU)):
-            stack += [(g.f0, d + 1), (g.f1, d + 1)]
-    return deepest
 
 
 def _formula(cur: _Cursor, ra: RegisterAutomaton, brackets: int) -> CtlFormula:
@@ -652,7 +638,8 @@ def serialize(
     """Render a value in the concrete syntax its parser accepts.
 
     Formulas and configurations print register and location names, so those
-    two kinds need the automaton they belong to.
+    two kinds need the automaton they belong to.  A formula nested deeper
+    than ``MAX_FORMULA_DEPTH`` raises ``ValueError``.
     """
     if isinstance(value, RegisterAutomaton):
         return _automaton_text(value)
@@ -665,6 +652,7 @@ def serialize(
     ):
         if ra is None:
             raise ValueError("serializing a formula needs the automaton")
+        ctl.check_depth(value)
         return _formula_text(value, ra)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 

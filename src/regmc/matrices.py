@@ -13,7 +13,13 @@ declared constant.  The matrix alphabet is ``{ZERO, ONE} ∪ C``:
 
 There are finitely many such matrices per register count, so reachability
 and branching-time questions about the infinite concrete system reduce to
-the same questions over this finite universe (built by ``universe``).
+the same questions over this finite universe.  This module owns its one
+layout, ``universe_table``: the matrices in listing order, an index back
+from matrix to position, and two (classes × registers) columns, the block
+of each register and its diagonal label.  Entry ``(i, j)`` is the label of
+``i`` when ``i`` and ``j`` share a block and ``ZERO`` otherwise, so every
+question the successor search and the checker ask of a class is a compare
+of two columns.  Universes over ``MAX_CLASSES`` classes are refused.
 
 A matrix is *consistent* when its induced constraint system has a model —
 exactly when it is the matrix of some valuation.  ``canonical_valuation``
@@ -24,8 +30,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from functools import cache, lru_cache
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from regmc import eqlogic
 from regmc.core import Assignment, ParameterTerm, RegisterTerm, Term
@@ -287,8 +295,59 @@ def _block_labelings(k: int, constants: tuple[int, ...]) -> Iterator[tuple[int |
             yield labels
 
 
+@cache
+def _stirling2(n: int, k: int) -> int:
+    if n == 0:
+        return 1 if k == 0 else 0
+    if k == 0:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def universe_size(n_registers: int, num_constants: int) -> int:
+    """|universe(n, C)| without materializing it.
+
+    Sums, over partitions of the registers into k blocks, the number of ways
+    to pin an injective subset of blocks to constants.
+    """
+    total = 0
+    for k in range(1, n_registers + 1):
+        pinnings = 0
+        choose, arrange = 1, 1
+        for j in range(min(k, num_constants) + 1):
+            pinnings += choose * arrange
+            choose = choose * (k - j) // (j + 1)
+            arrange *= num_constants - j
+        total += _stirling2(n_registers, k) * pinnings
+    return total
+
+
+# The largest universe ``universe_table`` enumerates: admits 10 registers
+# with one constant (678570 classes), refuses 12 registers, or 11 with one
+# constant (4213597 each), before any matrix is built.
+MAX_CLASSES = 1_000_000
+
+
+class UniverseTable(NamedTuple):
+    """One universe in listing order: class ``k`` is ``matrices[k]``,
+    ``block[k, i]`` is register ``i``'s block in its growth string,
+    ``label[k, i]`` its diagonal entry (``ONE`` or the pinned constant), and
+    ``index`` maps each matrix back to ``k``."""
+
+    matrices: tuple[RepMatrix, ...]
+    block: np.ndarray
+    label: np.ndarray
+    index: dict[RepMatrix, int]
+
+
 @lru_cache(maxsize=None)
-def universe(n_registers: int, constants: tuple[int, ...]) -> tuple[RepMatrix, ...]:
+def _class_row(members: tuple[bool, ...], entry: int) -> tuple[int, ...]:
+    """A block's matrix row: ``entry`` at its registers, ``ZERO`` elsewhere."""
+    return tuple(entry if m else ZERO for m in members)
+
+
+@lru_cache(maxsize=None)
+def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTable:
     """Every consistent matrix over ``n_registers`` registers, in a fixed order.
 
     Enumerated as labeled set partitions — each register partition, with
@@ -296,21 +355,40 @@ def universe(n_registers: int, constants: tuple[int, ...]) -> tuple[RepMatrix, .
     filtering the ``(|C|+2)^(n²)`` raw matrices.  The order (partitions in
     growth-string order, labelings with None before each declared constant)
     is deterministic and is the listing order used by the command-line
-    tools.
+    tools.  Matrices share their row tuples.  Raises ``ValueError`` before
+    enumerating anything when the universe holds more than ``MAX_CLASSES``
+    classes.
     """
     if n_registers < 1:
         raise ValueError("need at least one register")
-    out: list[RepMatrix] = []
+    # even without constants there are at least 2^(n-1) classes, so a
+    # register count past the limit's bit length is refused without counting
+    if n_registers > MAX_CLASSES.bit_length() or (
+        universe_size(n_registers, len(constants)) > MAX_CLASSES
+    ):
+        raise ValueError(
+            f"the universe over {n_registers} registers and {len(constants)} constant(s) "
+            f"exceeds the {MAX_CLASSES} class limit"
+        )
+    matrices: list[RepMatrix] = []
+    blocks: list[tuple[int, ...]] = []
+    labels: list[list[int]] = []
     for rgs in _growth_strings(n_registers):
-        blocks = max(rgs) + 1
-        for labels in _block_labelings(blocks, constants):
-            entries = [labels[b] if labels[b] is not None else ONE for b in rgs]
-            out.append(
-                RepMatrix(
-                    tuple(
-                        tuple(entries[i] if rgs[i] == rgs[j] else ZERO for j in range(n_registers))
-                        for i in range(n_registers)
-                    )
-                )
-            )
-    return tuple(out)
+        members = [tuple(b == r for r in rgs) for b in range(max(rgs) + 1)]
+        for pins in _block_labelings(len(members), constants):
+            diag = [ONE if c is None else c for c in pins]
+            rows = [_class_row(m, d) for m, d in zip(members, diag)]
+            matrices.append(RepMatrix(tuple(rows[b] for b in rgs)))
+            blocks.append(rgs)
+            labels.append([diag[b] for b in rgs])
+    return UniverseTable(
+        tuple(matrices),
+        np.array(blocks, dtype=np.int8).reshape(-1, n_registers),
+        np.array(labels, dtype=np.int64).reshape(-1, n_registers),
+        {m: k for k, m in enumerate(matrices)},
+    )
+
+
+def universe(n_registers: int, constants: tuple[int, ...]) -> tuple[RepMatrix, ...]:
+    """The matrices of ``universe_table``, in its listing order."""
+    return universe_table(n_registers, constants).matrices

@@ -12,6 +12,9 @@ entries (in particular whole rows of registers the transition leaves
 unassigned, which may take any value) are free.  Filtering the universe by
 the forced entries is exact because the valuation descriptions carry each
 register's complete relationship to every other read register and constant.
+Each forced entry is one column compare on the universe table of
+``matrices``: a match or mismatch compares two block columns, a required
+or ruled-out constant compares a label column.
 
 ``quotient_graph`` materializes the node set and stores each transition as
 a partitioned relation between two groupings of the universe.  The forced
@@ -19,16 +22,17 @@ skeleton depends only on the sub-matrix over the registers the transition
 reads, so matrices with one such *read key* share a single closure; and
 the skeleton constrains only the sub-matrix over the assigned registers,
 so the successor set of a read group is a union of *target-key* groups,
-found by filtering one representative per target key.  Reachability and
-the branching-time operators then run as a few numpy passes per transition
-(see Burch, Clarke & Long, "Symbolic model checking with partitioned
-transition relations", 1991).
+found by filtering one representative per target key; both groupings are
+integer keys built from the same block and label columns.  A set of nodes
+is one (locations × classes) boolean array, so reachability and the
+branching-time operators run as a few numpy passes per transition (see
+Burch, Clarke & Long, "Symbolic model checking with partitioned transition
+relations", 1991).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -37,26 +41,16 @@ from regmc import eqlogic
 from regmc.core import RegisterAutomaton, RegisterTerm, Transition
 from regmc.eqlogic import const, primed
 from regmc.matrices import (
-    ZERO,
     RepConfig,
     RepMatrix,
+    UniverseTable,
     _witness_valuation,
     canonical_valuation,
     formula_E_of_assignment,
     formula_E_of_valuation,
     system_of_guard,
-    universe,
+    universe_table,
 )
-
-
-@lru_cache(maxsize=None)
-def _universe_array(n: int, constants: tuple[int, ...]) -> np.ndarray:
-    return np.array([m.rows for m in universe(n, constants)], dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def _universe_index(n: int, constants: tuple[int, ...]) -> dict[RepMatrix, int]:
-    return {m: k for k, m in enumerate(universe(n, constants))}
 
 
 def _guard_registers(t: Transition) -> set[int]:
@@ -111,17 +105,20 @@ def _step_conditions(
     return conds
 
 
-def _filter_universe(ua: np.ndarray, conds: list[tuple[str, int, int]]) -> np.ndarray:
-    mask = np.ones(len(ua), dtype=bool)
+def _filter_universe(
+    block: np.ndarray, label: np.ndarray, conds: list[tuple[str, int, int]]
+) -> np.ndarray:
+    """Rows of a universe table (``block``, ``label``) meeting every condition."""
+    mask = np.ones(len(block), dtype=bool)
     for kind, i, v in conds:
         if kind == "eq":
-            mask &= ua[:, i, v] != ZERO
+            mask &= block[:, i] == block[:, v]
         elif kind == "ne":
-            mask &= ua[:, i, v] == ZERO
+            mask &= block[:, i] != block[:, v]
         elif kind == "pin":
-            mask &= ua[:, i, i] == v
+            mask &= label[:, i] == v
         else:
-            mask &= ua[:, i, i] != v
+            mask &= label[:, i] != v
     return mask
 
 
@@ -142,8 +139,7 @@ def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
     """
     _validate_config(ra, c)
     w = canonical_valuation(c.matrix, ra.constants)
-    mats = universe(ra.num_registers, ra.constants)
-    ua = _universe_array(ra.num_registers, ra.constants)
+    table = universe_table(ra.num_registers, ra.constants)
     out: set[RepConfig] = set()
     for t in ra.transitions:
         if t.source != c.location:
@@ -151,26 +147,28 @@ def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
         conds = _step_conditions(ra, t, w)
         if conds is None:
             continue
-        for k in np.nonzero(_filter_universe(ua, conds))[0]:
-            out.add(RepConfig(t.target, mats[k]))
+        for k in np.nonzero(_filter_universe(table.block, table.label, conds))[0]:
+            out.add(RepConfig(t.target, table.matrices[k]))
     return out
 
 
-def _group_keys(ua: np.ndarray, regs: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Group universe rows by their sub-matrix over ``regs``.
+def _group_keys(
+    block: np.ndarray, label: np.ndarray, regs: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of a universe table by their sub-matrix over ``regs``.
 
     Returns each row's dense group id and the first row of every group.
     The sub-matrix is fixed by, for each listed register, the position of
-    the first listed register related to it and its diagonal label; each
+    the first listed register in its block and its diagonal label; each
     register adds that pair as one integer column, and re-ranking after
     every column keeps the running code below the row count.
     """
-    key = np.zeros(len(ua), dtype=np.int64)
+    key = np.zeros(len(block), dtype=np.int64)
     for p, r in enumerate(regs):
-        first = np.argmax(ua[:, r, regs[: p + 1]] != ZERO, axis=1)
-        labels, label = np.unique(ua[:, r, r], return_inverse=True)
+        first = np.argmax(block[:, regs[: p + 1]] == block[:, [r]], axis=1)
+        labels, lab = np.unique(label[:, r], return_inverse=True)
         width = (p + 1) * len(labels)
-        key = key * width + first * len(labels) + label.reshape(-1)
+        key = key * width + first * len(labels) + lab.reshape(-1)
         _, key = np.unique(key, return_inverse=True)
         key = key.reshape(-1)
     _, first_rows, key = np.unique(key, return_index=True, return_inverse=True)
@@ -231,15 +229,11 @@ class _Kernel:
         return hit[self.tkey_of]
 
 
-def _build_kernel(
-    ra: RegisterAutomaton,
-    t: Transition,
-    mats: tuple[RepMatrix, ...],
-    ua: np.ndarray,
-) -> _Kernel:
+def _build_kernel(ra: RegisterAutomaton, t: Transition, table: UniverseTable) -> _Kernel:
     constants = ra.constants
+    mats, block, label = table.matrices, table.block, table.label
     if _is_full_identity(ra, t):
-        guard_of, reps = _group_keys(ua, sorted(_guard_registers(t)))
+        guard_of, reps = _group_keys(block, label, sorted(_guard_registers(t)))
         guard = system_of_guard(t.guard)
         fires = np.array(
             [
@@ -253,20 +247,19 @@ def _build_kernel(
             ],
             dtype=bool,
         )[guard_of]
-        every = np.arange(len(ua), dtype=np.int32)
-        indptr = np.zeros(len(ua) + 1, dtype=np.int64)
+        every = np.arange(len(mats), dtype=np.int32)
+        indptr = np.zeros(len(mats) + 1, dtype=np.int64)
         np.cumsum(fires, out=indptr[1:])
         return _Kernel(every, every, indptr, every[fires])
-    key_of, reps = _group_keys(ua, sorted(_guard_registers(t) | _source_registers(t)))
-    tkey_of, treps = _group_keys(ua, sorted(t.assignment.targets()))
-    target_rows = ua[treps]
+    key_of, reps = _group_keys(block, label, sorted(_guard_registers(t) | _source_registers(t)))
+    tkey_of, treps = _group_keys(block, label, sorted(t.assignment.targets()))
     rows = []
     for r in reps:
         conds = _step_conditions(ra, t, _witness_valuation(mats[r], constants))
         if conds is None:
             rows.append(np.zeros(0, dtype=np.int32))
         else:
-            rows.append(np.nonzero(_filter_universe(target_rows, conds))[0])
+            rows.append(np.nonzero(_filter_universe(block[treps], label[treps], conds))[0])
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=indptr[1:])
     return _Kernel(key_of, tkey_of, indptr, np.concatenate(rows).astype(np.int32))
@@ -278,16 +271,21 @@ class QuotientGraph:
 
     Nodes are every (location, universe matrix) pair; edges are the
     one-step successor relation, held per transition as a factored
-    relation between read groups and target groups (``_Kernel``).  The
-    whole-graph fixpoints run as one vectorized pass per transition over
-    per-location boolean vectors aligned with the universe enumeration.
+    relation between read groups and target groups (``_Kernel``), tagged
+    with the positions of the transition's source and target locations.
+    A set of nodes is one (locations × classes) boolean array, rows in
+    declaration order and columns in universe order, so the whole-graph
+    fixpoints run as one vectorized pass per transition.
     """
 
     ra: RegisterAutomaton
-    matrices: tuple[RepMatrix, ...]
-    _index: dict[RepMatrix, int]
-    _kernels: list[_Kernel]
+    table: UniverseTable
+    _steps: list[tuple[int, int, _Kernel]]
     _node_cache: frozenset[RepConfig] | None = field(default=None, repr=False)
+
+    @property
+    def matrices(self) -> tuple[RepMatrix, ...]:
+        return self.table.matrices
 
     @property
     def nodes(self) -> set[RepConfig]:
@@ -298,74 +296,75 @@ class QuotientGraph:
         return set(self._node_cache)
 
     def edges(self, node: RepConfig) -> set[RepConfig]:
-        u = self._node_index(node)
-        out: set[RepConfig] = set()
-        for t, ker in zip(self.ra.transitions, self._kernels):
-            if t.source != node.location:
-                continue
-            out.update(
-                RepConfig(t.target, self.matrices[k])
-                for k in ker.successor_indices(u)
-            )
-        return out
-
-    def _node_index(self, node: RepConfig) -> int:
-        if node.location not in self.ra.locations:
-            raise ValueError(f"unknown location: {node.location}")
-        u = self._index.get(node.matrix)
-        if u is None:
-            raise ValueError("matrix is not a universe member")
-        return u
-
-    # --- boolean-vector plumbing shared with the branching-time operators ---
-
-    def _empty_masks(self) -> dict[str, np.ndarray]:
-        return {l: np.zeros(len(self.matrices), dtype=bool) for l in self.ra.locations}
-
-    def _full_masks(self) -> dict[str, np.ndarray]:
-        return {l: np.ones(len(self.matrices), dtype=bool) for l in self.ra.locations}
-
-    def _masks_of(self, configs: Iterable[RepConfig]) -> dict[str, np.ndarray]:
-        masks = self._empty_masks()
-        for c in configs:
-            masks[c.location][self._node_index(c)] = True
-        return masks
-
-    def _labelset(self, masks: dict[str, np.ndarray]) -> set[RepConfig]:
+        loc, u = self._node_index(node)
         return {
-            RepConfig(l, self.matrices[k])
-            for l, mask in masks.items()
-            for k in np.nonzero(mask)[0]
+            RepConfig(self.ra.locations[dst], self.matrices[k])
+            for src, dst, ker in self._steps
+            if src == loc
+            for k in ker.successor_indices(u)
         }
 
-    def _ex_masks(self, target: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    def _location_index(self, location: str) -> int:
+        if location not in self.ra.locations:
+            raise ValueError(f"unknown location: {location}")
+        return self.ra.locations.index(location)
+
+    def _node_index(self, node: RepConfig) -> tuple[int, int]:
+        loc = self._location_index(node.location)
+        u = self.table.index.get(node.matrix)
+        if u is None:
+            raise ValueError("matrix is not a universe member")
+        return loc, u
+
+    # --- (locations × classes) arrays shared with the branching-time operators ---
+
+    def _empty_masks(self) -> np.ndarray:
+        return np.zeros((len(self.ra.locations), len(self.matrices)), dtype=bool)
+
+    def _masks_of(self, configs: Iterable[RepConfig]) -> np.ndarray:
+        masks = self._empty_masks()
+        for c in configs:
+            masks[self._node_index(c)] = True
+        return masks
+
+    def _labelset(self, masks: np.ndarray) -> set[RepConfig]:
+        mats = self.matrices
+        return {
+            RepConfig(l, mats[k])
+            for l, mask in zip(self.ra.locations, masks)
+            for k in np.flatnonzero(mask).tolist()
+        }
+
+    def _ex_masks(self, target: np.ndarray) -> np.ndarray:
         """Sources with at least one successor inside ``target``."""
         out = self._empty_masks()
-        for t, ker in zip(self.ra.transitions, self._kernels):
-            out[t.source] |= ker.pre(target[t.target])
+        for src, dst, ker in self._steps:
+            out[src] |= ker.pre(target[dst])
         return out
 
-    def _reachable_masks(self) -> dict[str, np.ndarray]:
+    def _reachable_masks(self) -> np.ndarray:
         reached = self._empty_masks()
-        reached[self.ra.initial][:] = True
+        reached[self._location_index(self.ra.initial)] = True
         changed = True
         while changed:
             changed = False
-            for t, ker in zip(self.ra.transitions, self._kernels):
-                dst = reached[t.target]
-                add = ker.image(reached[t.source]) & ~dst
+            for src, dst, ker in self._steps:
+                add = ker.image(reached[src]) & ~reached[dst]
                 if add.any():
-                    dst |= add
+                    reached[dst] |= add
                     changed = True
         return reached
 
 
 def quotient_graph(ra: RegisterAutomaton) -> QuotientGraph:
     """Build the abstract transition system, once, for shared use."""
-    mats = universe(ra.num_registers, ra.constants)
-    ua = _universe_array(ra.num_registers, ra.constants)
-    kernels = [_build_kernel(ra, t, mats, ua) for t in ra.transitions]
-    return QuotientGraph(ra, mats, _universe_index(ra.num_registers, ra.constants), kernels)
+    table = universe_table(ra.num_registers, ra.constants)
+    loc = ra.locations.index
+    return QuotientGraph(
+        ra,
+        table,
+        [(loc(t.source), loc(t.target), _build_kernel(ra, t, table)) for t in ra.transitions],
+    )
 
 
 def reach(ra: RegisterAutomaton, target: RepConfig) -> bool:
@@ -373,9 +372,7 @@ def reach(ra: RegisterAutomaton, target: RepConfig) -> bool:
     _validate_config(ra, target)
     canonical_valuation(target.matrix, ra.constants)  # rejects inconsistent targets
     graph = quotient_graph(ra)
-    return bool(
-        graph._reachable_masks()[target.location][graph._index[target.matrix]]
-    )
+    return bool(graph._reachable_masks()[graph._node_index(target)])
 
 
 def reachable_set(ra: RegisterAutomaton) -> set[RepConfig]:

@@ -11,7 +11,6 @@ performance is explicitly a non-goal here.
 from __future__ import annotations
 
 import itertools
-from functools import cache
 
 from regmc import eqlogic
 from regmc.core import RegisterAutomaton
@@ -26,36 +25,10 @@ from regmc.matrices import (
     is_consistent_matrix,
     system_of_guard,
     universe,
+    universe_size,
 )
 
 SCAN_LIMIT = 1_000_000
-
-
-@cache
-def _stirling2(n: int, k: int) -> int:
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-
-
-def universe_size(n_registers: int, num_constants: int) -> int:
-    """|universe(n, C)| without materializing it.
-
-    Sums, over partitions of the registers into k blocks, the number of ways
-    to pin an injective subset of blocks to constants.
-    """
-    total = 0
-    for k in range(1, n_registers + 1):
-        pinnings = 0
-        choose, arrange = 1, 1
-        for j in range(min(k, num_constants) + 1):
-            pinnings += choose * arrange
-            choose = choose * (k - j) // (j + 1)
-            arrange *= num_constants - j
-        total += _stirling2(n_registers, k) * pinnings
-    return total
 
 
 def literal_universe(n_registers: int, constants: tuple[int, ...]) -> tuple[RepMatrix, ...]:

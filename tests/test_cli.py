@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pathlib
 import re
+import time
 
 import pytest
 
@@ -53,6 +54,15 @@ def test_universe_oracle_flag_agrees(capsys):
     rc2, via_oracle = run(capsys, "--oracle", "universe", "-n", "3", "-c", "0")
     assert (rc, rc2) == (0, 0)
     assert plain == via_oracle
+
+
+def test_universe_over_the_class_limit_exits_2(capsys):
+    # 4213597 classes each; refused from the count, before any matrix is built
+    for argv in (["-n", "12"], ["-n", "11", "-c", "0"]):
+        start = time.perf_counter()
+        rc, out = run(capsys, "universe", *argv)
+        assert (rc, out) == (2, "")
+        assert time.perf_counter() - start < 1.0
 
 
 def test_post_listing(capsys):

@@ -8,9 +8,11 @@ import pytest
 
 import oracles
 from gens import random_automaton, random_formula
+from regmc import dsl
 from regmc.core import Configuration, sufficient_pool
 from regmc.ctl import (
     FALSE,
+    MAX_FORMULA_DEPTH,
     TRUE,
     EG,
     EU,
@@ -220,3 +222,23 @@ def test_model_check_examples(figraph):
     assert model_check(figraph, AtLocation("l1")) is False
     assert model_check(figraph, or_(AtLocation("l0"), AtLocation("l1"))) is True
     assert model_check(figraph, ef(RegEqConst(0, 2))) is True
+
+
+def test_formulas_deeper_than_the_limit_raise_value_error(fig, figraph):
+    deep = RegEq(0, 1)
+    for _ in range(3000):
+        deep = Not(deep)
+    for refuse in (
+        lambda: model_check(figraph, deep),
+        lambda: compute_ctl(figraph, deep),
+        lambda: dsl.serialize(deep, fig),
+    ):
+        with pytest.raises(ValueError, match="nests deeper"):
+            refuse()
+
+    at_limit = RegEq(0, 1)
+    for _ in range(MAX_FORMULA_DEPTH - 1):
+        at_limit = Not(at_limit)  # an odd count of negations: x1 != x2
+    assert compute_ctl(figraph, at_limit) == compute_ctl(figraph, Not(RegEq(0, 1)))
+    assert model_check(figraph, at_limit) is False
+    assert dsl.parse_formula(dsl.serialize(at_limit, fig), fig) == at_limit

@@ -217,7 +217,9 @@ def test_formula_nesting_limit():
         chains = [Not(chains[0]), And(chains[1], leaf), EU(leaf, chains[2])]
     for f in chains:  # exactly at the limit: accepted, and round-trips
         assert dsl.parse_formula(dsl.serialize(f, fig), fig) == f
-        fails(dsl.serialize(EX(f), fig), dsl.parse_formula, fig)
+        fails("EX (" + dsl.serialize(f, fig) + ")", dsl.parse_formula, fig)
+        with pytest.raises(ValueError):
+            dsl.serialize(EX(f), fig)  # one level over: refused before recursing
     assert dsl.parse_formula("(" * (limit - 1) + atom + ")" * (limit - 1), fig) == leaf
     fails("(" * limit + atom + ")" * limit, dsl.parse_formula, fig)
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from regmc.core import Assignment, ConstantTerm, ParameterTerm, RegisterTerm
 from regmc.eqlogic import Atom, const, eq, ne, par, primed, reg
 from regmc.matrices import (
+    MAX_CLASSES,
     ONE,
     ZERO,
     RepMatrix,
@@ -26,6 +27,8 @@ from regmc.matrices import (
     is_consistent_matrix,
     matrix_of_valuation,
     universe,
+    universe_size,
+    universe_table,
 )
 
 
@@ -261,3 +264,29 @@ def test_universe_order_is_frozen():
         mat((ONE, ZERO), (ZERO, 2)),
         mat((2, ZERO), (ZERO, ONE)),
     )
+
+
+@pytest.mark.parametrize("constants", [(), (0,), (0, 5)])
+def test_universe_table_matches_matrices(constants):
+    for n in range(1, 7):
+        table = universe_table(n, constants)
+        assert table.block.shape == table.label.shape == (len(table.matrices), n)
+        for k, m in enumerate(table.matrices):
+            for i in range(n):
+                assert table.label[k, i] == m.entry(i, i)
+                for j in range(n):
+                    assert (table.block[k, i] == table.block[k, j]) == (m.entry(i, j) != ZERO)
+            assert table.index[m] == k
+        assert len(table.index) == len(table.matrices)
+
+
+def test_universe_size_limit():
+    # decided from the count alone: no refused universe is enumerated here
+    assert universe_size(10, 1) == 678570 <= MAX_CLASSES
+    assert universe_size(9, 1) == 115975
+    assert universe_size(12, 0) == universe_size(11, 1) == 4213597 > MAX_CLASSES
+    for n, constants in [(12, ()), (11, (0,)), (40, ())]:
+        with pytest.raises(ValueError, match="class limit"):
+            universe_table(n, constants)
+        with pytest.raises(ValueError, match="class limit"):
+            universe(n, constants)

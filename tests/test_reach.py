@@ -21,8 +21,8 @@ from regmc.core import (
     Transition,
     sufficient_pool,
 )
-from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, universe
-from regmc.reach import _group_keys, _universe_array, post, quotient_graph, reach, reachable_set
+from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, universe, universe_table
+from regmc.reach import _group_keys, post, quotient_graph, reach, reachable_set
 from regmc.reference import literal_post
 
 O, Z = ONE, ZERO
@@ -113,6 +113,19 @@ def test_reach_goldens(fig):
         reach(fig, RepConfig("l1", mat((Z, Z), (Z, Z))))
     with pytest.raises(ValueError):
         reach(fig, RepConfig("nowhere", IDENT2))
+
+
+def test_quotient_graph_refuses_a_universe_over_the_class_limit():
+    wide = RegisterAutomaton(
+        constants=(),
+        registers=tuple(f"x{i}" for i in range(12)),
+        actions=(Action("a", 0),),
+        locations=("l0",),
+        initial="l0",
+        transitions=(),
+    )
+    with pytest.raises(ValueError, match="class limit"):
+        quotient_graph(wide)
 
 
 def test_reachable_set_matches_concrete_quotient(fig):
@@ -264,8 +277,8 @@ def test_vector_passes_match_per_node_edges():
         assert ex == {c for c in nodes if g.edges(c) & some}, ra
 
         image = g._empty_masks()
-        for t, ker in zip(ra.transitions, g._kernels):
-            image[t.target] |= ker.image(masks[t.source])
+        for src, dst, ker in g._steps:
+            image[dst] |= ker.image(masks[src])
         assert g._labelset(image) == {v for u in some for v in g.edges(u)}, ra
 
         seen = {c for c in nodes if c.location == ra.initial}
@@ -282,12 +295,13 @@ def test_vector_passes_match_per_node_edges():
 def test_group_keys_match_submatrix_partition(constants):
     rng = random.Random(27)
     for n in range(1, 7):
-        ua = _universe_array(n, constants)
+        table = universe_table(n, constants)
+        ua = np.array([m.rows for m in table.matrices])
         subsets = [[], list(range(n))] + [
             sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(4)
         ]
         for regs in subsets:
-            key, first_rows = _group_keys(ua, regs)
+            key, first_rows = _group_keys(table.block, table.label, regs)
             flat = ua[:, regs][:, :, regs].reshape(len(ua), -1)
             _, want = np.unique(flat, axis=0, return_inverse=True)
             pairs = set(zip(key.tolist(), want.reshape(-1).tolist()))
