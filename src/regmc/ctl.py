@@ -17,9 +17,12 @@ The public operations exchange plain sets of configurations; internally a
 set is one (locations × classes) boolean array, rows in declaration order
 and columns in universe order, so NOT, AND and the fixpoint steps are plain
 array expressions, with results memoized per structurally-equal
-subformula.  Evaluation and hashing recurse over the formula, so
-``model_check`` and ``compute_ctl`` refuse formulas nested deeper than
-``MAX_FORMULA_DEPTH`` with ``ValueError`` before touching them.
+subformula.  Evaluation walks each distinct node once, with neither
+recursion nor recursive hashing, so a formula that shares its subterms
+costs time in its size, not in its unfolded tree.  ``model_check`` and
+``compute_ctl`` still refuse formulas nested deeper than
+``MAX_FORMULA_DEPTH`` with ``ValueError``, the limit the parser and the
+serializer keep.
 """
 
 from __future__ import annotations
@@ -108,23 +111,45 @@ def af(f: CtlFormula) -> CtlFormula:
     return Not(EG(Not(f)))
 
 
-# Evaluation, structural hashing and serialization recurse over the formula
-# tree; this depth keeps them well inside the interpreter's recursion limit.
+# Structural hashing and serialization recurse over the formula tree; this
+# depth keeps them well inside the interpreter's recursion limit.
 MAX_FORMULA_DEPTH = 150
 
 
-def formula_depth(f: CtlFormula) -> int:
-    """Nesting depth of ``f``, counted iteratively and without hashing."""
-    deepest = 0
-    stack = [(f, 1)]
+def _children(f: CtlFormula) -> tuple[CtlFormula, ...]:
+    if isinstance(f, (Not, EX, EG)):
+        return (f.f,)
+    if isinstance(f, (And, EU)):
+        return (f.f0, f.f1)
+    return ()
+
+
+def _postorder(f: CtlFormula) -> list[CtlFormula]:
+    """Each distinct node of ``f`` (by identity) once, children first.
+
+    Iterative and without hashing formulas, so a formula that shares its
+    subterms costs time in its distinct nodes, not in its paths.
+    """
+    seen: set[int] = set()
+    out: list[CtlFormula] = []
+    stack: list[tuple[CtlFormula, bool]] = [(f, False)]
     while stack:
-        g, d = stack.pop()
-        deepest = max(deepest, d)
-        if isinstance(g, (Not, EX, EG)):
-            stack.append((g.f, d + 1))
-        elif isinstance(g, (And, EU)):
-            stack += [(g.f0, d + 1), (g.f1, d + 1)]
-    return deepest
+        g, done = stack.pop()
+        if done:
+            out.append(g)
+        elif id(g) not in seen:
+            seen.add(id(g))
+            stack.append((g, True))
+            stack += [(k, False) for k in _children(g)]
+    return out
+
+
+def formula_depth(f: CtlFormula) -> int:
+    """Nesting depth of ``f``, counted once per distinct node."""
+    height: dict[int, int] = {}
+    for g in _postorder(f):
+        height[id(g)] = 1 + max((height[id(k)] for k in _children(g)), default=0)
+    return height[id(f)]
 
 
 def check_depth(f: CtlFormula) -> None:
@@ -170,26 +195,41 @@ def _eg_masks(graph: QuotientGraph, s: np.ndarray) -> np.ndarray:
         out = nxt
 
 
-def _eval(graph: QuotientGraph, f: CtlFormula, memo: dict[CtlFormula, np.ndarray]) -> np.ndarray:
-    hit = memo.get(f)
-    if hit is not None:
-        return hit
+def _apply(graph: QuotientGraph, f: CtlFormula, args: list[np.ndarray]) -> np.ndarray:
+    """The masks of ``f`` given the masks of its children."""
     if isinstance(f, (AtLocation, RegEq, RegEqConst)):
-        out = _ap_masks(graph, f)
-    elif isinstance(f, Not):
-        out = ~_eval(graph, f.f, memo)
-    elif isinstance(f, And):
-        out = _eval(graph, f.f0, memo) & _eval(graph, f.f1, memo)
-    elif isinstance(f, EX):
-        out = graph._ex_masks(_eval(graph, f.f, memo))
-    elif isinstance(f, EU):
-        out = _eu_masks(graph, _eval(graph, f.f0, memo), _eval(graph, f.f1, memo))
-    elif isinstance(f, EG):
-        out = _eg_masks(graph, _eval(graph, f.f, memo))
-    else:
-        raise ValueError(f"not a formula: {f!r}")
-    memo[f] = out
-    return out
+        return _ap_masks(graph, f)
+    if isinstance(f, Not):
+        return ~args[0]
+    if isinstance(f, And):
+        return args[0] & args[1]
+    if isinstance(f, EX):
+        return graph._ex_masks(args[0])
+    if isinstance(f, EU):
+        return _eu_masks(graph, args[0], args[1])
+    if isinstance(f, EG):
+        return _eg_masks(graph, args[0])
+    raise ValueError(f"not a formula: {f!r}")
+
+
+def _eval(graph: QuotientGraph, f: CtlFormula) -> np.ndarray:
+    """The masks of ``f``, computed once per structurally distinct subformula.
+
+    A node's key is its type and its children's keys (an atom is its own
+    key), so equal subformulas share one result without the formulas'
+    recursive hashing.
+    """
+    key_of: dict[int, int] = {}
+    keys: dict[object, int] = {}
+    sats: list[np.ndarray] = []
+    for g in _postorder(f):
+        kids = [key_of[id(k)] for k in _children(g)]
+        sig = (type(g), *kids) if kids else g
+        if sig not in keys:
+            keys[sig] = len(sats)
+            sats.append(_apply(graph, g, [sats[k] for k in kids]))
+        key_of[id(g)] = keys[sig]
+    return sats[key_of[id(f)]]
 
 
 def compute_ap(graph: QuotientGraph, atom: CtlFormula) -> LabelSet:
@@ -224,11 +264,11 @@ def compute_eg(graph: QuotientGraph, s: LabelSet) -> LabelSet:
 def compute_ctl(graph: QuotientGraph, f: CtlFormula) -> LabelSet:
     """All configurations satisfying ``f``, by memoized structural labeling."""
     check_depth(f)
-    return graph._labelset(_eval(graph, f, {}))
+    return graph._labelset(_eval(graph, f))
 
 
 def model_check(graph: QuotientGraph, f: CtlFormula) -> bool:
     """Whether every initial-location configuration satisfies ``f``."""
     check_depth(f)
-    sat = _eval(graph, f, {})
+    sat = _eval(graph, f)
     return bool(sat[graph._location_index(graph.ra.initial)].all())

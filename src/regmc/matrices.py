@@ -249,15 +249,6 @@ def canonical_valuation(m: RepMatrix, constants: Sequence[int]) -> Valuation:
     """
     if not is_consistent_matrix(m, constants):
         raise ValueError("matrix is not consistent")
-    return _witness_valuation(m, constants)
-
-
-def _witness_valuation(m: RepMatrix, constants: Sequence[int]) -> Valuation:
-    """``canonical_valuation`` without the consistency check.
-
-    For matrices already known to be consistent, such as ``universe``
-    members; on any other matrix the result is meaningless.
-    """
     fresh = fresh_symbols(constants, m.n)
     w = [m.rows[i][i] if m.rows[i][i] != ONE else fresh[i] for i in range(m.n)]
     for i in range(m.n):
@@ -340,6 +331,16 @@ class UniverseTable(NamedTuple):
     index: dict[RepMatrix, int]
 
 
+def check_universe_args(n_registers: int, constants: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless there is a register and every constant is a
+    natural; a negative one would collide with ``ZERO`` or ``ONE``."""
+    if n_registers < 1:
+        raise ValueError("need at least one register")
+    negative = [c for c in constants if c < 0]
+    if negative:
+        raise ValueError(f"constants must be naturals, got {negative[0]}")
+
+
 @lru_cache(maxsize=None)
 def _class_row(members: tuple[bool, ...], entry: int) -> tuple[int, ...]:
     """A block's matrix row: ``entry`` at its registers, ``ZERO`` elsewhere."""
@@ -356,11 +357,10 @@ def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTabl
     growth-string order, labelings with None before each declared constant)
     is deterministic and is the listing order used by the command-line
     tools.  Matrices share their row tuples.  Raises ``ValueError`` before
-    enumerating anything when the universe holds more than ``MAX_CLASSES``
-    classes.
+    enumerating anything for a negative constant, or when the universe
+    holds more than ``MAX_CLASSES`` classes.
     """
-    if n_registers < 1:
-        raise ValueError("need at least one register")
+    check_universe_args(n_registers, constants)
     # even without constants there are at least 2^(n-1) classes, so a
     # register count past the limit's bit length is refused without counting
     if n_registers > MAX_CLASSES.bit_length() or (

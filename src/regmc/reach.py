@@ -1,20 +1,21 @@
 """One-step successors and reachability over the finite quotient.
 
-A step of the machine from class ``⟨l, R⟩`` is admitted by a transition when
-the conjunction of its guard, the full (dis)equality description of the
-canonical source valuation, and the assignment equations is satisfiable; the
-successor classes are those whose description stays satisfiable alongside
-that step formula.  ``post`` computes them without scanning the universe
-per candidate: the congruence closure of the step formula forces a partial
-skeleton on the updated registers — which pairs must match, which must
-differ, which diagonal constants are required or ruled out — and unforced
-entries (in particular whole rows of registers the transition leaves
-unassigned, which may take any value) are free.  Filtering the universe by
-the forced entries is exact because the valuation descriptions carry each
-register's complete relationship to every other read register and constant.
-Each forced entry is one column compare on the universe table of
-``matrices``: a match or mismatch compares two block columns, a required
-or ruled-out constant compares a label column.
+A class is exact: its row of the universe table (``matrices``) fixes which
+registers share a value and which constant, if any, each shared value is.
+A transition steps from class ``⟨l, R⟩`` when its guard holds together
+with that row's facts about the registers it reads (guard and assignment
+sources), each named by its block: distinct read blocks differ, and each is
+pinned to its constant or differs from every constant.  The closure of
+this step formula forces a partial skeleton on the updated registers, read
+off the assigned terms: which pairs must match, which must differ, which
+diagonal constants are required or ruled out.  Unforced entries (in
+particular whole rows of registers the transition leaves unassigned, which
+may take any value) are free.  The unread blocks would only add
+disequalities against values nothing else mentions, which over an infinite
+domain force nothing about the read terms (see ``eqlogic``), so filtering
+the universe by the forced entries is exact.  Each forced entry is one
+column compare on the table: a match or mismatch compares two block
+columns, a required or ruled-out constant compares a label column.
 
 ``quotient_graph`` materializes the node set and stores each transition as
 a partitioned relation between two groupings of the universe.  The forced
@@ -38,19 +39,9 @@ from typing import Iterable
 import numpy as np
 
 from regmc import eqlogic
-from regmc.core import RegisterAutomaton, RegisterTerm, Transition
-from regmc.eqlogic import const, primed
-from regmc.matrices import (
-    RepConfig,
-    RepMatrix,
-    UniverseTable,
-    _witness_valuation,
-    canonical_valuation,
-    formula_E_of_assignment,
-    formula_E_of_valuation,
-    system_of_guard,
-    universe_table,
-)
+from regmc.core import RegisterAutomaton, RegisterTerm, Term, Transition
+from regmc.eqlogic import Var, const, eq, ne, reg
+from regmc.matrices import RepConfig, RepMatrix, UniverseTable, universe_table, var_of_term
 
 
 def _guard_registers(t: Transition) -> set[int]:
@@ -69,38 +60,52 @@ def _source_registers(t: Transition) -> set[int]:
 
 
 def _step_conditions(
-    ra: RegisterAutomaton, t: Transition, w: tuple[int, ...]
+    ra: RegisterAutomaton, t: Transition, block_row: np.ndarray, label_row: np.ndarray
 ) -> list[tuple[str, int, int]] | None:
-    """Forced successor-matrix entries for one transition from valuation ``w``.
+    """Forced successor-matrix entries for one transition from one class.
 
-    Returns None when the step formula itself is unsatisfiable (the
+    The class is its universe-table row (``block_row``, ``label_row``).
+    Each register the transition reads is named by its block, so the step
+    formula is the guard, ``≠`` between the distinct read blocks, and each
+    read block's constant fact (``= c`` when pinned, ``≠`` every constant
+    otherwise).  Returns None when that formula is unsatisfiable (the
     transition cannot fire from this class).  Otherwise each condition
-    constrains one entry: ``eq``/``ne`` fix whether two updated registers
-    are related, ``pin``/``avoid`` fix a diagonal against a constant.
-    Registers outside the assignment are unconstrained.
+    constrains one entry, read off the assigned terms: ``eq``/``ne`` fix
+    whether two updated registers are related, ``pin``/``avoid`` fix a
+    diagonal against a constant.  Registers outside the assignment are
+    unconstrained.
     """
-    step = eqlogic.merge(
-        system_of_guard(t.guard),
-        formula_E_of_valuation(w, ra.constants),
-        formula_E_of_assignment(t.assignment),
-    )
-    clo = eqlogic.closure(step)
+
+    def var(term: Term) -> Var:
+        if isinstance(term, RegisterTerm):
+            return reg(int(block_row[term.index]))
+        return var_of_term(term)
+
+    regs = _guard_registers(t) | _source_registers(t)
+    read = {int(block_row[i]): int(label_row[i]) for i in regs}
+    atoms = [eqlogic.Atom(var(a.left), var(a.right), a.equal) for a in t.guard]
+    atoms += [ne(reg(b), reg(d)) for b in read for d in read if b < d]
+    for b, lab in read.items():
+        if lab in ra.constants:
+            atoms.append(eq(reg(b), const(lab)))
+        else:
+            atoms += [ne(reg(b), const(c)) for c in ra.constants]
+    clo = eqlogic.closure(eqlogic.system(atoms))
     if clo is None:
         return None
-    targets = sorted(t.assignment.targets())
+    updates = t.assignment.updates
     conds: list[tuple[str, int, int]] = []
-    for pos, i in enumerate(targets):
-        pinned = clo.constant_of(primed(i))
+    for pos, (i, term) in enumerate(updates):
+        v = var(term)
+        pinned = clo.constant_of(v)
         if pinned is not None:
             conds.append(("pin", i, pinned))
         else:
-            for c in ra.constants:
-                if clo.disequal(primed(i), const(c)):
-                    conds.append(("avoid", i, c))
-        for j in targets[pos + 1 :]:
-            if clo.equal(primed(i), primed(j)):
+            conds += [("avoid", i, c) for c in ra.constants if clo.disequal(v, const(c))]
+        for j, other in updates[pos + 1 :]:
+            if clo.equal(v, var(other)):
                 conds.append(("eq", i, j))
-            elif clo.disequal(primed(i), primed(j)):
+            elif clo.disequal(v, var(other)):
                 conds.append(("ne", i, j))
     return conds
 
@@ -122,33 +127,42 @@ def _filter_universe(
     return mask
 
 
-def _validate_config(ra: RegisterAutomaton, c: RepConfig) -> None:
+def _class_of(ra: RegisterAutomaton, table: UniverseTable, c: RepConfig) -> int:
+    """The universe position of ``c``'s matrix.
+
+    The universe holds every consistent matrix over the automaton's
+    registers and constants, so this raises ``ValueError`` for an unknown
+    location, a matrix of the wrong size, an undeclared constant, or an
+    inconsistent matrix.
+    """
     if c.location not in ra.locations:
         raise ValueError(f"unknown location: {c.location}")
-    if c.matrix.n != ra.num_registers:
+    k = table.index.get(c.matrix)
+    if k is None:
         raise ValueError(
-            f"matrix is over {c.matrix.n} registers, automaton has {ra.num_registers}"
+            f"matrix is not a consistent class over {ra.num_registers} registers "
+            f"and constants {ra.constants}"
         )
+    return k
 
 
 def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
     """All one-step successor classes of ``c``.
 
     Raises ``ValueError`` for an unknown location, a matrix of the wrong
-    size, or an inconsistent matrix.
+    size, an undeclared constant, or an inconsistent matrix.
     """
-    _validate_config(ra, c)
-    w = canonical_valuation(c.matrix, ra.constants)
     table = universe_table(ra.num_registers, ra.constants)
+    k = _class_of(ra, table, c)
     out: set[RepConfig] = set()
     for t in ra.transitions:
         if t.source != c.location:
             continue
-        conds = _step_conditions(ra, t, w)
+        conds = _step_conditions(ra, t, table.block[k], table.label[k])
         if conds is None:
             continue
-        for k in np.nonzero(_filter_universe(table.block, table.label, conds))[0]:
-            out.add(RepConfig(t.target, table.matrices[k]))
+        for v in np.nonzero(_filter_universe(table.block, table.label, conds))[0]:
+            out.add(RepConfig(t.target, table.matrices[v]))
     return out
 
 
@@ -230,32 +244,21 @@ class _Kernel:
 
 
 def _build_kernel(ra: RegisterAutomaton, t: Transition, table: UniverseTable) -> _Kernel:
-    constants = ra.constants
-    mats, block, label = table.matrices, table.block, table.label
+    block, label = table.block, table.label
     if _is_full_identity(ra, t):
         guard_of, reps = _group_keys(block, label, sorted(_guard_registers(t)))
-        guard = system_of_guard(t.guard)
         fires = np.array(
-            [
-                eqlogic.is_consistent(
-                    eqlogic.merge(
-                        guard,
-                        formula_E_of_valuation(_witness_valuation(mats[r], constants), constants),
-                    )
-                )
-                for r in reps
-            ],
-            dtype=bool,
+            [_step_conditions(ra, t, block[r], label[r]) is not None for r in reps], dtype=bool
         )[guard_of]
-        every = np.arange(len(mats), dtype=np.int32)
-        indptr = np.zeros(len(mats) + 1, dtype=np.int64)
+        every = np.arange(len(block), dtype=np.int32)
+        indptr = np.zeros(len(block) + 1, dtype=np.int64)
         np.cumsum(fires, out=indptr[1:])
         return _Kernel(every, every, indptr, every[fires])
     key_of, reps = _group_keys(block, label, sorted(_guard_registers(t) | _source_registers(t)))
     tkey_of, treps = _group_keys(block, label, sorted(t.assignment.targets()))
     rows = []
     for r in reps:
-        conds = _step_conditions(ra, t, _witness_valuation(mats[r], constants))
+        conds = _step_conditions(ra, t, block[r], label[r])
         if conds is None:
             rows.append(np.zeros(0, dtype=np.int32))
         else:
@@ -310,11 +313,8 @@ class QuotientGraph:
         return self.ra.locations.index(location)
 
     def _node_index(self, node: RepConfig) -> tuple[int, int]:
-        loc = self._location_index(node.location)
-        u = self.table.index.get(node.matrix)
-        if u is None:
-            raise ValueError("matrix is not a universe member")
-        return loc, u
+        u = _class_of(self.ra, self.table, node)
+        return self.ra.locations.index(node.location), u
 
     # --- (locations × classes) arrays shared with the branching-time operators ---
 
@@ -369,10 +369,9 @@ def quotient_graph(ra: RegisterAutomaton) -> QuotientGraph:
 
 def reach(ra: RegisterAutomaton, target: RepConfig) -> bool:
     """Whether ``target`` is reachable from any initial-location class."""
-    _validate_config(ra, target)
-    canonical_valuation(target.matrix, ra.constants)  # rejects inconsistent targets
+    u = _class_of(ra, universe_table(ra.num_registers, ra.constants), target)
     graph = quotient_graph(ra)
-    return bool(graph._reachable_masks()[graph._node_index(target)])
+    return bool(graph._reachable_masks()[ra.locations.index(target.location), u])
 
 
 def reachable_set(ra: RegisterAutomaton) -> set[RepConfig]:

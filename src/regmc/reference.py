@@ -20,6 +20,7 @@ from regmc.matrices import (
     RepConfig,
     RepMatrix,
     canonical_valuation,
+    check_universe_args,
     formula_E_of_assignment,
     formula_E_of_valuation,
     is_consistent_matrix,
@@ -37,10 +38,9 @@ def literal_universe(n_registers: int, constants: tuple[int, ...]) -> tuple[RepM
     Same members as ``universe``, in raw scan order.  Raises ``ValueError``
     once the scan would exceed ``SCAN_LIMIT`` candidates — which admits
     every ``n ≤ 3`` with at most two constants, and ``n = 4`` without
-    constants.
+    constants, and for a negative constant.
     """
-    if n_registers < 1:
-        raise ValueError("need at least one register")
+    check_universe_args(n_registers, constants)
     alphabet = (ZERO, ONE, *constants)
     if len(alphabet) ** (n_registers * n_registers) > SCAN_LIMIT:
         raise ValueError(

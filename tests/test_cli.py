@@ -65,6 +65,14 @@ def test_universe_over_the_class_limit_exits_2(capsys):
         assert time.perf_counter() - start < 1.0
 
 
+def test_universe_negative_constants_exit_2(capsys):
+    # -1 and -2 would collide with the matrix alphabet's ZERO and ONE
+    for c in ("-1", "-2"):
+        for oracle in ([], ["--oracle"]):
+            rc, out = run(capsys, *oracle, "universe", "-n", "2", "-c", c)
+            assert (rc, out) == (2, "")
+
+
 def test_post_listing(capsys):
     rc, out = run(capsys, "post", FIG, "l0 | {x1 x2}")
     assert rc == 0

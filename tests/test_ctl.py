@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 import oracles
 from gens import random_automaton, random_formula
-from regmc import dsl
+from regmc import ctl, dsl
 from regmc.core import Configuration, sufficient_pool
 from regmc.ctl import (
     FALSE,
@@ -222,6 +223,29 @@ def test_model_check_examples(figraph):
     assert model_check(figraph, AtLocation("l1")) is False
     assert model_check(figraph, or_(AtLocation("l0"), AtLocation("l1"))) is True
     assert model_check(figraph, ef(RegEqConst(0, 2))) is True
+
+
+def test_shared_subformulas_cost_linear_time(figraph):
+    # 40 levels of And(f, f) unfold to 2^40 leaves but hold 41 distinct nodes
+    atom = RegEq(0, 1)
+    shared = atom
+    for _ in range(40):
+        shared = And(shared, shared)
+    start = time.perf_counter()
+    assert model_check(figraph, shared) == model_check(figraph, atom)
+    assert compute_ctl(figraph, shared) == compute_ctl(figraph, atom)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_equal_subformulas_share_one_result(fig, figraph, monkeypatch):
+    # separately parsed copies of one subformula run one fixpoint
+    f = dsl.parse_formula("EG (x1 = 2) & EG (x1 = 2)", fig)
+    assert f.f0 is not f.f1
+    calls = []
+    eg_masks = ctl._eg_masks
+    monkeypatch.setattr(ctl, "_eg_masks", lambda *a: calls.append(1) or eg_masks(*a))
+    assert compute_ctl(figraph, f) == compute_ctl(figraph, EG(RegEqConst(0, 2)))
+    assert len(calls) == 2
 
 
 def test_formulas_deeper_than_the_limit_raise_value_error(fig, figraph):

@@ -6,6 +6,8 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gens import byzantine, figure_one, random_automaton, random_formula
 from regmc import ctl, dsl
@@ -333,3 +335,65 @@ def test_bare_class_lists_round_trip():
             text = dsl.classes_text(m, names)
             assert dsl.parse_classes(text, names, constants) == m
     assert dsl.classes_text(universe(1, ())[0], ("x1",)) == "{x1}"
+
+
+# --- fuzzing ---
+
+_TOKENS = (
+    "format 1 constants registers actions locations trans on when do true false "
+    "x1 x2 x3 p1 p2 p0 l0 l1 l0* a/0 a/2 alpha beta 0 2 7 007 99999999999999999999 "
+    "@ = != := -> ! & | ( ) [ ] { } , * / - # E U EX EF EG AX AF AG"
+).split() + ["\n", " ", "٣", "\t", "é"]
+
+_PREFIXES = (
+    "",
+    "format 1\n",
+    "format 1\nconstants 0 2\nregisters x1 x2\nactions a/2 alpha/0\nlocations l0* l1\n",
+    "l0 |",
+)
+
+
+@st.composite
+def _parser_inputs(draw) -> str:
+    """Arbitrary text, or a prefix of valid input followed by grammar tokens."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=80))
+    soup = draw(st.lists(st.sampled_from(_TOKENS), max_size=30))
+    sep = draw(st.sampled_from([" ", ""]))
+    return draw(st.sampled_from(_PREFIXES)) + sep.join(soup)
+
+
+@settings(max_examples=300)
+@given(_parser_inputs())
+def test_parsers_raise_only_parse_errors(text):
+    ra = figure_one()
+    for parse in (
+        dsl.parse_automaton,
+        lambda t: dsl.parse_formula(t, ra),
+        lambda t: dsl.parse_repconfig(t, ra),
+        lambda t: dsl.parse_classes(t, ra.registers, ra.constants),
+    ):
+        try:
+            parse(text)
+        except ParseError as err:
+            assert span_inside(err, text)
+
+
+@given(st.data())
+def test_generated_repconfigs_round_trip(data):
+    n = data.draw(st.integers(min_value=1, max_value=4), label="registers")
+    constants = tuple(
+        sorted(data.draw(st.sets(st.integers(min_value=0, max_value=9), max_size=2)))
+    )
+    ra = RegisterAutomaton(
+        constants=constants,
+        registers=tuple(f"x{i + 1}" for i in range(n)),
+        actions=(Action("a", 0),),
+        locations=("q0", "q1"),
+        initial="q0",
+        transitions=(),
+    )
+    matrices = universe(n, constants)
+    k = data.draw(st.integers(min_value=0, max_value=len(matrices) - 1), label="class")
+    c = RepConfig(data.draw(st.sampled_from(ra.locations)), matrices[k])
+    assert dsl.parse_repconfig(dsl.serialize(c, ra), ra) == c

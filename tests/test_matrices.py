@@ -280,6 +280,12 @@ def test_universe_table_matches_matrices(constants):
         assert len(table.index) == len(table.matrices)
 
 
+def test_universe_refuses_negative_constants():
+    for constants in [(-1,), (-2,), (0, -3)]:
+        with pytest.raises(ValueError, match="naturals"):
+            universe_table(2, constants)
+
+
 def test_universe_size_limit():
     # decided from the count alone: no refused universe is enumerated here
     assert universe_size(10, 1) == 678570 <= MAX_CLASSES

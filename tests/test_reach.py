@@ -36,6 +36,15 @@ IDENT2 = mat((O, Z), (Z, O))
 ALL_ONE2 = mat((O, O), (O, O))
 TWO_THEN_FREE = mat((2, Z), (Z, O))
 
+# each names no class of figure one: an undeclared constant, one register
+# where it has two, and two inconsistent matrices (a zero diagonal, an
+# asymmetric pair)
+NOT_A_FIGURE_ONE_CLASS = [
+    mat((7, Z), (Z, O)),
+    mat((O,)),
+    mat((Z, Z), (Z, Z)),
+    mat((O, O), (Z, O)),
+]
 
 
 def test_post_shift_golden():
@@ -70,10 +79,9 @@ def test_post_no_outgoing_is_empty(fig):
 def test_post_validation(fig):
     with pytest.raises(ValueError):
         post(fig, RepConfig("nowhere", IDENT2))
-    with pytest.raises(ValueError):
-        post(fig, RepConfig("l0", mat((O,))))
-    with pytest.raises(ValueError):
-        post(fig, RepConfig("l0", mat((Z, Z), (Z, Z))))  # zero diagonal
+    for m in NOT_A_FIGURE_ONE_CLASS:
+        with pytest.raises(ValueError):
+            post(fig, RepConfig("l0", m))
 
 
 def test_figure_one_graph_against_all_oracles(fig):
@@ -110,9 +118,10 @@ def test_reach_goldens(fig):
     # distinct, so the all-equal class never shows up there
     assert reach(fig, RepConfig("l1", ALL_ONE2)) is False
     with pytest.raises(ValueError):
-        reach(fig, RepConfig("l1", mat((Z, Z), (Z, Z))))
-    with pytest.raises(ValueError):
         reach(fig, RepConfig("nowhere", IDENT2))
+    for m in NOT_A_FIGURE_ONE_CLASS:
+        with pytest.raises(ValueError):
+            reach(fig, RepConfig("l1", m))
 
 
 def test_quotient_graph_refuses_a_universe_over_the_class_limit():
@@ -263,6 +272,24 @@ def _with_special_transitions(rng: random.Random, ra: RegisterAutomaton) -> Regi
         ),
     )
     return dataclasses.replace(ra, transitions=ra.transitions + extra)
+
+
+def test_every_node_post_matches_literal_scan_and_graph():
+    # the step formula reads only the registers a transition reads; every
+    # class and location of each machine is played against the literal scan,
+    # on three registers so that most transitions leave some unread
+    rng = random.Random(28)
+    tried = 0
+    while tried < 15:
+        ra = _with_special_transitions(rng, random_automaton(rng, max_constants=2))
+        if ra.num_registers < 3:
+            continue
+        tried += 1
+        g = quotient_graph(ra)
+        for node in g.nodes:
+            direct = post(ra, node)
+            assert direct == literal_post(ra, node), (ra, node)
+            assert g.edges(node) == direct, (ra, node)
 
 
 def test_vector_passes_match_per_node_edges():

@@ -28,6 +28,9 @@ def test_literal_universe_matches_construction():
 def test_literal_universe_guards():
     with pytest.raises(ValueError):
         literal_universe(0, ())
+    for constants in [(-1,), (-2,), (0, -3)]:
+        with pytest.raises(ValueError, match="naturals"):
+            literal_universe(2, constants)
     with pytest.raises(ValueError):
         literal_universe(4, (0, 1, 2))  # 5^16 candidates
 
