@@ -2,11 +2,12 @@
 
 The submodules split along the pipeline: ``core`` defines automata and
 their concrete semantics, ``eqlogic`` the (dis)equality reasoning,
-``matrices`` the finite representation of valuation classes, ``reach``
-successor computation and reachability over the quotient, ``ctl`` the
-branching-time checker, ``dsl`` the textual formats, and ``cli`` the
-command-line front end.  ``reference`` holds the literal scan
-implementations used for differential checking.
+``matrices`` the finite representation of valuation classes as a table of
+block and label columns, ``reach`` successor computation and reachability
+over the quotient, ``ctl`` the branching-time checker, ``dsl`` the textual
+formats, and ``cli`` the command-line front end.  ``reference`` holds the
+literal scan implementations used for differential checking; it alone
+writes a class as a constraint system, and only ``cli`` imports it.
 """
 
 from __future__ import annotations

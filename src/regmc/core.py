@@ -146,7 +146,11 @@ class RegisterAutomaton:
                 raise ValueError(f"constant {term.value} not declared")
 
     def action_arity(self, name: str) -> int:
-        return self._arity[name]  # type: ignore[attr-defined]
+        """Raises ``ValueError`` for an undeclared action."""
+        arity = self._arity.get(name)  # type: ignore[attr-defined]
+        if arity is None:
+            raise ValueError(f"unknown action {name!r}")
+        return arity
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,8 @@ def _ap_masks(graph: QuotientGraph, atom: CtlFormula) -> np.ndarray:
     elif isinstance(atom, RegEqConst):
         if not 0 <= atom.i < n:
             raise ValueError(f"register index out of range: {atom}")
+        if atom.c not in graph.ra.constants:
+            raise ValueError(f"constant {atom.c} not declared: {atom}")
         row = graph.table.label[:, atom.i] == atom.c
     else:
         raise ValueError(f"not an atomic formula: {atom}")

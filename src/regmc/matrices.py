@@ -21,9 +21,12 @@ of each register and its diagonal label.  Entry ``(i, j)`` is the label of
 question the successor search and the checker ask of a class is a compare
 of two columns.  Universes over ``MAX_CLASSES`` classes are refused.
 
-A matrix is *consistent* when its induced constraint system has a model —
-exactly when it is the matrix of some valuation.  ``canonical_valuation``
-produces the deterministic witness.
+A matrix is *consistent* when it is the matrix of some valuation;
+``has_valid_structure`` decides this from the entries alone, and
+``canonical_valuation`` produces the deterministic witness.  Reading a
+class as a system of (dis)equality constraints is left to the literal
+reference scans (``reference``): nothing here imports the constraint
+engine or the automaton model.
 """
 
 from __future__ import annotations
@@ -31,14 +34,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-
-from regmc import eqlogic
-from regmc.core import Assignment, ParameterTerm, RegisterTerm, Term
-from regmc.core import Atom as CoreAtom
-from regmc.eqlogic import ConstraintSystem, Var, const, eq, ne, par, primed, reg
 
 ZERO = -1
 ONE = -2
@@ -101,110 +99,12 @@ def matrix_of_valuation(v: Sequence[int], constants: Sequence[int]) -> RepMatrix
     )
 
 
-def equivalent(u: Sequence[int], v: Sequence[int], constants: Sequence[int]) -> bool:
-    """Whether some constant-fixing bijection of the alphabet maps u onto v.
-
-    Holds exactly when both valuations share their equality pattern and
-    agree wherever either touches a declared constant; equivalently, when
-    their matrices coincide — the checks here are deliberately the direct
-    ones so tests can play them against ``matrix_of_valuation``.
-    """
-    if len(u) != len(v):
-        raise ValueError("valuations must have equal length")
-    cset = set(constants)
-    for i in range(len(u)):
-        if (u[i] in cset or v[i] in cset) and u[i] != v[i]:
-            return False
-        for j in range(i + 1, len(u)):
-            if (u[i] == u[j]) != (v[i] == v[j]):
-                return False
-    return True
-
-
-def formula_E_of_matrix(m: RepMatrix, constants: Sequence[int]) -> ConstraintSystem:
-    """The constraint system a matrix imposes on its registers.
-
-    Ranges over every index pair, diagonal included, so defects anywhere in
-    the matrix — an asymmetric pair, a ``ZERO`` diagonal — surface as
-    inconsistency.
-    """
-    cset = set(constants)
-    atoms: list[eqlogic.Atom] = []
-    for i in range(m.n):
-        for j in range(m.n):
-            e = m.rows[i][j]
-            if e == ONE:
-                atoms.append(eq(reg(i), reg(j)))
-                atoms.extend(ne(reg(i), const(c)) for c in constants)
-            elif e == ZERO:
-                atoms.append(ne(reg(i), reg(j)))
-            elif e in cset:
-                atoms.append(eq(reg(i), reg(j)))
-                atoms.append(eq(reg(i), const(e)))
-            else:
-                raise ValueError(f"entry {e} at ({i},{j}) is not a declared constant")
-    return eqlogic.system(atoms)
-
-
-def formula_E_of_valuation(
-    v: Sequence[int], constants: Sequence[int], primed_vars: bool = False
-) -> ConstraintSystem:
-    """The full (dis)equality type of a concrete valuation.
-
-    One atom per register pair, plus — for every register — its complete
-    relationship to the declared constants: pinned to one, or explicitly
-    different from each.  The explicit disequalities matter: the successor
-    computation conjoins this system with guard and assignment constraints,
-    and omitting them would let a successor class claim a constant the
-    source value visibly is not.
-    """
-    var = primed if primed_vars else reg
-    cset = set(constants)
-    atoms: list[eqlogic.Atom] = []
-    for i in range(len(v)):
-        for j in range(i + 1, len(v)):
-            atoms.append(eq(var(i), var(j)) if v[i] == v[j] else ne(var(i), var(j)))
-    for i in range(len(v)):
-        if v[i] in cset:
-            atoms.append(eq(var(i), const(v[i])))
-        else:
-            atoms.extend(ne(var(i), const(c)) for c in constants)
-    return eqlogic.system(atoms)
-
-
-def var_of_term(t: Term) -> Var:
-    if isinstance(t, RegisterTerm):
-        return reg(t.index)
-    if isinstance(t, ParameterTerm):
-        return par(t.index)
-    return const(t.value)
-
-
-def formula_E_of_assignment(assignment: Assignment) -> ConstraintSystem:
-    """One equality per binding: the post-step register equals its term."""
-    return eqlogic.system(
-        eq(primed(i), var_of_term(term)) for i, term in assignment.updates
-    )
-
-
-def system_of_guard(guard: Iterable[CoreAtom]) -> ConstraintSystem:
-    """A transition guard as a constraint system over unprimed variables."""
-    return eqlogic.system(
-        eqlogic.Atom(var_of_term(a.left), var_of_term(a.right), a.equal) for a in guard
-    )
-
-
-def is_consistent_matrix(m: RepMatrix, constants: Sequence[int]) -> bool:
-    """Whether the matrix describes an actual valuation class."""
-    return eqlogic.is_consistent(formula_E_of_matrix(m, constants))
-
-
 def has_valid_structure(m: RepMatrix, constants: Sequence[int]) -> bool:
     """Direct structural characterisation of consistency.
 
     Symmetric, no ``ZERO`` diagonal, related registers share their class
     entry, relatedness is transitive, and no two separate classes claim the
-    same constant.  Agrees with ``is_consistent_matrix`` (tested
+    same constant.  Agrees with ``reference.is_consistent_matrix`` (tested
     exhaustively); implemented independently of the constraint engine.
     """
     cset = set(constants)
@@ -245,9 +145,10 @@ def canonical_valuation(m: RepMatrix, constants: Sequence[int]) -> Valuation:
 
     Register ``i`` takes its diagonal constant if it has one, else the
     ``i``-th fresh symbol; a second pass copies values leftward-to-right so
-    related registers agree.  Inconsistent matrices are a caller error.
+    related registers agree.  Raises ``ValueError`` for an inconsistent
+    matrix.
     """
-    if not is_consistent_matrix(m, constants):
+    if not has_valid_structure(m, constants):
         raise ValueError("matrix is not consistent")
     fresh = fresh_symbols(constants, m.n)
     w = [m.rows[i][i] if m.rows[i][i] != ONE else fresh[i] for i in range(m.n)]

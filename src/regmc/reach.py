@@ -2,20 +2,19 @@
 
 A class is exact: its row of the universe table (``matrices``) fixes which
 registers share a value and which constant, if any, each shared value is.
-A transition steps from class ``⟨l, R⟩`` when its guard holds together
-with that row's facts about the registers it reads (guard and assignment
-sources), each named by its block: distinct read blocks differ, and each is
-pinned to its constant or differs from every constant.  The closure of
-this step formula forces a partial skeleton on the updated registers, read
-off the assigned terms: which pairs must match, which must differ, which
-diagonal constants are required or ruled out.  Unforced entries (in
-particular whole rows of registers the transition leaves unassigned, which
-may take any value) are free.  The unread blocks would only add
-disequalities against values nothing else mentions, which over an infinite
-domain force nothing about the read terms (see ``eqlogic``), so filtering
-the universe by the forced entries is exact.  Each forced entry is one
-column compare on the table: a match or mismatch compares two block
-columns, a required or ruled-out constant compares a label column.
+So inside a class every register is a known value, and only the action's
+parameters are unknown.  ``_step_conditions`` reads the row that way: a
+register pinned to a constant holds it, and each unpinned block holds its
+own negative marker value, distinct from every other block and every
+declared constant.  The step formula is then just the guard over those
+values and the parameters.  Its closure (see ``eqlogic``) forces a partial
+skeleton on the updated registers, read off the assigned terms: which pairs
+must match, which must differ, which diagonal constants are required or
+ruled out.  Unforced entries (in particular whole rows of registers the
+transition leaves unassigned, which may take any value) are free.  Each
+forced entry is one column compare on the table: a match or mismatch
+compares two block columns, a required or ruled-out constant compares a
+label column.
 
 ``quotient_graph`` materializes the node set and stores each transition as
 a partitioned relation between two groupings of the universe.  The forced
@@ -39,9 +38,9 @@ from typing import Iterable
 import numpy as np
 
 from regmc import eqlogic
-from regmc.core import RegisterAutomaton, RegisterTerm, Term, Transition
-from regmc.eqlogic import Var, const, eq, ne, reg
-from regmc.matrices import RepConfig, RepMatrix, UniverseTable, universe_table, var_of_term
+from regmc.core import ParameterTerm, RegisterAutomaton, RegisterTerm, Term, Transition
+from regmc.eqlogic import Var, const, par
+from regmc.matrices import ONE, RepConfig, RepMatrix, UniverseTable, universe_table
 
 
 def _guard_registers(t: Transition) -> set[int]:
@@ -64,33 +63,29 @@ def _step_conditions(
 ) -> list[tuple[str, int, int]] | None:
     """Forced successor-matrix entries for one transition from one class.
 
-    The class is its universe-table row (``block_row``, ``label_row``).
-    Each register the transition reads is named by its block, so the step
-    formula is the guard, ``≠`` between the distinct read blocks, and each
-    read block's constant fact (``= c`` when pinned, ``≠`` every constant
-    otherwise).  Returns None when that formula is unsatisfiable (the
-    transition cannot fire from this class).  Otherwise each condition
-    constrains one entry, read off the assigned terms: ``eq``/``ne`` fix
-    whether two updated registers are related, ``pin``/``avoid`` fix a
-    diagonal against a constant.  Registers outside the assignment are
-    unconstrained.
+    The class is its universe-table row (``block_row``, ``label_row``), read
+    as a valuation: a register pinned to constant ``c`` holds ``c``, and one
+    in unpinned block ``b`` holds ``-1 - b``, a negative value and so never
+    a declared constant.  The step formula is then the guard alone, over
+    those values and the action's parameters.  Returns None when it is
+    unsatisfiable (the transition cannot fire from this class).  Otherwise
+    each condition constrains one entry, read off the assigned terms:
+    ``eq``/``ne`` fix whether two updated registers are related,
+    ``pin``/``avoid`` fix a diagonal against a declared constant.
+    Registers outside the assignment are unconstrained.
     """
 
     def var(term: Term) -> Var:
         if isinstance(term, RegisterTerm):
-            return reg(int(block_row[term.index]))
-        return var_of_term(term)
+            lab = int(label_row[term.index])
+            return const(-1 - int(block_row[term.index]) if lab == ONE else lab)
+        if isinstance(term, ParameterTerm):
+            return par(term.index)
+        return const(term.value)
 
-    regs = _guard_registers(t) | _source_registers(t)
-    read = {int(block_row[i]): int(label_row[i]) for i in regs}
-    atoms = [eqlogic.Atom(var(a.left), var(a.right), a.equal) for a in t.guard]
-    atoms += [ne(reg(b), reg(d)) for b in read for d in read if b < d]
-    for b, lab in read.items():
-        if lab in ra.constants:
-            atoms.append(eq(reg(b), const(lab)))
-        else:
-            atoms += [ne(reg(b), const(c)) for c in ra.constants]
-    clo = eqlogic.closure(eqlogic.system(atoms))
+    clo = eqlogic.closure(
+        eqlogic.system(eqlogic.Atom(var(a.left), var(a.right), a.equal) for a in t.guard)
+    )
     if clo is None:
         return None
     updates = t.assignment.updates
@@ -98,7 +93,7 @@ def _step_conditions(
     for pos, (i, term) in enumerate(updates):
         v = var(term)
         pinned = clo.constant_of(v)
-        if pinned is not None:
+        if pinned in ra.constants:
             conds.append(("pin", i, pinned))
         else:
             conds += [("avoid", i, c) for c in ra.constants if clo.disequal(v, const(c))]

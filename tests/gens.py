@@ -22,8 +22,19 @@ from regmc.core import (
     Term,
     Transition,
 )
+from regmc.matrices import ONE, ZERO, RepMatrix
 
 P1, P2 = ParameterTerm(1), ParameterTerm(2)
+
+# each names no class of figure one: an undeclared constant, one register
+# where it has two, and two inconsistent matrices (a zero diagonal, an
+# asymmetric pair)
+NOT_A_FIGURE_ONE_CLASS = [
+    RepMatrix(((7, ZERO), (ZERO, ONE))),
+    RepMatrix(((ONE,),)),
+    RepMatrix(((ZERO, ZERO), (ZERO, ZERO))),
+    RepMatrix(((ONE, ONE), (ZERO, ONE))),
+]
 
 
 def figure_one() -> RegisterAutomaton:

@@ -11,10 +11,31 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Sequence
 
 from regmc.core import Configuration, RegisterAutomaton, concrete_successors
 from regmc.ctl import EG, EU, EX, And, AtLocation, Not, RegEq, RegEqConst
 from regmc.matrices import ZERO, RepConfig, canonical_valuation, matrix_of_valuation
+
+
+def equivalent(u: Sequence[int], v: Sequence[int], constants: Sequence[int]) -> bool:
+    """Whether some constant-fixing bijection of the alphabet maps u onto v.
+
+    Holds exactly when both valuations share their equality pattern and
+    agree wherever either touches a declared constant; equivalently, when
+    their matrices coincide — the checks here are deliberately the direct
+    ones so tests can play them against ``matrix_of_valuation``.
+    """
+    if len(u) != len(v):
+        raise ValueError("valuations must have equal length")
+    cset = set(constants)
+    for i in range(len(u)):
+        if (u[i] in cset or v[i] in cset) and u[i] != v[i]:
+            return False
+        for j in range(i + 1, len(u)):
+            if (u[i] == u[j]) != (v[i] == v[j]):
+                return False
+    return True
 
 
 @dataclass

@@ -126,6 +126,12 @@ def test_check_run_rejects_bad_runs(fig):
         check_run(fig, word, good[:1])
 
 
+def test_check_run_refuses_unknown_action(fig):
+    run = (Configuration("l0", (7, 7)), Configuration("l1", (1, 3)))
+    with pytest.raises(ValueError, match="unknown action"):
+        check_run(fig, (("nope", ()),), run)
+
+
 def test_sufficient_pool_shape(fig):
     # constants, then enough fresh values for all registers and parameters
     assert sufficient_pool(fig) == (0, 1, 2, 3, 4, 5)

@@ -80,6 +80,18 @@ def test_atom_validation(figraph):
         compute_ap(figraph, RegEqConst(5, 2))
 
 
+def test_atoms_over_undeclared_constants_are_refused(figraph):
+    # figure one declares only 2; l0 holds valuations with x1 = 7, so an
+    # empty label set for x1 = 7 would make !(x1 = 7) hold there
+    atom = RegEqConst(0, 7)
+    with pytest.raises(ValueError, match="not declared"):
+        compute_ap(figraph, atom)
+    with pytest.raises(ValueError, match="not declared"):
+        compute_ctl(figraph, EX(atom))
+    with pytest.raises(ValueError, match="not declared"):
+        model_check(figraph, Not(atom))
+
+
 def test_set_operations(figraph):
     nodes = figraph.nodes
     s = compute_ap(figraph, AtLocation("l1"))

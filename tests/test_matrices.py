@@ -10,26 +10,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gens import NOT_A_FIGURE_ONE_CLASS
+from oracles import equivalent
 from regmc.core import Assignment, ConstantTerm, ParameterTerm, RegisterTerm
-from regmc.eqlogic import Atom, const, eq, ne, par, primed, reg
+from regmc.eqlogic import Atom, const, par, primed, reg
 from regmc.matrices import (
     MAX_CLASSES,
     ONE,
     ZERO,
     RepMatrix,
     canonical_valuation,
-    equivalent,
-    formula_E_of_assignment,
-    formula_E_of_matrix,
-    formula_E_of_valuation,
     fresh_symbols,
     has_valid_structure,
-    is_consistent_matrix,
     matrix_of_valuation,
     universe,
     universe_size,
     universe_table,
 )
+from regmc.reference import formula_E_of_assignment, formula_E_of_matrix, is_consistent_matrix
 
 
 def mat(*rows: tuple[int, ...]) -> RepMatrix:
@@ -138,23 +136,33 @@ def test_structure_agrees_with_consistency_exhaustive():
                 ), m.rows
 
 
-def test_formula_of_valuation():
-    got = formula_E_of_valuation((1, 2, 2), ())
+def test_formula_of_matrix_over_primed_registers():
+    got = formula_E_of_matrix(mat((ONE, ONE), (ONE, ONE)), (), primed_vars=True)
     assert normalized(got.atoms()) == {
-        (frozenset((reg(0), reg(1))), False),
-        (frozenset((reg(0), reg(2))), False),
-        (frozenset((reg(1), reg(2))), True),
+        (frozenset((primed(0),)), True),
+        (frozenset((primed(1),)), True),
+        (frozenset((primed(0), primed(1))), True),
     }
-    got = formula_E_of_valuation((5, 5), (), primed_vars=True)
-    assert normalized(got.atoms()) == {(frozenset((primed(0), primed(1))), True)}
-    got = formula_E_of_valuation((0,), (0,))
-    assert normalized(got.atoms()) == {(frozenset((reg(0), const(0))), True)}
     # a register away from every constant says so explicitly
-    got = formula_E_of_valuation((3,), (0, 7))
+    got = formula_E_of_matrix(mat((0, ZERO), (ZERO, ONE)), (0, 7), primed_vars=True)
     assert normalized(got.atoms()) == {
-        (frozenset((reg(0), const(0))), False),
-        (frozenset((reg(0), const(7))), False),
+        (frozenset((primed(0),)), True),
+        (frozenset((primed(0), const(0))), True),
+        (frozenset((primed(0), primed(1))), False),
+        (frozenset((primed(1),)), True),
+        (frozenset((primed(1), const(0))), False),
+        (frozenset((primed(1), const(7))), False),
     }
+    # the same system as over unprimed registers, variable for variable
+    to_primed = {reg(i): primed(i) for i in range(3)}
+    for m in universe(3, (0,)):
+        renamed = {
+            (frozenset(to_primed.get(v, v) for v in pair), equal)
+            for pair, equal in normalized(formula_E_of_matrix(m, (0,)).atoms())
+        }
+        assert normalized(formula_E_of_matrix(m, (0,), primed_vars=True).atoms()) == renamed
+    with pytest.raises(ValueError):
+        formula_E_of_matrix(mat((9,)), (2,), primed_vars=True)
 
 
 def test_formula_of_assignment():
@@ -181,6 +189,15 @@ def test_canonical_valuation_golden():
     assert canonical_valuation(mat((ONE, ZERO), (ZERO, ONE)), (1, 2)) == (3, 4)
     with pytest.raises(ValueError):
         canonical_valuation(mat((ZERO,)), ())
+    # the non-classes of figure one that have two registers, as for post;
+    # canonical_valuation takes no register count, so a one-register matrix
+    # is a class of its own
+    for m in NOT_A_FIGURE_ONE_CLASS:
+        if m.n == 2:
+            with pytest.raises(ValueError):
+                canonical_valuation(m, (2,))
+    with pytest.raises(ValueError):
+        canonical_valuation(mat((2, ZERO), (ZERO, 2)), (2,))  # two blocks pinned to 2
 
 
 def test_fresh_symbols():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gens import random_automaton, shift_machine
+from gens import NOT_A_FIGURE_ONE_CLASS, random_automaton, shift_machine
 from regmc.core import (
     Action,
     Assignment,
@@ -35,16 +35,6 @@ def mat(*rows: tuple[int, ...]) -> RepMatrix:
 IDENT2 = mat((O, Z), (Z, O))
 ALL_ONE2 = mat((O, O), (O, O))
 TWO_THEN_FREE = mat((2, Z), (Z, O))
-
-# each names no class of figure one: an undeclared constant, one register
-# where it has two, and two inconsistent matrices (a zero diagonal, an
-# asymmetric pair)
-NOT_A_FIGURE_ONE_CLASS = [
-    mat((7, Z), (Z, O)),
-    mat((O,)),
-    mat((Z, Z), (Z, Z)),
-    mat((O, O), (Z, O)),
-]
 
 
 def test_post_shift_golden():

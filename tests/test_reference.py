@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gens import random_automaton
+from gens import NOT_A_FIGURE_ONE_CLASS, random_automaton
 from regmc.matrices import ONE, RepConfig, RepMatrix, universe
 from regmc.reference import literal_post, literal_universe, universe_size
 
@@ -64,3 +64,8 @@ def test_literal_post_validation(fig):
         literal_post(fig, RepConfig("l0", RepMatrix(((ONE,),))))
     with pytest.raises(ValueError):
         literal_post(fig, RepConfig("l0", RepMatrix(((ZERO, ZERO), (ZERO, ZERO)))))
+    for m in NOT_A_FIGURE_ONE_CLASS:
+        with pytest.raises(ValueError):
+            literal_post(fig, RepConfig("l0", m))
+    with pytest.raises(ValueError):  # two blocks pinned to the one constant
+        literal_post(fig, RepConfig("l0", RepMatrix(((2, ZERO), (ZERO, 2)))))
