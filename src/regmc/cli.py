@@ -23,12 +23,12 @@ import argparse
 import random
 import sys
 import traceback
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from regmc import dsl, reference
 from regmc.core import Configuration, RegisterAutomaton, concrete_steps, sufficient_pool
 from regmc.ctl import compute_ctl, model_check
-from regmc.matrices import RepConfig, matrix_of_valuation, universe_table
+from regmc.matrices import RepConfig, RepMatrix, matrix_of_valuation, universe_table
 from regmc.reach import post, quotient_graph, reach
 
 
@@ -38,24 +38,26 @@ def _load_automaton(path: str) -> RegisterAutomaton:
 
 
 def _ordered(ra: RegisterAutomaton, configs: set[RepConfig]) -> list[RepConfig]:
-    index = universe_table(ra.num_registers, ra.constants).index
-    return sorted(
-        configs, key=lambda c: (ra.locations.index(c.location), index[c.matrix])
-    )
+    table = universe_table(ra.num_registers, ra.constants)
+    rank = dict(zip(configs, table.positions([c.matrix for c in configs]).tolist()))
+    return sorted(configs, key=lambda c: (ra.locations.index(c.location), rank[c]))
 
 
 def _cmd_universe(args: argparse.Namespace) -> int:
     constants = tuple(dict.fromkeys(args.constants))
     names = tuple(f"x{i + 1}" for i in range(args.registers))
     table = universe_table(args.registers, constants)
-    matrices = table.matrices
+    count = len(table.key)
+    matrices: Iterable[RepMatrix] = table.iter_matrices()
     if args.oracle:
         # same canonical presentation order; only the computation differs
         scanned = reference.literal_universe(args.registers, constants)
-        matrices = sorted(scanned, key=lambda m: table.index.get(m, len(matrices)))
+        ks = [k if k >= 0 else count for k in table.positions(scanned).tolist()]
+        matrices = [m for _, m in sorted(zip(ks, scanned), key=lambda km: km[0])]
+        count = len(scanned)
     for m in matrices:
         print(dsl.classes_text(m, names))
-    print(f"count: {len(matrices)}")
+    print(f"count: {count}")
     return 0
 
 

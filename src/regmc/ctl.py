@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from regmc.core import RegisterAutomaton
 from regmc.matrices import RepConfig
 from regmc.reach import QuotientGraph
 
@@ -158,21 +159,28 @@ def check_depth(f: CtlFormula) -> None:
         raise ValueError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
 
 
+def check_atom(ra: RegisterAutomaton, atom: CtlFormula) -> None:
+    """Raise ``ValueError`` for an atom that names an unknown location, a
+    register index out of range, or an undeclared constant of ``ra``."""
+    if isinstance(atom, AtLocation) and atom.location not in ra.locations:
+        raise ValueError(f"unknown location: {atom.location}")
+    regs = (atom.i, atom.j) if isinstance(atom, RegEq) else ()
+    regs = (atom.i,) if isinstance(atom, RegEqConst) else regs
+    if not all(0 <= i < ra.num_registers for i in regs):
+        raise ValueError(f"register index out of range: {atom}")
+    if isinstance(atom, RegEqConst) and atom.c not in ra.constants:
+        raise ValueError(f"constant {atom.c} not declared: {atom}")
+
+
 def _ap_masks(graph: QuotientGraph, atom: CtlFormula) -> np.ndarray:
-    n = graph.ra.num_registers
+    check_atom(graph.ra, atom)
     if isinstance(atom, AtLocation):
         masks = graph._empty_masks()
         masks[graph._location_index(atom.location)] = True
         return masks
     if isinstance(atom, RegEq):
-        if not (0 <= atom.i < n and 0 <= atom.j < n):
-            raise ValueError(f"register index out of range: {atom}")
         row = graph.table.block[:, atom.i] == graph.table.block[:, atom.j]
     elif isinstance(atom, RegEqConst):
-        if not 0 <= atom.i < n:
-            raise ValueError(f"register index out of range: {atom}")
-        if atom.c not in graph.ra.constants:
-            raise ValueError(f"constant {atom.c} not declared: {atom}")
         row = graph.table.label[:, atom.i] == atom.c
     else:
         raise ValueError(f"not an atomic formula: {atom}")

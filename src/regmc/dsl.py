@@ -51,7 +51,7 @@ from regmc.core import (
 from regmc.ctl import (
     EG, EU, EX, MAX_FORMULA_DEPTH, And, AtLocation, CtlFormula, Not, RegEq, RegEqConst,
 )
-from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix
+from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, is_class, matrix_of_valuation
 
 
 @dataclass(frozen=True)
@@ -586,14 +586,9 @@ def _parse_classes(
         if i not in klass_of:
             klass_of[i] = len(classes)
             classes.append([i])
-    rows = tuple(
-        tuple(
-            (pinned.get(klass_of[i], ONE) if klass_of[i] == klass_of[j] else ZERO)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return RepMatrix(rows)
+    # one value per class: its constant, or a negative marker of its own
+    values = [pinned.get(klass_of[i], -1 - klass_of[i]) for i in range(n)]
+    return matrix_of_valuation(values, constants)
 
 
 def parse_classes(text: str, registers: tuple[str, ...], constants: tuple[int, ...]) -> RepMatrix:
@@ -609,22 +604,13 @@ def parse_classes(text: str, registers: tuple[str, ...], constants: tuple[int, .
 
 
 def classes_text(matrix: RepMatrix, registers: tuple[str, ...]) -> str:
-    """Render a matrix as its equality classes, every class written out."""
-    n = matrix.n
-    seen: set[int] = set()
-    parts: list[str] = []
-    for i in range(n):
-        if i in seen:
-            continue
-        members = [j for j in range(n) if matrix.entry(i, j) != ZERO]
-        seen.update(members)
-        constant = matrix.entry(i, i)
-        if constant == ONE:
-            parts.append("{" + " ".join(registers[j] for j in members) + "}")
-        else:
-            parts.append(
-                "{" + " ".join(f"{registers[j]}={constant}" for j in members) + "}"
-            )
+    """Render a class as its equality classes, every class written out."""
+    parts = []
+    for i, row in enumerate(matrix.rows):
+        if row.index(row[i]) == i:  # the first register of its class
+            pin = "" if row[i] == ONE else f"={row[i]}"
+            members = " ".join(registers[j] + pin for j, e in enumerate(row) if e != ZERO)
+            parts.append("{" + members + "}")
     return " ".join(parts)
 
 
@@ -638,18 +624,22 @@ def serialize(
     """Render a value in the concrete syntax its parser accepts.
 
     Formulas and configurations print register and location names, so those
-    two kinds need the automaton they belong to.  A formula nested deeper
-    than ``MAX_FORMULA_DEPTH`` raises ``ValueError``.
+    two kinds need the automaton they belong to.  Raises ``ValueError`` for
+    what the parser would refuse or misread: a formula nested deeper than
+    ``MAX_FORMULA_DEPTH``, or a location, register index, constant or class
+    the automaton lacks.
     """
     if isinstance(value, RegisterAutomaton):
         return _automaton_text(value)
     if isinstance(value, RepConfig):
         if ra is None:
             raise ValueError("serializing a configuration needs the automaton")
+        if value.location not in ra.locations or not is_class(
+            value.matrix, ra.num_registers, ra.constants
+        ):
+            raise ValueError(f"not a class of the automaton: {value}")
         return f"{value.location} | {classes_text(value.matrix, ra.registers)}"
-    if isinstance(
-        value, (AtLocation, RegEq, RegEqConst, Not, And, EX, EU, EG)
-    ):
+    if isinstance(value, (AtLocation, RegEq, RegEqConst, Not, And, EX, EU, EG)):
         if ra is None:
             raise ValueError("serializing a formula needs the automaton")
         ctl.check_depth(value)
@@ -707,6 +697,7 @@ def _formula_text(f: CtlFormula, ra: RegisterAutomaton) -> str:
             return _formula_text(g, ra)
         return "(" + _formula_text(g, ra) + ")"
 
+    ctl.check_atom(ra, f)
     if isinstance(f, AtLocation):
         return f"@{f.location}"
     if isinstance(f, RegEq):

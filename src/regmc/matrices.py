@@ -14,12 +14,14 @@ declared constant.  The matrix alphabet is ``{ZERO, ONE} ∪ C``:
 There are finitely many such matrices per register count, so reachability
 and branching-time questions about the infinite concrete system reduce to
 the same questions over this finite universe.  This module owns its one
-layout, ``universe_table``: the matrices in listing order, an index back
-from matrix to position, and two (classes × registers) columns, the block
-of each register and its diagonal label.  Entry ``(i, j)`` is the label of
-``i`` when ``i`` and ``j`` share a block and ``ZERO`` otherwise, so every
-question the successor search and the checker ask of a class is a compare
-of two columns.  Universes over ``MAX_CLASSES`` classes are refused.
+layout, ``universe_table``: two (classes × registers) columns in listing
+order, the block of each register and its diagonal label.  Entry
+``(i, j)`` is the label of ``i`` when ``i`` and ``j`` share a block and
+``ZERO`` otherwise, so every question the successor search and the
+checker ask of a class is a compare of two columns.  ``RepMatrix`` objects
+are built from table rows only where a caller reads them, and a matrix is
+located by one sorted search over the table's rank keys.  Universes over
+``MAX_CLASSES`` classes are refused.
 
 A matrix is *consistent* when it is the matrix of some valuation;
 ``has_valid_structure`` decides this from the entries alone, and
@@ -32,8 +34,9 @@ engine or the automaton model.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -44,6 +47,19 @@ ONE = -2
 Valuation = tuple[int, ...]
 
 
+# A matrix's hash folds one code per row, mod 2^64: the first column that
+# holds the row's diagonal entry, and that entry.  For a class the pair is
+# the register's first block member and its label.
+_HASH_MUL = 0x9E3779B97F4A7C15
+
+
+def _matrix_hash(rows: tuple[tuple[int, ...], ...]) -> int:
+    n = h = len(rows)
+    for i, row in enumerate(rows):
+        h = (h * _HASH_MUL + row.index(row[i]) + (n + 1) * (row[i] + 3)) % 2**64
+    return h - 2**64 if h >= 2**63 else h
+
+
 @dataclass(frozen=True)
 class RepMatrix:
     """A square matrix over ``{ZERO, ONE} ∪ C`` naming a valuation class."""
@@ -51,20 +67,11 @@ class RepMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.rows)
-        if n == 0:
-            raise ValueError("empty matrix")
-        for row in self.rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            for e in row:
-                if e < ONE:
-                    raise ValueError(f"entry {e} outside the matrix alphabet")
-        # CPython hashes -1 and -2 to the same value, so tuple hashing over
-        # the raw alphabet collapses ZERO/ONE patterns into a handful of
-        # buckets; shift entries into distinct positives and cache.
-        flat = tuple(e + 3 for row in self.rows for e in row)
-        object.__setattr__(self, "_hash", hash((n, flat)))
+        if not self.rows or any(len(row) != len(self.rows) for row in self.rows):
+            raise ValueError("matrix must be square and nonempty")
+        if any(e < ONE for row in self.rows for e in row):
+            raise ValueError(f"entry {min(map(min, self.rows))} outside the matrix alphabet")
+        object.__setattr__(self, "_hash", _matrix_hash(self.rows))
 
     def __hash__(self) -> int:
         return self._hash
@@ -87,113 +94,54 @@ class RepConfig:
 
 def matrix_of_valuation(v: Sequence[int], constants: Sequence[int]) -> RepMatrix:
     cset = set(constants)
-    n = len(v)
-    return RepMatrix(
-        tuple(
-            tuple(
-                ((v[i] if v[i] in cset else ONE) if v[i] == v[j] else ZERO)
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-    )
+    rows = tuple(tuple((x if x in cset else ONE) if x == y else ZERO for y in v) for x in v)
+    return RepMatrix(rows)
 
 
 def has_valid_structure(m: RepMatrix, constants: Sequence[int]) -> bool:
     """Direct structural characterisation of consistency.
 
-    Symmetric, no ``ZERO`` diagonal, related registers share their class
-    entry, relatedness is transitive, and no two separate classes claim the
-    same constant.  Agrees with ``reference.is_consistent_matrix`` (tested
-    exhaustively); implemented independently of the constraint engine.
+    Every row holds its diagonal entry, ``ONE`` or a declared constant, at
+    the registers related to it and ``ZERO`` elsewhere; related registers
+    have identical rows, which makes relatedness an equivalence; and no two
+    classes claim the same constant.  Agrees with
+    ``reference.is_consistent_matrix`` (tested exhaustively); implemented
+    independently of the constraint engine.
     """
     cset = set(constants)
-    n, rows = m.n, m.rows
-    for i in range(n):
-        if rows[i][i] == ZERO:
+    rows, n = m.rows, m.n
+    for i, row in enumerate(rows):
+        d = row[i]
+        if (d != ONE and d not in cset) or row.count(d) + row.count(ZERO) != n:
             return False
-        for j in range(n):
-            e = rows[i][j]
-            if e not in (ZERO, ONE) and e not in cset:
-                return False
-            if rows[j][i] != e:
-                return False
-            if e != ZERO:
-                if e != rows[i][i] or e != rows[j][j]:
-                    return False
-                for k in range(n):
-                    if rows[j][k] != ZERO and rows[i][k] == ZERO:
-                        return False
-            elif rows[i][i] == rows[j][j] and rows[i][i] != ONE:
-                return False  # two classes pinned to one constant
-    return True
+        if any(rows[j] != row for j, e in enumerate(row) if e != ZERO):
+            return False  # related registers must have one row
+    pins = [row[i] for i, row in enumerate(rows) if row[i] != ONE and row.index(row[i]) == i]
+    return len(set(pins)) == len(pins)  # no two classes pinned to one constant
 
 
 def fresh_symbols(constants: Sequence[int], count: int) -> list[int]:
     """The ``count`` smallest naturals ≥ 1 outside the constant set."""
-    out: list[int] = []
-    candidate = 1
-    while len(out) < count:
-        if candidate not in constants:
-            out.append(candidate)
-        candidate += 1
-    return out
+    return list(itertools.islice((c for c in itertools.count(1) if c not in constants), count))
 
 
 def canonical_valuation(m: RepMatrix, constants: Sequence[int]) -> Valuation:
     """The deterministic witness valuation of a consistent matrix.
 
-    Register ``i`` takes its diagonal constant if it has one, else the
-    ``i``-th fresh symbol; a second pass copies values leftward-to-right so
-    related registers agree.  Raises ``ValueError`` for an inconsistent
-    matrix.
+    A register takes its diagonal constant if it has one, else the fresh
+    symbol numbered by the first register of its class.  Raises
+    ``ValueError`` for an inconsistent matrix.
     """
     if not has_valid_structure(m, constants):
         raise ValueError("matrix is not consistent")
     fresh = fresh_symbols(constants, m.n)
-    w = [m.rows[i][i] if m.rows[i][i] != ONE else fresh[i] for i in range(m.n)]
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
-            if m.rows[i][j] != ZERO:
-                w[j] = w[i]
-    return tuple(w)
+    return tuple(row[i] if row[i] != ONE else fresh[row.index(ONE)] for i, row in enumerate(m.rows))
 
 
-def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """Set partitions of ``range(n)`` as restricted growth strings.
-
-    Position ``i`` names the block of register ``i``; each value may exceed
-    the running maximum by at most one, which makes the naming — and hence
-    the enumeration — canonical.  Lexicographic order.
-    """
-    s = [0] * n
-
-    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(s)
-            return
-        for b in range(mx + 2):
-            s[i] = b
-            yield from rec(i + 1, max(mx, b))
-
-    return rec(1, 0)
-
-
-def _block_labelings(k: int, constants: tuple[int, ...]) -> Iterator[tuple[int | None, ...]]:
-    """Ways to pin blocks to constants: None = no constant, injectively otherwise."""
-    for labels in itertools.product((None, *constants), repeat=k):
-        pinned = [c for c in labels if c is not None]
-        if len(set(pinned)) == len(pinned):
-            yield labels
-
-
-@cache
 def _stirling2(n: int, k: int) -> int:
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+    """Partitions of ``n`` items into ``k`` blocks, by inclusion–exclusion."""
+    signed = ((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+    return sum(signed) // math.factorial(k)
 
 
 def universe_size(n_registers: int, num_constants: int) -> int:
@@ -202,16 +150,11 @@ def universe_size(n_registers: int, num_constants: int) -> int:
     Sums, over partitions of the registers into k blocks, the number of ways
     to pin an injective subset of blocks to constants.
     """
-    total = 0
-    for k in range(1, n_registers + 1):
-        pinnings = 0
-        choose, arrange = 1, 1
-        for j in range(min(k, num_constants) + 1):
-            pinnings += choose * arrange
-            choose = choose * (k - j) // (j + 1)
-            arrange *= num_constants - j
-        total += _stirling2(n_registers, k) * pinnings
-    return total
+    return sum(
+        _stirling2(n_registers, k) * math.comb(k, j) * math.perm(num_constants, j)
+        for k in range(1, n_registers + 1)
+        for j in range(min(k, num_constants) + 1)
+    )
 
 
 # The largest universe ``universe_table`` enumerates: admits 10 registers
@@ -219,47 +162,98 @@ def universe_size(n_registers: int, num_constants: int) -> int:
 # constant (4213597 each), before any matrix is built.
 MAX_CLASSES = 1_000_000
 
-
-class UniverseTable(NamedTuple):
-    """One universe in listing order: class ``k`` is ``matrices[k]``,
-    ``block[k, i]`` is register ``i``'s block in its growth string,
-    ``label[k, i]`` its diagonal entry (``ONE`` or the pinned constant), and
-    ``index`` maps each matrix back to ``k``."""
-
-    matrices: tuple[RepMatrix, ...]
-    block: np.ndarray
-    label: np.ndarray
-    index: dict[RepMatrix, int]
+_CHUNK = 8192  # classes ``UniverseTable.iter_matrices`` builds at once
 
 
 def check_universe_args(n_registers: int, constants: Sequence[int]) -> None:
-    """Raise ``ValueError`` unless there is a register and every constant is a
-    natural; a negative one would collide with ``ZERO`` or ``ONE``."""
+    """Raise ``ValueError`` unless there is a register and the constants are
+    distinct naturals; a negative one would collide with ``ZERO`` or ``ONE``."""
     if n_registers < 1:
         raise ValueError("need at least one register")
     negative = [c for c in constants if c < 0]
     if negative:
         raise ValueError(f"constants must be naturals, got {negative[0]}")
+    if len(set(constants)) != len(constants):
+        raise ValueError("duplicate constants")
 
 
-@lru_cache(maxsize=None)
-def _class_row(members: tuple[bool, ...], entry: int) -> tuple[int, ...]:
-    """A block's matrix row: ``entry`` at its registers, ``ZERO`` elsewhere."""
-    return tuple(entry if m else ZERO for m in members)
+def is_class(m: RepMatrix, n_registers: int, constants: Sequence[int]) -> bool:
+    """Whether ``m`` is a member of ``universe(n_registers, constants)``."""
+    return m.n == n_registers and has_valid_structure(m, constants)
+
+
+def _build_matrices(block: np.ndarray, label: np.ndarray) -> Iterator[RepMatrix]:
+    """The matrices of table rows ``block``, ``label``, built unchecked: equal
+    rows share one tuple, and the hashes are one numpy fold (``_matrix_hash``)."""
+    n = block.shape[1]
+    same = block[:, :, None] == block[:, None, :]
+    members = (same * (1 << np.arange(n))).sum(axis=2)
+    values, lab = np.unique(label, return_inverse=True)
+    rows, ids = np.unique(members * len(values) + lab.reshape(label.shape), return_inverse=True)
+    shared = [
+        tuple(int(values[r % len(values)]) if r // len(values) >> j & 1 else ZERO for j in range(n))
+        for r in rows.tolist()
+    ]
+    # the fold unrolled: n and the row codes, weighted by powers of _HASH_MUL
+    codes = np.column_stack((np.full(len(block), n), same.argmax(axis=2) + (n + 1) * (label + 3)))
+    weights = np.array([pow(_HASH_MUL, k, 2**64) for k in range(n, -1, -1)], dtype=np.uint64)
+    h = (codes.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+    for row_ids, hash_ in zip(ids.reshape(-1, n).tolist(), h.view(np.int64).tolist()):
+        m = object.__new__(RepMatrix)
+        # the constructor's attribute order, which keeps instances compact
+        object.__setattr__(m, "rows", tuple([shared[r] for r in row_ids]))
+        object.__setattr__(m, "_hash", hash_)
+        yield m
+
+
+class UniverseTable(NamedTuple):
+    """One universe in listing order, as columns over its classes.
+
+    ``block[k, i]`` is register ``i``'s block in class ``k``'s growth
+    string and ``label[k, i]`` its diagonal entry; ``alphabet`` lists the
+    labels by pinning code (``ONE``, then the constants as declared), and
+    ``key[k]`` is the class's growth string followed by its registers'
+    pinning codes, read as one mixed-radix number, ascending in ``k``.
+    """
+
+    block: np.ndarray
+    label: np.ndarray
+    key: np.ndarray
+    alphabet: np.ndarray
+
+    def iter_matrices(self, ks: np.ndarray | None = None) -> Iterator[RepMatrix]:
+        """The matrices of classes ``ks`` (all by default), in order, a chunk at a time."""
+        ks = np.arange(len(self.key)) if ks is None else ks
+        for chunk in np.split(ks, range(_CHUNK, len(ks), _CHUNK)):
+            yield from _build_matrices(self.block[chunk], self.label[chunk])
+
+    def positions(self, matrices: Sequence[RepMatrix]) -> np.ndarray:
+        """Each matrix's class position, or -1 where it is not a class here."""
+        n, alphabet = self.block.shape[1], self.alphabet.tolist()
+        code = {c: p for p, c in enumerate(alphabet)}
+        key_of: dict[RepMatrix, int] = {}
+        for m in dict.fromkeys(matrices):  # each distinct matrix once
+            leaders: dict[int, int] = {}
+            growth = pins = 0
+            for i, row in enumerate(m.rows if is_class(m, n, alphabet[1:]) else ()):
+                growth = growth * (i + 1) + leaders.setdefault(row.index(row[i]), len(leaders))
+                pins = pins * len(code) + code[row[i]]
+            key_of[m] = growth * len(code) ** n + pins if leaders else -1
+        keys = np.array([key_of[m] for m in matrices], dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.key, keys), len(self.key) - 1)
+        return np.where(self.key[pos] == keys, pos, -1)
 
 
 @lru_cache(maxsize=None)
 def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTable:
-    """Every consistent matrix over ``n_registers`` registers, in a fixed order.
+    """Every consistent matrix over ``n_registers`` registers, in listing order.
 
-    Enumerated as labeled set partitions — each register partition, with
-    each injective partial pinning of blocks to constants — rather than by
-    filtering the ``(|C|+2)^(n²)`` raw matrices.  The order (partitions in
-    growth-string order, labelings with None before each declared constant)
-    is deterministic and is the listing order used by the command-line
-    tools.  Matrices share their row tuples.  Raises ``ValueError`` before
-    enumerating anything for a negative constant, or when the universe
-    holds more than ``MAX_CLASSES`` classes.
+    Restricted growth strings in lexicographic order, grown a register at a
+    time by repeating each string ``max + 2`` times with ``0 .. max + 1``
+    appended (Knuth, TAOCP 4A §7.2.1.5), each expanded by the injective
+    partial pinnings of its blocks (code 0 for none, then the constants as
+    declared, in lexicographic order).  Raises ``ValueError`` before any
+    work for a negative or repeated constant, or past ``MAX_CLASSES``.
     """
     check_universe_args(n_registers, constants)
     # even without constants there are at least 2^(n-1) classes, so a
@@ -271,25 +265,36 @@ def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTabl
             f"the universe over {n_registers} registers and {len(constants)} constant(s) "
             f"exceeds the {MAX_CLASSES} class limit"
         )
-    matrices: list[RepMatrix] = []
-    blocks: list[tuple[int, ...]] = []
-    labels: list[list[int]] = []
-    for rgs in _growth_strings(n_registers):
-        members = [tuple(b == r for r in rgs) for b in range(max(rgs) + 1)]
-        for pins in _block_labelings(len(members), constants):
-            diag = [ONE if c is None else c for c in pins]
-            rows = [_class_row(m, d) for m, d in zip(members, diag)]
-            matrices.append(RepMatrix(tuple(rows[b] for b in rgs)))
-            blocks.append(rgs)
-            labels.append([diag[b] for b in rgs])
-    return UniverseTable(
-        tuple(matrices),
-        np.array(blocks, dtype=np.int8).reshape(-1, n_registers),
-        np.array(labels, dtype=np.int64).reshape(-1, n_registers),
-        {m: k for k, m in enumerate(matrices)},
+    m = len(constants)
+    rgs, top = np.zeros((1, 1), dtype=np.int8), np.zeros(1, dtype=np.int64)
+    for _ in range(n_registers - 1):
+        fan = top + 2
+        digit = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
+        rgs = np.column_stack((np.repeat(rgs, fan, axis=0), digit.astype(np.int8)))
+        top = np.maximum(np.repeat(top, fan), digit)
+    # the pinnings of every block count, as one zero-padded table
+    pins = [itertools.product(range(m + 1), repeat=k) for k in range(1, n_registers + 1)]
+    pins = [[p for p in ps if len(set(p) - {0}) == len(p) - p.count(0)] for ps in pins]
+    padded = np.array(
+        [p + (0,) * (n_registers - len(p)) for ps in pins for p in ps], dtype=np.min_scalar_type(m)
     )
+    sizes = np.array([len(ps) for ps in pins])
+    starts = np.cumsum(sizes) - sizes
+    count = sizes[top]
+    part = np.repeat(np.arange(len(rgs), dtype=np.int32), count)
+    pick = np.arange(len(part)) - (np.cumsum(count) - count - starts[top])[part]
+    block = rgs[part]
+    codes = padded.ravel()[(pick * n_registers)[:, None] + block]
+    growth, pinkey = np.zeros(len(rgs), dtype=np.int64), np.zeros(len(block), dtype=np.int64)
+    for i in range(n_registers):
+        growth = growth * (i + 1) + rgs[:, i]
+        pinkey = pinkey * (m + 1) + codes[:, i]
+    alphabet = np.array([ONE, *constants], dtype=np.int64)
+    key = growth[part] * (m + 1) ** n_registers + pinkey
+    return UniverseTable(block, alphabet[codes], key, alphabet)
 
 
+@lru_cache(maxsize=None)
 def universe(n_registers: int, constants: tuple[int, ...]) -> tuple[RepMatrix, ...]:
     """The matrices of ``universe_table``, in its listing order."""
-    return universe_table(n_registers, constants).matrices
+    return tuple(universe_table(n_registers, constants).iter_matrices())

@@ -40,7 +40,7 @@ import numpy as np
 from regmc import eqlogic
 from regmc.core import ParameterTerm, RegisterAutomaton, RegisterTerm, Term, Transition
 from regmc.eqlogic import Var, const, par
-from regmc.matrices import ONE, RepConfig, RepMatrix, UniverseTable, universe_table
+from regmc.matrices import ONE, RepConfig, RepMatrix, UniverseTable, universe, universe_table
 
 
 def _guard_registers(t: Transition) -> set[int]:
@@ -122,23 +122,22 @@ def _filter_universe(
     return mask
 
 
-def _class_of(ra: RegisterAutomaton, table: UniverseTable, c: RepConfig) -> int:
-    """The universe position of ``c``'s matrix.
+def _classes_of(ra: RegisterAutomaton, table: UniverseTable, configs: list[RepConfig]) -> list[int]:
+    """The universe positions of the configurations' matrices.
 
-    The universe holds every consistent matrix over the automaton's
-    registers and constants, so this raises ``ValueError`` for an unknown
-    location, a matrix of the wrong size, an undeclared constant, or an
-    inconsistent matrix.
+    Raises ``ValueError`` for an unknown location or a matrix that is not a
+    class: of the wrong size, with an undeclared constant, or inconsistent.
     """
-    if c.location not in ra.locations:
-        raise ValueError(f"unknown location: {c.location}")
-    k = table.index.get(c.matrix)
-    if k is None:
+    for c in configs:
+        if c.location not in ra.locations:
+            raise ValueError(f"unknown location: {c.location}")
+    ks = table.positions([c.matrix for c in configs]).tolist()
+    if -1 in ks:
         raise ValueError(
             f"matrix is not a consistent class over {ra.num_registers} registers "
             f"and constants {ra.constants}"
         )
-    return k
+    return ks
 
 
 def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
@@ -148,7 +147,7 @@ def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
     size, an undeclared constant, or an inconsistent matrix.
     """
     table = universe_table(ra.num_registers, ra.constants)
-    k = _class_of(ra, table, c)
+    [k] = _classes_of(ra, table, [c])
     out: set[RepConfig] = set()
     for t in ra.transitions:
         if t.source != c.location:
@@ -156,8 +155,8 @@ def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
         conds = _step_conditions(ra, t, table.block[k], table.label[k])
         if conds is None:
             continue
-        for v in np.nonzero(_filter_universe(table.block, table.label, conds))[0]:
-            out.add(RepConfig(t.target, table.matrices[v]))
+        hits = np.nonzero(_filter_universe(table.block, table.label, conds))[0]
+        out.update(RepConfig(t.target, m) for m in table.iter_matrices(hits))
     return out
 
 
@@ -279,22 +278,18 @@ class QuotientGraph:
     ra: RegisterAutomaton
     table: UniverseTable
     _steps: list[tuple[int, int, _Kernel]]
-    _node_cache: frozenset[RepConfig] | None = field(default=None, repr=False)
 
     @property
     def matrices(self) -> tuple[RepMatrix, ...]:
-        return self.table.matrices
+        return universe(self.ra.num_registers, self.ra.constants)
 
     @property
     def nodes(self) -> set[RepConfig]:
-        if self._node_cache is None:
-            self._node_cache = frozenset(
-                RepConfig(l, m) for l in self.ra.locations for m in self.matrices
-            )
-        return set(self._node_cache)
+        return {RepConfig(l, m) for l in self.ra.locations for m in self.matrices}
 
     def edges(self, node: RepConfig) -> set[RepConfig]:
-        loc, u = self._node_index(node)
+        [u] = _classes_of(self.ra, self.table, [node])
+        loc = self.ra.locations.index(node.location)
         return {
             RepConfig(self.ra.locations[dst], self.matrices[k])
             for src, dst, ker in self._steps
@@ -307,19 +302,17 @@ class QuotientGraph:
             raise ValueError(f"unknown location: {location}")
         return self.ra.locations.index(location)
 
-    def _node_index(self, node: RepConfig) -> tuple[int, int]:
-        u = _class_of(self.ra, self.table, node)
-        return self.ra.locations.index(node.location), u
-
     # --- (locations × classes) arrays shared with the branching-time operators ---
 
     def _empty_masks(self) -> np.ndarray:
-        return np.zeros((len(self.ra.locations), len(self.matrices)), dtype=bool)
+        return np.zeros((len(self.ra.locations), len(self.table.key)), dtype=bool)
 
     def _masks_of(self, configs: Iterable[RepConfig]) -> np.ndarray:
+        configs = list(configs)
+        ks = _classes_of(self.ra, self.table, configs)
+        locs = [self.ra.locations.index(c.location) for c in configs]
         masks = self._empty_masks()
-        for c in configs:
-            masks[self._node_index(c)] = True
+        masks[np.array(locs, dtype=np.intp), np.array(ks, dtype=np.intp)] = True
         return masks
 
     def _labelset(self, masks: np.ndarray) -> set[RepConfig]:
@@ -364,7 +357,7 @@ def quotient_graph(ra: RegisterAutomaton) -> QuotientGraph:
 
 def reach(ra: RegisterAutomaton, target: RepConfig) -> bool:
     """Whether ``target`` is reachable from any initial-location class."""
-    u = _class_of(ra, universe_table(ra.num_registers, ra.constants), target)
+    [u] = _classes_of(ra, universe_table(ra.num_registers, ra.constants), [target])
     graph = quotient_graph(ra)
     return bool(graph._reachable_masks()[ra.locations.index(target.location), u])
 

@@ -2,8 +2,10 @@
 
 Nothing here shares successor or fixpoint machinery with the package:
 graphs come from enumerating concrete steps over an explicit value pool,
-and the CTL labeling is the textbook explicit-state one over materialized
-edge sets (predecessor worklist for until, iterative pruning for EG).
+the CTL labeling is the textbook explicit-state one over materialized
+edge sets (predecessor worklist for until, iterative pruning for EG), and
+the universe listing is the class-at-a-time recursive enumeration that
+``matrices.universe_table`` replaces with array passes.
 """
 
 from __future__ import annotations
@@ -11,11 +13,13 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from regmc.core import Configuration, RegisterAutomaton, concrete_successors
 from regmc.ctl import EG, EU, EX, And, AtLocation, Not, RegEq, RegEqConst
-from regmc.matrices import ZERO, RepConfig, canonical_valuation, matrix_of_valuation
+from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, canonical_valuation, matrix_of_valuation
 
 
 def equivalent(u: Sequence[int], v: Sequence[int], constants: Sequence[int]) -> bool:
@@ -36,6 +40,56 @@ def equivalent(u: Sequence[int], v: Sequence[int], constants: Sequence[int]) -> 
             if (u[i] == u[j]) != (v[i] == v[j]):
                 return False
     return True
+
+
+def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
+    """Set partitions of ``range(n)`` as restricted growth strings, lexicographic."""
+    s = [0] * n
+
+    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(s)
+            return
+        for b in range(mx + 2):
+            s[i] = b
+            yield from rec(i + 1, max(mx, b))
+
+    return rec(1, 0)
+
+
+def _block_labelings(k: int, constants: tuple[int, ...]) -> Iterator[tuple[int | None, ...]]:
+    """Ways to pin blocks to constants: None = no constant, injectively otherwise."""
+    for labels in itertools.product((None, *constants), repeat=k):
+        pinned = [c for c in labels if c is not None]
+        if len(set(pinned)) == len(pinned):
+            yield labels
+
+
+def enumerate_universe(
+    n: int, constants: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, list[RepMatrix]]:
+    """The universe one class at a time: block and label columns, and matrices.
+
+    Partitions in growth-string order, each with its pinnings, None before
+    the constants in declared order; every matrix goes through the
+    validating ``RepMatrix`` constructor.
+    """
+    matrices: list[RepMatrix] = []
+    blocks: list[tuple[int, ...]] = []
+    labels: list[list[int]] = []
+    for rgs in _growth_strings(n):
+        members = [[b == r for r in rgs] for b in range(max(rgs) + 1)]
+        for pins in _block_labelings(len(members), constants):
+            diag = [ONE if c is None else c for c in pins]
+            rows = [tuple(d if m else ZERO for m in ms) for ms, d in zip(members, diag)]
+            matrices.append(RepMatrix(tuple(rows[b] for b in rgs)))
+            blocks.append(rgs)
+            labels.append([diag[b] for b in rgs])
+    return (
+        np.array(blocks, dtype=np.int8).reshape(-1, n),
+        np.array(labels, dtype=np.int64).reshape(-1, n),
+        matrices,
+    )
 
 
 @dataclass

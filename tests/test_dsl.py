@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gens import byzantine, figure_one, random_automaton, random_formula
+from gens import NOT_A_FIGURE_ONE_CLASS, byzantine, figure_one, random_automaton, random_formula
 from regmc import ctl, dsl
 from regmc.core import Action, RegisterAutomaton
 from regmc.ctl import EG, EU, EX, And, AtLocation, Not, RegEq, RegEqConst
@@ -295,6 +295,26 @@ def test_serialize_needs_the_automaton_for_named_values():
         dsl.serialize(ctl.TRUE)
     with pytest.raises(TypeError):
         dsl.serialize(42)
+
+
+def test_serialize_refuses_what_it_cannot_print():
+    fig = figure_one()
+    some_class = dsl.parse_classes("{x1} {x2=2}", fig.registers, fig.constants)
+    refused = [
+        RegEq(-1, 0),  # a negative index would wrap to x2
+        RegEq(0, 2),
+        RegEqConst(0, 7),  # prints a constant the parser refuses
+        RegEqConst(2, 2),
+        AtLocation("nowhere"),
+        Not(And(ctl.TRUE, RegEq(-1, 0))),
+        RepConfig("nowhere", some_class),
+        *(RepConfig("l0", m) for m in NOT_A_FIGURE_ONE_CLASS),
+        RepConfig("l0", universe(3, (2,))[0]),
+    ]
+    for value in refused:
+        with pytest.raises(ValueError):
+            dsl.serialize(value, fig)
+    assert dsl.serialize(RepConfig("l1", some_class), fig) == "l1 | {x1} {x2=2}"
 
 
 def test_random_automaton_round_trips():

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gens import NOT_A_FIGURE_ONE_CLASS
-from oracles import equivalent
+from oracles import enumerate_universe, equivalent
 from regmc.core import Assignment, ConstantTerm, ParameterTerm, RegisterTerm
 from regmc.eqlogic import Atom, const, par, primed, reg
 from regmc.matrices import (
@@ -287,14 +293,77 @@ def test_universe_order_is_frozen():
 def test_universe_table_matches_matrices(constants):
     for n in range(1, 7):
         table = universe_table(n, constants)
-        assert table.block.shape == table.label.shape == (len(table.matrices), n)
-        for k, m in enumerate(table.matrices):
+        matrices = universe(n, constants)
+        assert table.block.shape == table.label.shape == (len(matrices), n)
+        for k, m in enumerate(matrices):
             for i in range(n):
                 assert table.label[k, i] == m.entry(i, i)
                 for j in range(n):
                     assert (table.block[k, i] == table.block[k, j]) == (m.entry(i, j) != ZERO)
-            assert table.index[m] == k
-        assert len(table.index) == len(table.matrices)
+        assert table.positions(matrices).tolist() == list(range(len(matrices)))
+        assert len(set(matrices)) == len(matrices)
+
+
+@pytest.mark.parametrize("constants", [(), (0,), (0, 5), (3, 1, 2)])
+def test_universe_table_matches_recursive_enumerator(constants):
+    # (3, 1, 2) is unsorted: pinnings follow the declared order
+    rng = random.Random(29)
+    for n in range(1, 8):
+        table = universe_table(n, constants)
+        block, label, want = enumerate_universe(n, constants)
+        assert table.block.dtype == block.dtype and table.label.dtype == label.dtype
+        assert np.array_equal(table.block, block) and np.array_equal(table.label, label)
+        built = universe(n, constants)
+        assert [m.rows for m in built] == [m.rows for m in want]
+        for m in built:
+            checked = RepMatrix(m.rows)
+            assert m == checked and hash(m) == hash(checked)
+        # the hash names the class, so no two classes share one
+        assert len({hash(m) for m in built}) == len(built)
+        assert table.positions(want).tolist() == list(range(len(want)))
+        ks = np.array(sorted(rng.sample(range(len(want)), min(len(want), 40))))
+        assert list(table.iter_matrices(ks)) == [built[k] for k in ks]
+
+
+def test_lookup_refuses_non_classes():
+    table = universe_table(2, (2,))
+    assert table.positions(NOT_A_FIGURE_ONE_CLASS).tolist() == [-1] * len(NOT_A_FIGURE_ONE_CLASS)
+    # classes of other universes: other sizes, other constants
+    for other in [universe(1, (2,)), universe(3, (2,)), universe(2, (5,)), universe(2, (2, 5))]:
+        ks = table.positions(other)
+        assert all((k >= 0) == (m in universe(2, (2,))) for k, m in zip(ks, other))
+    assert table.positions(universe(2, (2, 5))).tolist() == [0, 1, -1, 2, 3, -1, 4, -1, -1, -1]
+
+
+def test_ten_register_table_in_budget():
+    # measured in a fresh process, so neither the cache nor this process's
+    # memory counts.  Linux carries peak RSS across exec, and a spawned
+    # child starts from its parent's peak, so a small intermediate process
+    # starts the measured one.
+    code = (
+        "import json, resource, time\n"
+        "from regmc.matrices import universe_table\n"
+        "t = time.perf_counter()\n"
+        "table = universe_table(10, (0,))\n"
+        "wall = time.perf_counter() - t\n"
+        "rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "print(json.dumps([len(table.block), wall, rss_mb]))\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    relay = "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
+    done = subprocess.run(
+        [sys.executable, "-c", relay, code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    count, wall, rss_mb = json.loads(done.stdout)
+    assert count == 678570
+    assert wall < 2.0, wall
+    assert rss_mb < 150, rss_mb
+
+
+def test_universe_refuses_repeated_constants():
+    with pytest.raises(ValueError, match="duplicate"):
+        universe_table(2, (0, 0))
 
 
 def test_universe_refuses_negative_constants():

@@ -313,7 +313,7 @@ def test_group_keys_match_submatrix_partition(constants):
     rng = random.Random(27)
     for n in range(1, 7):
         table = universe_table(n, constants)
-        ua = np.array([m.rows for m in table.matrices])
+        ua = np.array([m.rows for m in universe(n, constants)])
         subsets = [[], list(range(n))] + [
             sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(4)
         ]
