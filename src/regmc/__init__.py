@@ -1,13 +1,15 @@
 """Finite-quotient reachability and CTL analysis for register automata.
 
 The submodules split along the pipeline: ``core`` defines automata and
-their concrete semantics, ``eqlogic`` the (dis)equality reasoning,
-``matrices`` the finite representation of valuation classes as a table of
-block and label columns, ``reach`` successor computation and reachability
-over the quotient, ``ctl`` the branching-time checker, ``dsl`` the textual
-formats, and ``cli`` the command-line front end.  ``reference`` holds the
-literal scan implementations used for differential checking; it alone
-writes a class as a constraint system, and only ``cli`` imports it.
+their concrete semantics, ``matrices`` the finite representation of
+valuation classes as a table of block and label columns, ``reach``
+successor computation (one relational join over table columns per
+transition) and reachability over the quotient, ``ctl`` the branching-time
+checker, ``dsl`` the textual formats, and ``cli`` the command-line front
+end.  ``reference`` holds the literal scan implementations used for
+differential checking; it alone writes a class as a constraint system, and
+only ``cli`` imports it.  ``eqlogic``, the (dis)equality reasoning, serves
+those reference scans only.
 """
 
 from __future__ import annotations

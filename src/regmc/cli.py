@@ -55,8 +55,8 @@ def _cmd_universe(args: argparse.Namespace) -> int:
         ks = [k if k >= 0 else count for k in table.positions(scanned).tolist()]
         matrices = [m for _, m in sorted(zip(ks, scanned), key=lambda km: km[0])]
         count = len(scanned)
-    for m in matrices:
-        print(dsl.classes_text(m, names))
+    for line in dsl.classes_lines(matrices, names):
+        print(line)
     print(f"count: {count}")
     return 0
 

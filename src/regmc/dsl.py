@@ -34,6 +34,7 @@ the serializer always writes every class out.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from regmc import ctl
@@ -603,15 +604,51 @@ def parse_classes(text: str, registers: tuple[str, ...], constants: tuple[int, .
     return matrix
 
 
+def _block_text(row: tuple[int, ...], label: int, registers: tuple[str, ...]) -> str:
+    """One block of a class, written from the row and the diagonal entry
+    (``label``) of any of its members."""
+    pin = "" if label == ONE else f"={label}"
+    return "{" + " ".join(registers[j] + pin for j, e in enumerate(row) if e != ZERO) + "}"
+
+
+# Rows whose texts ``classes_lines`` keeps before it starts afresh.
+_ROW_TEXTS = 4096
+
+
+def classes_lines(matrices: Iterable[RepMatrix], registers: tuple[str, ...]) -> Iterator[str]:
+    """``classes_text`` of each class, in order.
+
+    A class is written as its blocks' texts in order of their first
+    registers, one text per distinct row.  Matrices built together share
+    their row tuples (``UniverseTable.iter_matrices``), so a row's text is
+    kept under the row's identity, and the row is held with it so that no
+    other row can take its id.
+    """
+    texts: dict[int, str] = {}
+    held: list[tuple[int, ...]] = []
+    for m in matrices:
+        try:
+            parts = [texts[i] for i in map(id, m.rows)]
+        except KeyError:
+            if len(held) > _ROW_TEXTS:
+                texts.clear()
+                held.clear()
+            held.extend(m.rows)
+            texts.update(
+                (id(row), _block_text(row, row[i], registers)) for i, row in enumerate(m.rows)
+            )
+            parts = [texts[i] for i in map(id, m.rows)]
+        yield " ".join(dict.fromkeys(parts))
+
+
 def classes_text(matrix: RepMatrix, registers: tuple[str, ...]) -> str:
     """Render a class as its equality classes, every class written out."""
-    parts = []
-    for i, row in enumerate(matrix.rows):
-        if row.index(row[i]) == i:  # the first register of its class
-            pin = "" if row[i] == ONE else f"={row[i]}"
-            members = " ".join(registers[j] + pin for j, e in enumerate(row) if e != ZERO)
-            parts.append("{" + members + "}")
-    return " ".join(parts)
+    # each block from the row of its first register
+    return " ".join(
+        _block_text(row, row[i], registers)
+        for i, row in enumerate(matrix.rows)
+        if row.index(row[i]) == i
+    )
 
 
 # --- serialization ---

@@ -20,8 +20,10 @@ order, the block of each register and its diagonal label.  Entry
 ``ZERO`` otherwise, so every question the successor search and the
 checker ask of a class is a compare of two columns.  ``RepMatrix`` objects
 are built from table rows only where a caller reads them, and a matrix is
-located by one sorted search over the table's rank keys.  Universes over
-``MAX_CLASSES`` classes are refused.
+located by one sorted search over the table's rank keys.  The rank key is
+one formula over any valuation (``class_keys``), so the sub-matrix of a
+class over some of its registers is found the same way in the smaller
+table.  Universes over ``MAX_CLASSES`` classes are refused.
 
 A matrix is *consistent* when it is the matrix of some valuation;
 ``has_valid_structure`` decides this from the entries alone, and
@@ -228,20 +230,100 @@ class UniverseTable(NamedTuple):
             yield from _build_matrices(self.block[chunk], self.label[chunk])
 
     def positions(self, matrices: Sequence[RepMatrix]) -> np.ndarray:
-        """Each matrix's class position, or -1 where it is not a class here."""
-        n, alphabet = self.block.shape[1], self.alphabet.tolist()
-        code = {c: p for p, c in enumerate(alphabet)}
-        key_of: dict[RepMatrix, int] = {}
-        for m in dict.fromkeys(matrices):  # each distinct matrix once
-            leaders: dict[int, int] = {}
-            growth = pins = 0
-            for i, row in enumerate(m.rows if is_class(m, n, alphabet[1:]) else ()):
-                growth = growth * (i + 1) + leaders.setdefault(row.index(row[i]), len(leaders))
-                pins = pins * len(code) + code[row[i]]
-            key_of[m] = growth * len(code) ** n + pins if leaders else -1
-        keys = np.array([key_of[m] for m in matrices], dtype=np.int64)
-        pos = np.minimum(np.searchsorted(self.key, keys), len(self.key) - 1)
-        return np.where(self.key[pos] == keys, pos, -1)
+        """Each matrix's class position, or -1 where it is not a class here.
+
+        A matrix names a key through each register's first related register
+        (its row's first nonzero entry) and its diagonal; one sorted search
+        finds the key, and the hit stands only if the matrix equals the
+        table row it names, entry for entry.
+        """
+        n = self.block.shape[1]
+        found = dict.fromkeys(matrices, -1)
+        square = [m for m in found if m.n == n]
+        if square:
+            rows = itertools.chain.from_iterable(m.rows for m in square)
+            given = np.fromiter(itertools.chain.from_iterable(rows), np.int64, len(square) * n * n)
+            given = given.reshape(-1, n, n)
+            constants = self.alphabet[1:].tolist()
+            diag = given[:, range(n), range(n)]
+            first = (given != ZERO).argmax(axis=2)
+            # a register's growth digit counts the blocks begun before its first one
+            growth = np.take_along_axis(np.cumsum(first == range(n), axis=1) - 1, first, axis=1)
+            m = len(constants)
+            keys = _growth_ranks(growth) * (m + 1) ** n + _pin_ranks(_pin_codes(diag, constants), m)
+            pos = np.minimum(np.searchsorted(self.key, keys), len(self.key) - 1)
+            block, label = self.block[pos], self.label[pos]
+            named = np.where(block[:, :, None] == block[:, None, :], label[:, :, None], ZERO)
+            hit = (self.key[pos] == keys) & (named == given).all(axis=(1, 2))
+            found.update(zip(square, np.where(hit, pos, -1).tolist()))
+        return np.array([found[m] for m in matrices], dtype=np.int64)
+
+    def valuations(self, ks: Sequence[int] | slice = slice(None)) -> np.ndarray:
+        """Classes ``ks`` (all by default) read as valuations: a pinned
+        register holds its constant, and unpinned block ``b`` holds the
+        marker ``-1 - b``, never a declared constant."""
+        block, label = self.block[ks], self.label[ks]
+        return np.where(label == ONE, -1 - block.astype(np.int64), label)
+
+    def projection_keys(self, registers: Sequence[int]) -> np.ndarray:
+        """Each class's sub-matrix over ``registers``, as its key in the
+        universe over that many registers (``class_keys``), computed a chunk
+        of classes at a time."""
+        constants = self.alphabet[1:].tolist()
+        return np.concatenate(
+            [
+                class_keys(self.valuations(slice(lo, lo + _CHUNK))[:, registers], constants)
+                for lo in range(0, len(self.key), _CHUNK)
+            ]
+        )
+
+
+def _growth_ranks(growth: np.ndarray) -> np.ndarray:
+    """Restricted growth strings, one per row, as mixed-radix numbers."""
+    rank = np.zeros(len(growth), dtype=np.int64)
+    for i in range(growth.shape[1]):
+        rank = rank * (i + 1) + growth[:, i]
+    return rank
+
+
+def _pin_ranks(codes: np.ndarray, num_constants: int) -> np.ndarray:
+    """Pinning codes, one string per row, as base ``num_constants + 1`` numbers."""
+    rank = np.zeros(len(codes), dtype=np.int64)
+    for i in range(codes.shape[1]):
+        rank = rank * (num_constants + 1) + codes[:, i]
+    return rank
+
+
+def _pin_codes(values: np.ndarray, constants: Sequence[int]) -> np.ndarray:
+    """Each value's pinning code: the position of its constant plus one, or
+    0 for a value that is not a declared constant."""
+    codes = np.zeros(values.shape, dtype=np.min_scalar_type(len(constants)))
+    for p, c in enumerate(constants):
+        codes[values == c] = p + 1
+    return codes
+
+
+def class_keys(values: np.ndarray, constants: Sequence[int]) -> np.ndarray:
+    """The ``UniverseTable.key`` of each row of ``values`` read as a valuation.
+
+    Columns holding one value share a block, and a value that is a declared
+    constant pins its block to it; any other value is a fresh one.  Rows of
+    the table's own ``valuations`` give back its keys, and a selection of
+    their columns gives the keys of their sub-matrices in the smaller table.
+    """
+    # one contiguous array per register: the scans below run down columns
+    cols = np.ascontiguousarray(values.T)
+    n, rows = cols.shape
+    growth = np.zeros((n, rows), dtype=np.int8)  # digits stay below the register count
+    blocks = np.zeros(rows, dtype=np.int8)
+    for i in range(n):
+        # registers of one value hold one growth digit, so the largest digit
+        # among the earlier matches is the digit, -1 when none matches
+        seen = np.where(cols[:i] == cols[i], growth[:i], -1).max(axis=0, initial=-1)
+        growth[i] = np.where(seen < 0, blocks, seen)
+        blocks += seen < 0
+    m = len(constants)
+    return _growth_ranks(growth.T) * (m + 1) ** n + _pin_ranks(_pin_codes(values, constants), m)
 
 
 @lru_cache(maxsize=None)
@@ -285,12 +367,8 @@ def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTabl
     pick = np.arange(len(part)) - (np.cumsum(count) - count - starts[top])[part]
     block = rgs[part]
     codes = padded.ravel()[(pick * n_registers)[:, None] + block]
-    growth, pinkey = np.zeros(len(rgs), dtype=np.int64), np.zeros(len(block), dtype=np.int64)
-    for i in range(n_registers):
-        growth = growth * (i + 1) + rgs[:, i]
-        pinkey = pinkey * (m + 1) + codes[:, i]
     alphabet = np.array([ONE, *constants], dtype=np.int64)
-    key = growth[part] * (m + 1) ** n_registers + pinkey
+    key = _growth_ranks(rgs)[part] * (m + 1) ** n_registers + _pin_ranks(codes, m)
     return UniverseTable(block, alphabet[codes], key, alphabet)
 
 

@@ -2,124 +2,189 @@
 
 A class is exact: its row of the universe table (``matrices``) fixes which
 registers share a value and which constant, if any, each shared value is.
-So inside a class every register is a known value, and only the action's
-parameters are unknown.  ``_step_conditions`` reads the row that way: a
+So a class is read as a valuation (``UniverseTable.valuations``): a
 register pinned to a constant holds it, and each unpinned block holds its
-own negative marker value, distinct from every other block and every
-declared constant.  The step formula is then just the guard over those
-values and the parameters.  Its closure (see ``eqlogic``) forces a partial
-skeleton on the updated registers, read off the assigned terms: which pairs
-must match, which must differ, which diagonal constants are required or
-ruled out.  Unforced entries (in particular whole rows of registers the
-transition leaves unassigned, which may take any value) are free.  Each
-forced entry is one column compare on the table: a match or mismatch
-compares two block columns, a required or ruled-out constant compares a
-label column.
+own negative marker, distinct from every other block and every declared
+constant.  Only the action's parameters are unknown, and a guard atom over
+such rows is a compare of two value columns.
 
-``quotient_graph`` materializes the node set and stores each transition as
-a partitioned relation between two groupings of the universe.  The forced
-skeleton depends only on the sub-matrix over the registers the transition
-reads, so matrices with one such *read key* share a single closure; and
-the skeleton constrains only the sub-matrix over the assigned registers,
-so the successor set of a read group is a union of *target-key* groups,
-found by filtering one representative per target key; both groupings are
-integer keys built from the same block and label columns.  A set of nodes
-is one (locations × classes) boolean array, so reachability and the
-branching-time operators run as a few numpy passes per transition (see
-Burch, Clarke & Long, "Symbolic model checking with partitioned transition
-relations", 1991).
+A transition's step is one relational join (``_join``).  A parameter the
+assignment does not store only has to exist, so it is first eliminated
+from the guard (``_stored_guard``).  The join starts from value rows over
+the declared constants and the k registers the transition reads, and
+extends them by one column per stored parameter: a new column takes a
+value already in the row (a declared constant included) or one fresh
+value.  A row is dropped as soon as every column of some guard atom exists
+and the atom fails.  Each surviving row's *image* is the values of the
+assigned terms.  Registers outside the assignment are released and may
+take any value, so the successors of a class are exactly the classes whose
+sub-matrix over the q assigned registers is the class of one of its
+images.
+
+Both sides of the relation are positions in smaller universes: a class's
+*read group* is its sub-matrix over the read registers, a position in
+``universe_table(k, C)``, and its *target group* its sub-matrix over the
+assigned registers, a position in ``universe_table(q, C)``.  One
+projection code, the tables' own rank key (``matrices.class_keys``), finds
+both, for the rows of the full table and for the images alike.
+``quotient_graph`` runs the join over the whole k-register table, a chunk
+of read groups at a time, and stores each transition as CSR rows from read
+groups to target groups (``_Kernel``); ``post`` runs it from its single
+class and filters the full table by the entries all its images share.  A
+set of nodes is one (locations × classes) boolean array, so reachability
+and the branching-time operators run as a few numpy passes per transition
+(see Burch, Clarke & Long, "Symbolic model checking with partitioned
+transition relations", 1991).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from regmc import eqlogic
-from regmc.core import ParameterTerm, RegisterAutomaton, RegisterTerm, Term, Transition
-from regmc.eqlogic import Var, const, par
-from regmc.matrices import ONE, RepConfig, RepMatrix, UniverseTable, universe, universe_table
+from regmc.core import (
+    Atom,
+    ConstantTerm,
+    ParameterTerm,
+    RegisterAutomaton,
+    RegisterTerm,
+    Term,
+    Transition,
+)
+from regmc.matrices import (
+    ONE,
+    RepConfig,
+    RepMatrix,
+    UniverseTable,
+    class_keys,
+    universe,
+    universe_table,
+)
+
+# ``_build_kernel`` joins as many read groups at once as the worst-case
+# fan-out (``_Plan.fan_out``) lets in under half the table's class count, or
+# under this floor on small tables, so the join's rows stay within the
+# per-class arrays the kernel stores.
+_JOIN_ROWS = 1 << 13
 
 
-def _guard_registers(t: Transition) -> set[int]:
-    out = set()
-    for a in t.guard:
-        for term in (a.left, a.right):
-            if isinstance(term, RegisterTerm):
-                out.add(term.index)
-    return out
+def _stored_guard(t: Transition) -> list[Atom] | None:
+    """``t``'s guard with every parameter the assignment does not store
+    eliminated, or None when no valuation satisfies it.
+
+    Such a parameter only has to exist, and the alphabet is infinite: an
+    equality naming it is solved for it by substitution, and once it occurs
+    in disequalities alone, one fresh value per parameter meets them all,
+    so they are dropped.  An atom comparing a term with itself is decided
+    outright.
+    """
+    stored = {x for _, x in t.assignment.updates}
+
+    def local(x: Term) -> bool:
+        return isinstance(x, ParameterTerm) and x not in stored
+
+    atoms = list(t.guard)
+    while True:
+        solved = [
+            (k, x, y)
+            for k, a in enumerate(atoms)
+            if a.equal
+            for x, y in ((a.left, a.right), (a.right, a.left))
+            if local(x) and x != y
+        ]
+        if not solved:
+            break
+        k, x, y = solved[0]
+        atoms = [
+            Atom(y if a.left == x else a.left, y if a.right == x else a.right, a.equal)
+            for j, a in enumerate(atoms)
+            if j != k
+        ]
+    if any(a.left == a.right and not a.equal for a in atoms):
+        return None
+    return [a for a in atoms if a.left != a.right and not (local(a.left) or local(a.right))]
 
 
-def _source_registers(t: Transition) -> set[int]:
-    return {
-        term.index for _, term in t.assignment.updates if isinstance(term, RegisterTerm)
-    }
+class _Plan(NamedTuple):
+    """A transition's join, stage by stage.
 
-
-def _step_conditions(
-    ra: RegisterAutomaton, t: Transition, block_row: np.ndarray, label_row: np.ndarray
-) -> list[tuple[str, int, int]] | None:
-    """Forced successor-matrix entries for one transition from one class.
-
-    The class is its universe-table row (``block_row``, ``label_row``), read
-    as a valuation: a register pinned to constant ``c`` holds ``c``, and one
-    in unpinned block ``b`` holds ``-1 - b``, a negative value and so never
-    a declared constant.  The step formula is then the guard alone, over
-    those values and the action's parameters.  Returns None when it is
-    unsatisfiable (the transition cannot fire from this class).  Otherwise
-    each condition constrains one entry, read off the assigned terms:
-    ``eq``/``ne`` fix whether two updated registers are related,
-    ``pin``/``avoid`` fix a diagonal against a declared constant.
-    Registers outside the assignment are unconstrained.
+    ``reads`` are the registers it reads, ascending; ``stages[s]`` the
+    atoms checked once stage ``s`` has added its column, as column pairs
+    that must match or differ; ``image`` the columns of the assigned terms;
+    ``fan_out`` the most rows it holds per start row.
     """
 
-    def var(term: Term) -> Var:
-        if isinstance(term, RegisterTerm):
-            lab = int(label_row[term.index])
-            return const(-1 - int(block_row[term.index]) if lab == ONE else lab)
-        if isinstance(term, ParameterTerm):
-            return par(term.index)
-        return const(term.value)
+    reads: tuple[int, ...]
+    stages: tuple[tuple[tuple[int, int, bool], ...], ...]
+    image: tuple[int, ...]
+    fan_out: int
 
-    clo = eqlogic.closure(
-        eqlogic.system(eqlogic.Atom(var(a.left), var(a.right), a.equal) for a in t.guard)
-    )
-    if clo is None:
+
+@lru_cache(maxsize=1024)
+def _plan(t: Transition, constants: tuple[int, ...]) -> _Plan | None:
+    """The join of ``t``, or None when its guard is unsatisfiable.
+
+    The columns are the declared constants, then the registers that the
+    assignment and ``_stored_guard(t)`` read, then one column per stored
+    parameter, added in index order by every stage but the first.  Each
+    atom is checked at the first stage that has both its columns.  A new
+    column multiplies the rows by at most one plus the columns before it.
+    """
+    guard = _stored_guard(t)
+    if guard is None:
         return None
-    updates = t.assignment.updates
-    conds: list[tuple[str, int, int]] = []
-    for pos, (i, term) in enumerate(updates):
-        v = var(term)
-        pinned = clo.constant_of(v)
-        if pinned in ra.constants:
-            conds.append(("pin", i, pinned))
-        else:
-            conds += [("avoid", i, c) for c in ra.constants if clo.disequal(v, const(c))]
-        for j, other in updates[pos + 1 :]:
-            if clo.equal(v, var(other)):
-                conds.append(("eq", i, j))
-            elif clo.disequal(v, var(other)):
-                conds.append(("ne", i, j))
-    return conds
+    image = [x for _, x in t.assignment.updates]
+    terms = [x for a in guard for x in (a.left, a.right)] + image
+    reads = sorted({x.index for x in terms if isinstance(x, RegisterTerm)})
+    params = sorted({x.index for x in terms if isinstance(x, ParameterTerm)})
+    cols: list[Term] = [ConstantTerm(c) for c in constants]
+    cols += [RegisterTerm(r) for r in reads] + [ParameterTerm(p) for p in params]
+    fixed = len(cols) - len(params)
+    stages: list[list[tuple[int, int, bool]]] = [[] for _ in range(len(params) + 1)]
+    for a in guard:
+        i, j = cols.index(a.left), cols.index(a.right)
+        stages[max(0, max(i, j) + 1 - fixed)].append((i, j, a.equal))
+    fan_out = math.prod(range(fixed + 1, len(cols) + 1))
+    image_cols = tuple(cols.index(x) for x in image)
+    return _Plan(tuple(reads), tuple(map(tuple, stages)), image_cols, fan_out)
 
 
-def _filter_universe(
-    block: np.ndarray, label: np.ndarray, conds: list[tuple[str, int, int]]
-) -> np.ndarray:
-    """Rows of a universe table (``block``, ``label``) meeting every condition."""
-    mask = np.ones(len(block), dtype=bool)
-    for kind, i, v in conds:
-        if kind == "eq":
-            mask &= block[:, i] == block[:, v]
-        elif kind == "ne":
-            mask &= block[:, i] != block[:, v]
-        elif kind == "pin":
-            mask &= label[:, i] == v
-        else:
-            mask &= label[:, i] != v
-    return mask
+def _join(ra: RegisterAutomaton, plan: _Plan, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The firing rows of a transition over the classes ``start``, and their
+    images.
+
+    ``start`` holds one valuation per class over ``plan.reads``.  A
+    parameter column takes the value of any earlier column that is the
+    first to hold its value, or a fresh value, below every block marker.
+    Returns, for every row that satisfies the guard, the index of the
+    ``start`` row it extends and the values of the assigned terms, in
+    target order.
+    """
+    n, constants = ra.num_registers, ra.constants
+    rows = np.column_stack(
+        (np.broadcast_to(np.array(constants, dtype=np.int64), (len(start), len(constants))), start)
+    )
+    origin = np.arange(len(start))
+    for s, atoms in enumerate(plan.stages):
+        if s:
+            width = rows.shape[1]
+            first = np.ones((len(rows), width + 1), dtype=bool)  # the fresh value is last
+            for c in range(1, width):
+                first[:, c] = ~(rows[:, :c] == rows[:, c : c + 1]).any(axis=1)
+            cand = np.column_stack((rows, np.full(len(rows), -1 - n - s)))
+            r, c = np.nonzero(first)
+            rows = cand[r]
+            rows[:, width] = cand[r, c]
+            origin = origin[r]
+        keep = np.ones(len(rows), dtype=bool)
+        for a, b, equal in atoms:
+            keep &= (rows[:, a] == rows[:, b]) == equal
+        rows, origin = rows[keep], origin[keep]
+    return origin, rows[:, plan.image]
 
 
 def _classes_of(ra: RegisterAutomaton, table: UniverseTable, configs: list[RepConfig]) -> list[int]:
@@ -140,6 +205,34 @@ def _classes_of(ra: RegisterAutomaton, table: UniverseTable, configs: list[RepCo
     return ks
 
 
+def _shared_entries(table: UniverseTable, t: Transition, images: np.ndarray) -> np.ndarray:
+    """Rows of ``table`` whose sub-matrix over the assigned registers is the
+    class of one of ``images``.
+
+    Filters by the entries all images share: a pair of assigned registers
+    that always or never match, and a diagonal always pinned to one constant
+    or never to some.  Each is one column compare, and together they admit
+    exactly the union of the images' classes.
+    """
+    targets = [i for i, _ in t.assignment.updates]
+    block, label = table.block, table.label
+    mask = np.ones(len(block), dtype=bool)
+    same = images[:, :, None] == images[:, None, :]
+    for a, b in zip(*np.nonzero(np.triu(same.all(axis=0), 1))):
+        mask &= block[:, targets[a]] == block[:, targets[b]]
+    for a, b in zip(*np.nonzero(np.triu(~same.any(axis=0), 1))):
+        mask &= block[:, targets[a]] != block[:, targets[b]]
+    constants = table.alphabet[1:]
+    held = images[:, :, None] == constants
+    for a, (always, never) in enumerate(zip(held.all(axis=0), ~held.any(axis=0))):
+        if always.any():
+            mask &= label[:, targets[a]] == constants[always][0]
+        else:
+            for c in constants[never]:
+                mask &= label[:, targets[a]] != c
+    return mask
+
+
 def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
     """All one-step successor classes of ``c``.
 
@@ -148,47 +241,19 @@ def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
     """
     table = universe_table(ra.num_registers, ra.constants)
     [k] = _classes_of(ra, table, [c])
+    valuation = table.valuations([k])
     out: set[RepConfig] = set()
     for t in ra.transitions:
         if t.source != c.location:
             continue
-        conds = _step_conditions(ra, t, table.block[k], table.label[k])
-        if conds is None:
+        plan = _plan(t, ra.constants)
+        if plan is None:
             continue
-        hits = np.nonzero(_filter_universe(table.block, table.label, conds))[0]
-        out.update(RepConfig(t.target, m) for m in table.iter_matrices(hits))
+        _, images = _join(ra, plan, valuation[:, plan.reads])
+        if len(images):
+            hits = np.nonzero(_shared_entries(table, t, images))[0]
+            out.update(RepConfig(t.target, m) for m in table.iter_matrices(hits))
     return out
-
-
-def _group_keys(
-    block: np.ndarray, label: np.ndarray, regs: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows of a universe table by their sub-matrix over ``regs``.
-
-    Returns each row's dense group id and the first row of every group.
-    The sub-matrix is fixed by, for each listed register, the position of
-    the first listed register in its block and its diagonal label; each
-    register adds that pair as one integer column, and re-ranking after
-    every column keeps the running code below the row count.
-    """
-    key = np.zeros(len(block), dtype=np.int64)
-    for p, r in enumerate(regs):
-        first = np.argmax(block[:, regs[: p + 1]] == block[:, [r]], axis=1)
-        labels, lab = np.unique(label[:, r], return_inverse=True)
-        width = (p + 1) * len(labels)
-        key = key * width + first * len(labels) + lab.reshape(-1)
-        _, key = np.unique(key, return_inverse=True)
-        key = key.reshape(-1)
-    _, first_rows, key = np.unique(key, return_index=True, return_inverse=True)
-    return key.reshape(-1).astype(np.int32), first_rows
-
-
-def _is_full_identity(ra: RegisterAutomaton, t: Transition) -> bool:
-    upd = t.assignment.updates
-    return len(upd) == ra.num_registers and all(
-        tgt == i and isinstance(term, RegisterTerm) and term.index == i
-        for i, (tgt, term) in enumerate(upd)
-    )
 
 
 @dataclass
@@ -199,11 +264,10 @@ class _Kernel:
     ``key_of[u]`` relates to the target group ``tkey_of[v]``; the relation
     is stored as CSR rows (``indptr``, ``indices``), one row of target
     groups per read group, empty when the group cannot fire.  A read group
-    collects the classes with one sub-matrix over the registers the guard
-    and the assignment read, a target group those with one sub-matrix over
-    the assigned registers.  A transition that keeps every register is the
-    diagonal case: every class is its own read and target group, and its
-    row holds itself wherever the guard is satisfiable.
+    is a class's sub-matrix over the registers the transition reads
+    (``_Plan.reads``), a target group its sub-matrix over the assigned
+    registers, each named by its position in the universe over that many
+    registers (the one class over none when there are none).
     """
 
     key_of: np.ndarray
@@ -237,29 +301,50 @@ class _Kernel:
         return hit[self.tkey_of]
 
 
+def _sub_universe(width: int, constants: tuple[int, ...]) -> UniverseTable:
+    """The universe over ``width`` registers.  Over none it has one class,
+    the empty valuation, of key 0 (``class_keys`` of an empty row), which
+    ``universe_table`` refuses to build."""
+    if width:
+        return universe_table(width, constants)
+    return UniverseTable(
+        np.zeros((1, 0), dtype=np.int8),
+        np.zeros((1, 0), dtype=np.int64),
+        np.zeros(1, dtype=np.int64),
+        np.array([ONE, *constants], dtype=np.int64),
+    )
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of ``x``, ascending.  (``np.unique`` does the same
+    but imports ``numpy.ma`` on first use, which every process would pay.)"""
+    x = np.sort(x)
+    return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
+
+
 def _build_kernel(ra: RegisterAutomaton, t: Transition, table: UniverseTable) -> _Kernel:
-    block, label = table.block, table.label
-    if _is_full_identity(ra, t):
-        guard_of, reps = _group_keys(block, label, sorted(_guard_registers(t)))
-        fires = np.array(
-            [_step_conditions(ra, t, block[r], label[r]) is not None for r in reps], dtype=bool
-        )[guard_of]
-        every = np.arange(len(block), dtype=np.int32)
-        indptr = np.zeros(len(block) + 1, dtype=np.int64)
-        np.cumsum(fires, out=indptr[1:])
-        return _Kernel(every, every, indptr, every[fires])
-    key_of, reps = _group_keys(block, label, sorted(_guard_registers(t) | _source_registers(t)))
-    tkey_of, treps = _group_keys(block, label, sorted(t.assignment.targets()))
-    rows = []
-    for r in reps:
-        conds = _step_conditions(ra, t, block[r], label[r])
-        if conds is None:
-            rows.append(np.zeros(0, dtype=np.int32))
-        else:
-            rows.append(np.nonzero(_filter_universe(block[treps], label[treps], conds))[0])
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
-    return _Kernel(key_of, tkey_of, indptr, np.concatenate(rows).astype(np.int32))
+    """``t``'s relation over ``table``, by one join per chunk of read groups."""
+    plan = _plan(t, ra.constants)
+    reads = () if plan is None else plan.reads
+    targets = [i for i, _ in t.assignment.updates]
+    read_table = _sub_universe(len(reads), ra.constants)
+    target_keys = _sub_universe(len(targets), ra.constants).key
+    key_of = np.searchsorted(read_table.key, table.projection_keys(reads))
+    tkey_of = np.searchsorted(target_keys, table.projection_keys(targets))
+    groups = len(read_table.key)
+    pairs = [np.zeros(0, dtype=np.int64)]
+    if plan is not None:
+        step = max(1, max(len(table.key) // 2, _JOIN_ROWS) // plan.fan_out)
+        for lo in range(0, groups, step):
+            origin, images = _join(ra, plan, read_table.valuations(slice(lo, lo + step)))
+            found = np.searchsorted(target_keys, class_keys(images, ra.constants))
+            pairs.append(_distinct((lo + origin) * len(target_keys) + found))
+    read, found = np.divmod(np.concatenate(pairs), len(target_keys))
+    indptr = np.zeros(groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(read, minlength=groups), out=indptr[1:])
+    return _Kernel(
+        key_of.astype(np.int32), tkey_of.astype(np.int32), indptr, found.astype(np.int32)
+    )
 
 
 @dataclass

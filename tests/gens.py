@@ -27,13 +27,15 @@ from regmc.matrices import ONE, ZERO, RepMatrix
 P1, P2 = ParameterTerm(1), ParameterTerm(2)
 
 # each names no class of figure one: an undeclared constant, one register
-# where it has two, and two inconsistent matrices (a zero diagonal, an
-# asymmetric pair)
+# where it has two, and three inconsistent matrices (a zero diagonal, an
+# asymmetric pair, and a near miss whose first related registers and
+# diagonal are those of the class {x1=2 x2=2} but whose (0, 1) entry is not)
 NOT_A_FIGURE_ONE_CLASS = [
     RepMatrix(((7, ZERO), (ZERO, ONE))),
     RepMatrix(((ONE,),)),
     RepMatrix(((ZERO, ZERO), (ZERO, ZERO))),
     RepMatrix(((ONE, ONE), (ZERO, ONE))),
+    RepMatrix(((2, ZERO), (2, 2))),
 ]
 
 

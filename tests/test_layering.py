@@ -2,7 +2,8 @@
 
 ``matrices`` is the class layout and knows nothing of constraints, and the
 literal reference scans stay independent of the engine they judge: only the
-command-line front end may import ``reference``.
+command-line front end may import ``reference``, and only ``reference``
+reasons with constraints (``eqlogic``).
 """
 
 from __future__ import annotations
@@ -46,3 +47,8 @@ def test_matrices_imports_no_constraint_reasoning():
 def test_only_the_cli_imports_reference():
     importers = {p.stem for p in SRC.glob("*.py") if "reference" in regmc_imports(p)}
     assert importers == {"cli"}
+
+
+def test_only_the_reference_imports_eqlogic():
+    importers = {p.stem for p in SRC.glob("*.py") if "eqlogic" in regmc_imports(p)}
+    assert importers == {"reference"}

@@ -333,6 +333,19 @@ def test_lookup_refuses_non_classes():
         ks = table.positions(other)
         assert all((k >= 0) == (m in universe(2, (2,))) for k, m in zip(ks, other))
     assert table.positions(universe(2, (2, 5))).tolist() == [0, 1, -1, 2, 3, -1, 4, -1, -1, -1]
+    # near misses: the first related registers and the diagonal name a class,
+    # one off-diagonal entry does not
+    three = universe_table(3, (2,))
+    missed = [
+        mat((2, 2, ZERO), (2, 2, ZERO), (ZERO, ZERO, ONE)),
+        mat((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)),
+    ]
+    near = [
+        mat((2, 2, ZERO), (2, 2, 2), (ZERO, ZERO, ONE)),
+        mat((ONE, ZERO, ZERO), (ZERO, ONE, ONE), (ZERO, ZERO, ONE)),
+    ]
+    assert -1 not in three.positions(missed).tolist()
+    assert three.positions(near).tolist() == [-1, -1]
 
 
 def test_ten_register_table_in_budget():

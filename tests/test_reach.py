@@ -3,27 +3,33 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from gens import NOT_A_FIGURE_ONE_CLASS, random_automaton, shift_machine
+from gens import NOT_A_FIGURE_ONE_CLASS, random_automaton, random_term, shift_machine
 from regmc.core import (
     Action,
     Assignment,
     Atom,
     Configuration,
+    ConstantTerm,
     ParameterTerm,
     RegisterAutomaton,
     RegisterTerm,
     Transition,
     sufficient_pool,
 )
-from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, universe, universe_table
-from regmc.reach import _group_keys, post, quotient_graph, reach, reachable_set
+from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, class_keys, universe, universe_table
+from regmc.reach import _build_kernel, post, quotient_graph, reach, reachable_set
 from regmc.reference import literal_post
+
+# the package re-exports the function ``reach`` under the module's name
+reach_module = importlib.import_module("regmc.reach")
 
 O, Z = ONE, ZERO
 
@@ -309,19 +315,124 @@ def test_vector_passes_match_per_node_edges():
 
 
 @pytest.mark.parametrize("constants", [(), (0,), (0, 5)])
-def test_group_keys_match_submatrix_partition(constants):
+def test_projection_keys_match_submatrix_partition(constants):
     rng = random.Random(27)
     for n in range(1, 7):
-        table = universe_table(n, constants)
+        values = universe_table(n, constants).valuations()
         ua = np.array([m.rows for m in universe(n, constants)])
         subsets = [[], list(range(n))] + [
             sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(4)
         ]
         for regs in subsets:
-            key, first_rows = _group_keys(table.block, table.label, regs)
+            key = class_keys(values[:, regs], constants)
             flat = ua[:, regs][:, :, regs].reshape(len(ua), -1)
             _, want = np.unique(flat, axis=0, return_inverse=True)
             pairs = set(zip(key.tolist(), want.reshape(-1).tolist()))
             assert len(pairs) == len(set(key.tolist())) == len(set(want.reshape(-1).tolist()))
-            # dense ids, each group represented by its first row
-            assert first_rows.tolist() == [np.argmax(key == g) for g in range(key.max() + 1)]
+            if not regs:
+                assert set(key.tolist()) == {0}
+                continue
+            # each key is the position of its sub-matrix in the smaller universe
+            sub = universe_table(len(regs), constants)
+            pos = np.searchsorted(sub.key, key)
+            assert set(pos.tolist()) == set(range(len(sub.key)))
+            sub_rows = np.array([m.rows for m in universe(len(regs), constants)])
+            assert np.array_equal(sub_rows[pos].reshape(len(ua), -1), flat)
+
+
+def _join_shapes(rng: random.Random, n: int, constants: tuple[int, ...]) -> tuple[Transition, ...]:
+    """One transition of each shape the step join has a case for, with random
+    terms, on actions ``a(p1, p2)`` and ``b(p1, p2, p3)`` between two
+    locations."""
+    reg = lambda: RegisterTerm(rng.randrange(n))
+    const = lambda: ConstantTerm(rng.choice(constants)) if constants else reg()
+    term = lambda: random_term(rng, n, 2, constants)
+    atom = lambda left, right: Atom(left, right, rng.random() < 0.5)
+    p1, p2, p3 = ParameterTerm(1), ParameterTerm(2), ParameterTerm(3)
+    solved = reg()
+    shapes = [
+        # a guard-only parameter beside an assigned one
+        ("a", (atom(p1, reg()), atom(p1, p2)), ((rng.randrange(n), p2),)),
+        # a guard-only parameter solved by an equality, then compared again
+        ("a", (Atom(p1, solved, True), atom(p1, rng.choice([solved, reg()]))), ((0, p2),)),
+        # a guard-only parameter after two assigned ones
+        ("b", (atom(p3, reg()), atom(p3, p1)), tuple({0: p1, n - 1: p2}.items())),
+        # constant terms in the guard and the assignment
+        (
+            "a",
+            (atom(reg(), const()), atom(p2, const())),
+            tuple({rng.randrange(n): const(), n - 1: p2}.items()),
+        ),
+        # reads no register (k = 0)
+        (
+            "a",
+            (atom(p1, const()),),
+            tuple((i, rng.choice([p1, p2, const()])) for i in range(n) if i % 2 == 0),
+        ),
+        # assigns no register (q = 0)
+        ("a", (atom(reg(), p1),), ()),
+        # keeps every register
+        ("a", (atom(reg(), reg()),), tuple((i, RegisterTerm(i)) for i in range(n))),
+        # anything
+        (
+            "a",
+            tuple(atom(term(), term()) for _ in range(rng.randint(0, 2))),
+            tuple((i, term()) for i in range(n) if rng.random() < 0.6),
+        ),
+    ]
+    return tuple(
+        Transition(rng.choice("lm"), action, guard, Assignment(updates), rng.choice("lm"))
+        for action, guard, updates in shapes
+    )
+
+
+@pytest.mark.parametrize("constants", [(), (0,), (0, 5)])
+def test_kernels_match_literal_post(constants):
+    rng = random.Random(30)
+    for n in (1, 2, 3) * 3:
+        ra = RegisterAutomaton(
+            constants=constants,
+            registers=tuple(f"x{i + 1}" for i in range(n)),
+            actions=(Action("a", 2), Action("b", 3)),
+            locations=("l", "m"),
+            initial="l",
+            transitions=_join_shapes(rng, n, constants),
+        )
+        g = quotient_graph(ra)
+        for node in g.nodes:
+            want = literal_post(ra, node)
+            assert g.edges(node) == want, (ra, node)
+            assert post(ra, node) == want, (ra, node)
+
+
+def test_kernel_join_memory_is_bounded():
+    # every register read, a guard-only parameter and two assigned ones: the
+    # whole join would hold some thirty rows per class at once
+    n = 7
+    x = [RegisterTerm(i) for i in range(n)]
+    p1, p2, p3 = ParameterTerm(1), ParameterTerm(2), ParameterTerm(3)
+    guard = (Atom(p1, x[0], False), Atom(x[0], x[1], False))
+    store = ((0, p2), (1, p3)) + tuple((i, x[i]) for i in range(2, n))
+    t = Transition("l", "a", guard, Assignment(store), "l")
+    registers = tuple(f"x{i}" for i in range(n))
+    ra = RegisterAutomaton((0,), registers, (Action("a", 3),), ("l",), "l", (t,))
+    table = universe_table(n, (0,))
+
+    def build() -> tuple[object, int]:
+        tracemalloc.start()
+        try:
+            kernel = _build_kernel(ra, t, table)
+            return kernel, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    kernel, peak = build()
+    stored = sum(a.nbytes for a in (kernel.key_of, kernel.tkey_of, kernel.indptr, kernel.indices))
+    budget = 8 * (stored + table.block.nbytes + table.label.nbytes + table.key.nbytes)
+    assert peak < budget, (peak, budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reach_module, "_JOIN_ROWS", 1 << 40)
+        whole, whole_peak = build()
+    assert whole_peak > budget, (whole_peak, budget)
+    for name in ("key_of", "tkey_of", "indptr", "indices"):
+        assert np.array_equal(getattr(kernel, name), getattr(whole, name))
