@@ -28,7 +28,7 @@ from collections.abc import Iterable, Sequence
 from regmc import dsl, reference
 from regmc.core import Configuration, RegisterAutomaton, concrete_steps, sufficient_pool
 from regmc.ctl import compute_ctl, model_check
-from regmc.matrices import RepConfig, RepMatrix, matrix_of_valuation, universe_table
+from regmc.matrices import RepConfig, matrix_of_valuation, universe_table
 from regmc.reach import post, quotient_graph, reach
 
 
@@ -48,14 +48,15 @@ def _cmd_universe(args: argparse.Namespace) -> int:
     names = tuple(f"x{i + 1}" for i in range(args.registers))
     table = universe_table(args.registers, constants)
     count = len(table.key)
-    matrices: Iterable[RepMatrix] = table.iter_matrices()
+    lines: Iterable[str] = dsl.classes_lines(table.values, names)
     if args.oracle:
         # same canonical presentation order; only the computation differs
         scanned = reference.literal_universe(args.registers, constants)
         ks = [k if k >= 0 else count for k in table.positions(scanned).tolist()]
-        matrices = [m for _, m in sorted(zip(ks, scanned), key=lambda km: km[0])]
+        ordered = sorted(zip(ks, scanned), key=lambda km: km[0])
+        lines = [dsl.classes_text(m, names) for _, m in ordered]
         count = len(scanned)
-    for line in dsl.classes_lines(matrices, names):
+    for line in lines:
         print(line)
     print(f"count: {count}")
     return 0

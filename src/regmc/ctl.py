@@ -5,7 +5,7 @@ observations the finite quotient preserves — under the usual boolean and
 path operators with next (EX), until (EU), and always-on-some-path (EG) as
 the core; the remaining operators are abbreviations expanded at
 construction time.  Satisfaction sets are computed by the standard labeling
-recursion: atoms compare the block and label columns of the universe table
+recursion: atoms compare the value columns of the universe table
 (``matrices.universe_table``), EU is a least fixpoint of
 ``Z ↦ f₁ ∪ (f₀ ∩ EX Z)``, EG a greatest fixpoint of ``Z ↦ f ∩ EX Z``
 started at the full labeling of ``f``.  A class satisfies a formula exactly
@@ -179,9 +179,9 @@ def _ap_masks(graph: QuotientGraph, atom: CtlFormula) -> np.ndarray:
         masks[graph._location_index(atom.location)] = True
         return masks
     if isinstance(atom, RegEq):
-        row = graph.table.block[:, atom.i] == graph.table.block[:, atom.j]
+        row = graph.table.values[:, atom.i] == graph.table.values[:, atom.j]
     elif isinstance(atom, RegEqConst):
-        row = graph.table.label[:, atom.i] == atom.c
+        row = graph.table.values[:, atom.i] == atom.c
     else:
         raise ValueError(f"not an atomic formula: {atom}")
     return np.repeat(row[None, :], len(graph.ra.locations), axis=0)

@@ -34,8 +34,10 @@ the serializer always writes every class out.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from regmc import ctl
 from regmc.core import (
@@ -52,7 +54,9 @@ from regmc.core import (
 from regmc.ctl import (
     EG, EU, EX, MAX_FORMULA_DEPTH, And, AtLocation, CtlFormula, Not, RegEq, RegEqConst,
 )
-from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, is_class, matrix_of_valuation
+from regmc.matrices import (
+    ONE, ZERO, RepConfig, RepMatrix, diagonal_entries, is_class, matrix_of_valuation,
+)
 
 
 @dataclass(frozen=True)
@@ -604,48 +608,44 @@ def parse_classes(text: str, registers: tuple[str, ...], constants: tuple[int, .
     return matrix
 
 
-def _block_text(row: tuple[int, ...], label: int, registers: tuple[str, ...]) -> str:
-    """One block of a class, written from the row and the diagonal entry
-    (``label``) of any of its members."""
+def _block_text(members: list[int], label: int, registers: tuple[str, ...]) -> str:
+    """One block of a class, written from its members and the diagonal
+    entry (``label``) they share."""
     pin = "" if label == ONE else f"={label}"
-    return "{" + " ".join(registers[j] + pin for j, e in enumerate(row) if e != ZERO) + "}"
+    return "{" + " ".join(registers[j] + pin for j in members) + "}"
 
 
-# Rows whose texts ``classes_lines`` keeps before it starts afresh.
-_ROW_TEXTS = 4096
+_CHUNK = 8192  # rows ``classes_lines`` writes at once
 
 
-def classes_lines(matrices: Iterable[RepMatrix], registers: tuple[str, ...]) -> Iterator[str]:
-    """``classes_text`` of each class, in order.
+def classes_lines(values: np.ndarray, registers: tuple[str, ...]) -> Iterator[str]:
+    """``classes_text`` of each row of ``values`` (``UniverseTable.values``), in order.
 
-    A class is written as its blocks' texts in order of their first
-    registers, one text per distinct row.  Matrices built together share
-    their row tuples (``UniverseTable.iter_matrices``), so a row's text is
-    kept under the row's identity, and the row is held with it so that no
-    other row can take its id.
+    Each block is one piece, coded by its members and diagonal entry and
+    kept at its first register; numpy codes a chunk of rows at once, each
+    distinct piece is written once, and a line joins its row's pieces.
     """
-    texts: dict[int, str] = {}
-    held: list[tuple[int, ...]] = []
-    for m in matrices:
-        try:
-            parts = [texts[i] for i in map(id, m.rows)]
-        except KeyError:
-            if len(held) > _ROW_TEXTS:
-                texts.clear()
-                held.clear()
-            held.extend(m.rows)
-            texts.update(
-                (id(row), _block_text(row, row[i], registers)) for i, row in enumerate(m.rows)
-            )
-            parts = [texts[i] for i in map(id, m.rows)]
-        yield " ".join(dict.fromkeys(parts))
+    n = values.shape[1]
+    for chunk in np.split(values, range(_CHUNK, len(values), _CHUNK)):
+        same = chunk[:, :, None] == chunk[:, None, :]
+        labels, lab = np.unique(diagonal_entries(chunk), return_inverse=True)
+        pieces = (same * (1 << np.arange(n))).sum(axis=2) * len(labels) + lab.reshape(chunk.shape)
+        pieces = np.where(same.argmax(axis=2) == np.arange(n), pieces, 0)  # 0: no members
+        distinct, ids = np.unique(pieces, return_inverse=True)
+        members, label = np.divmod(distinct, len(labels))
+        texts = [
+            f" {_block_text([j for j in range(n) if m >> j & 1], d, registers)}" if m else ""
+            for m, d in zip(members.tolist(), labels[label].tolist())
+        ]
+        for row in ids.reshape(chunk.shape).tolist():
+            yield "".join([texts[p] for p in row])[1:]
 
 
 def classes_text(matrix: RepMatrix, registers: tuple[str, ...]) -> str:
     """Render a class as its equality classes, every class written out."""
     # each block from the row of its first register
     return " ".join(
-        _block_text(row, row[i], registers)
+        _block_text([j for j, e in enumerate(row) if e != ZERO], row[i], registers)
         for i, row in enumerate(matrix.rows)
         if row.index(row[i]) == i
     )

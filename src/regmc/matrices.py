@@ -14,16 +14,18 @@ declared constant.  The matrix alphabet is ``{ZERO, ONE} ∪ C``:
 There are finitely many such matrices per register count, so reachability
 and branching-time questions about the infinite concrete system reduce to
 the same questions over this finite universe.  This module owns its one
-layout, ``universe_table``: two (classes × registers) columns in listing
-order, the block of each register and its diagonal label.  Entry
-``(i, j)`` is the label of ``i`` when ``i`` and ``j`` share a block and
-``ZERO`` otherwise, so every question the successor search and the
-checker ask of a class is a compare of two columns.  ``RepMatrix`` objects
-are built from table rows only where a caller reads them, and a matrix is
-located by one sorted search over the table's rank keys.  The rank key is
-one formula over any valuation (``class_keys``), so the sub-matrix of a
-class over some of its registers is found the same way in the smaller
-table.  Universes over ``MAX_CLASSES`` classes are refused.
+layout, ``universe_table``: one *marker valuation* per class in listing
+order, in which a register pinned to a constant holds it and each
+unpinned block holds its own negative marker.  Entry ``(i, j)`` is
+``ZERO`` when the values of ``i`` and ``j`` differ, and otherwise the
+value when it is a constant, else ``ONE``; so every question the
+successor search and the checker ask of a class is a compare of value
+columns.  ``RepMatrix`` objects are built from table rows only where a
+caller reads them, and a matrix is located by one sorted search over the
+table's rank keys.  The rank key is one formula over any valuation
+(``class_keys``), so the sub-matrix of a class over some of its registers
+is found the same way in the smaller table.  Universes over
+``MAX_CLASSES`` classes are refused.
 
 A matrix is *consistent* when it is the matrix of some valuation;
 ``has_valid_structure`` decides this from the entries alone, and
@@ -169,12 +171,16 @@ _CHUNK = 8192  # classes ``UniverseTable.iter_matrices`` builds at once
 
 def check_universe_args(n_registers: int, constants: Sequence[int]) -> None:
     """Raise ``ValueError`` unless there is a register and the constants are
-    distinct naturals; a negative one would collide with ``ZERO`` or ``ONE``."""
+    distinct naturals below 2^63; a negative one would collide with ``ZERO``
+    or ``ONE``, and a larger one fits no table column."""
     if n_registers < 1:
         raise ValueError("need at least one register")
     negative = [c for c in constants if c < 0]
     if negative:
         raise ValueError(f"constants must be naturals, got {negative[0]}")
+    huge = [c for c in constants if c >= 2**63]
+    if huge:
+        raise ValueError(f"constants must be below 2**63, got {huge[0]}")
     if len(set(constants)) != len(constants):
         raise ValueError("duplicate constants")
 
@@ -184,20 +190,27 @@ def is_class(m: RepMatrix, n_registers: int, constants: Sequence[int]) -> bool:
     return m.n == n_registers and has_valid_structure(m, constants)
 
 
-def _build_matrices(block: np.ndarray, label: np.ndarray) -> Iterator[RepMatrix]:
-    """The matrices of table rows ``block``, ``label``, built unchecked: equal
-    rows share one tuple, and the hashes are one numpy fold (``_matrix_hash``)."""
-    n = block.shape[1]
-    same = block[:, :, None] == block[:, None, :]
+def diagonal_entries(values: np.ndarray) -> np.ndarray:
+    """The matrix diagonal of marker valuations (``UniverseTable.values``):
+    a value that is a constant, else ``ONE`` for a block marker."""
+    return np.where(values >= 0, values, ONE).astype(np.int64)
+
+
+def _build_matrices(values: np.ndarray) -> Iterator[RepMatrix]:
+    """The matrices of table rows ``values``, built unchecked: equal rows
+    share one tuple, and the hashes are one numpy fold (``_matrix_hash``)."""
+    n = values.shape[1]
+    same = values[:, :, None] == values[:, None, :]
     members = (same * (1 << np.arange(n))).sum(axis=2)
-    values, lab = np.unique(label, return_inverse=True)
-    rows, ids = np.unique(members * len(values) + lab.reshape(label.shape), return_inverse=True)
+    label = diagonal_entries(values)
+    labels, lab = np.unique(label, return_inverse=True)
+    rows, ids = np.unique(members * len(labels) + lab.reshape(label.shape), return_inverse=True)
     shared = [
-        tuple(int(values[r % len(values)]) if r // len(values) >> j & 1 else ZERO for j in range(n))
+        tuple(int(labels[r % len(labels)]) if r // len(labels) >> j & 1 else ZERO for j in range(n))
         for r in rows.tolist()
     ]
     # the fold unrolled: n and the row codes, weighted by powers of _HASH_MUL
-    codes = np.column_stack((np.full(len(block), n), same.argmax(axis=2) + (n + 1) * (label + 3)))
+    codes = np.column_stack((np.full(len(values), n), same.argmax(axis=2) + (n + 1) * (label + 3)))
     weights = np.array([pow(_HASH_MUL, k, 2**64) for k in range(n, -1, -1)], dtype=np.uint64)
     h = (codes.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
     for row_ids, hash_ in zip(ids.reshape(-1, n).tolist(), h.view(np.int64).tolist()):
@@ -209,98 +222,75 @@ def _build_matrices(block: np.ndarray, label: np.ndarray) -> Iterator[RepMatrix]
 
 
 class UniverseTable(NamedTuple):
-    """One universe in listing order, as columns over its classes.
+    """One universe in listing order, as one value row per class.
 
-    ``block[k, i]`` is register ``i``'s block in class ``k``'s growth
-    string and ``label[k, i]`` its diagonal entry; ``alphabet`` lists the
-    labels by pinning code (``ONE``, then the constants as declared), and
-    ``key[k]`` is the class's growth string followed by its registers'
-    pinning codes, read as one mixed-radix number, ascending in ``k``.
+    ``values[k]`` is class ``k``'s marker valuation: a register pinned to a
+    constant holds it, and one of unpinned block ``b`` of the growth string
+    holds ``-1 - b``, never a declared constant.  Two registers share a
+    value exactly when they are related, so every question asked of a class
+    is a compare of value columns.  The dtype is the smallest signed one
+    that holds every constant and ``-1 - n``.  ``key[k]`` is the class's
+    growth string followed by its registers' pinning codes, read as one
+    mixed-radix number, ascending in ``k``.
     """
 
-    block: np.ndarray
-    label: np.ndarray
+    values: np.ndarray
     key: np.ndarray
-    alphabet: np.ndarray
+    constants: tuple[int, ...]
 
     def iter_matrices(self, ks: np.ndarray | None = None) -> Iterator[RepMatrix]:
         """The matrices of classes ``ks`` (all by default), in order, a chunk at a time."""
         ks = np.arange(len(self.key)) if ks is None else ks
         for chunk in np.split(ks, range(_CHUNK, len(ks), _CHUNK)):
-            yield from _build_matrices(self.block[chunk], self.label[chunk])
+            yield from _build_matrices(self.values[chunk])
 
     def positions(self, matrices: Sequence[RepMatrix]) -> np.ndarray:
         """Each matrix's class position, or -1 where it is not a class here.
 
-        A matrix names a key through each register's first related register
-        (its row's first nonzero entry) and its diagonal; one sorted search
-        finds the key, and the hit stands only if the matrix equals the
-        table row it names, entry for entry.
+        A matrix is read as a marker row, each register holding its diagonal
+        constant or else ``-1`` minus its first related register (its row's
+        first nonzero entry); one sorted search finds that row's key, and
+        the hit stands only if the matrix equals the table row it names,
+        entry for entry.
         """
-        n = self.block.shape[1]
+        n = self.values.shape[1]
         found = dict.fromkeys(matrices, -1)
         square = [m for m in found if m.n == n]
         if square:
             rows = itertools.chain.from_iterable(m.rows for m in square)
             given = np.fromiter(itertools.chain.from_iterable(rows), np.int64, len(square) * n * n)
             given = given.reshape(-1, n, n)
-            constants = self.alphabet[1:].tolist()
-            diag = given[:, range(n), range(n)]
-            first = (given != ZERO).argmax(axis=2)
-            # a register's growth digit counts the blocks begun before its first one
-            growth = np.take_along_axis(np.cumsum(first == range(n), axis=1) - 1, first, axis=1)
-            m = len(constants)
-            keys = _growth_ranks(growth) * (m + 1) ** n + _pin_ranks(_pin_codes(diag, constants), m)
+            diag = given.reshape(-1, n * n)[:, :: n + 1]
+            marks = np.where(diag == ONE, -1 - (given != ZERO).argmax(axis=2), diag)
+            keys = class_keys(marks, self.constants)
             pos = np.minimum(np.searchsorted(self.key, keys), len(self.key) - 1)
-            block, label = self.block[pos], self.label[pos]
-            named = np.where(block[:, :, None] == block[:, None, :], label[:, :, None], ZERO)
+            values = self.values[pos]
+            label = diagonal_entries(values)[:, :, None]
+            named = np.where(values[:, :, None] == values[:, None, :], label, ZERO)
             hit = (self.key[pos] == keys) & (named == given).all(axis=(1, 2))
             found.update(zip(square, np.where(hit, pos, -1).tolist()))
         return np.array([found[m] for m in matrices], dtype=np.int64)
-
-    def valuations(self, ks: Sequence[int] | slice = slice(None)) -> np.ndarray:
-        """Classes ``ks`` (all by default) read as valuations: a pinned
-        register holds its constant, and unpinned block ``b`` holds the
-        marker ``-1 - b``, never a declared constant."""
-        block, label = self.block[ks], self.label[ks]
-        return np.where(label == ONE, -1 - block.astype(np.int64), label)
 
     def projection_keys(self, registers: Sequence[int]) -> np.ndarray:
         """Each class's sub-matrix over ``registers``, as its key in the
         universe over that many registers (``class_keys``), computed a chunk
         of classes at a time."""
-        constants = self.alphabet[1:].tolist()
         return np.concatenate(
             [
-                class_keys(self.valuations(slice(lo, lo + _CHUNK))[:, registers], constants)
+                class_keys(self.values[lo : lo + _CHUNK, registers], self.constants)
                 for lo in range(0, len(self.key), _CHUNK)
             ]
         )
 
 
-def _growth_ranks(growth: np.ndarray) -> np.ndarray:
-    """Restricted growth strings, one per row, as mixed-radix numbers."""
-    rank = np.zeros(len(growth), dtype=np.int64)
-    for i in range(growth.shape[1]):
-        rank = rank * (i + 1) + growth[:, i]
-    return rank
-
-
-def _pin_ranks(codes: np.ndarray, num_constants: int) -> np.ndarray:
-    """Pinning codes, one string per row, as base ``num_constants + 1`` numbers."""
-    rank = np.zeros(len(codes), dtype=np.int64)
-    for i in range(codes.shape[1]):
-        rank = rank * (num_constants + 1) + codes[:, i]
-    return rank
-
-
-def _pin_codes(values: np.ndarray, constants: Sequence[int]) -> np.ndarray:
-    """Each value's pinning code: the position of its constant plus one, or
-    0 for a value that is not a declared constant."""
-    codes = np.zeros(values.shape, dtype=np.min_scalar_type(len(constants)))
-    for p, c in enumerate(constants):
-        codes[values == c] = p + 1
-    return codes
+def _key_weights(n_registers: int, num_constants: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights that read a growth string and a pinning-code string as
+    one mixed-radix key: digit ``i`` of the growth string has radix
+    ``i + 1``, and each pinning code radix ``num_constants + 1``."""
+    n, base = n_registers, num_constants + 1
+    growth = [math.prod(range(i + 2, n + 1)) * base**n for i in range(n)]
+    pins = [base ** (n - 1 - i) for i in range(n)]
+    return np.array(growth, dtype=np.int64), np.array(pins, dtype=np.int64)
 
 
 def class_keys(values: np.ndarray, constants: Sequence[int]) -> np.ndarray:
@@ -308,22 +298,26 @@ def class_keys(values: np.ndarray, constants: Sequence[int]) -> np.ndarray:
 
     Columns holding one value share a block, and a value that is a declared
     constant pins its block to it; any other value is a fresh one.  Rows of
-    the table's own ``valuations`` give back its keys, and a selection of
-    their columns gives the keys of their sub-matrices in the smaller table.
+    the table's own ``values`` give back its keys, and a selection of their
+    columns gives the keys of their sub-matrices in the smaller table.
     """
     # one contiguous array per register: the scans below run down columns
     cols = np.ascontiguousarray(values.T)
     n, rows = cols.shape
     growth = np.zeros((n, rows), dtype=np.int8)  # digits stay below the register count
-    blocks = np.zeros(rows, dtype=np.int8)
-    for i in range(n):
-        # registers of one value hold one growth digit, so the largest digit
-        # among the earlier matches is the digit, -1 when none matches
-        seen = np.where(cols[:i] == cols[i], growth[:i], -1).max(axis=0, initial=-1)
-        growth[i] = np.where(seen < 0, blocks, seen)
-        blocks += seen < 0
-    m = len(constants)
-    return _growth_ranks(growth.T) * (m + 1) ** n + _pin_ranks(_pin_codes(values, constants), m)
+    blocks = np.ones(rows, dtype=np.int8)
+    for i in range(1, n):
+        # registers of one value hold one growth digit, below the blocks
+        # begun so far: the least over the earlier matches and that count
+        # is the digit, a new block when nothing matches
+        np.minimum.reduce(np.where(cols[:i] == cols[i], growth[:i], blocks), axis=0, out=growth[i])
+        blocks += growth[i] == blocks
+    # a constant's pinning code is its position plus one, 0 for any other value
+    codes = np.zeros(cols.shape, dtype=np.min_scalar_type(len(constants)))
+    for p, c in enumerate(constants):
+        codes[cols == c] = p + 1
+    by_growth, by_pin = _key_weights(n, len(constants))
+    return by_growth @ growth + by_pin @ codes
 
 
 @lru_cache(maxsize=None)
@@ -334,8 +328,10 @@ def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTabl
     time by repeating each string ``max + 2`` times with ``0 .. max + 1``
     appended (Knuth, TAOCP 4A §7.2.1.5), each expanded by the injective
     partial pinnings of its blocks (code 0 for none, then the constants as
-    declared, in lexicographic order).  Raises ``ValueError`` before any
-    work for a negative or repeated constant, or past ``MAX_CLASSES``.
+    declared, in lexicographic order).  The value and key columns are
+    gathered one register at a time, so no (classes × registers) index is
+    ever held.  Raises ``ValueError`` before any work for a negative,
+    repeated or too large constant, or past ``MAX_CLASSES``.
     """
     check_universe_args(n_registers, constants)
     # even without constants there are at least 2^(n-1) classes, so a
@@ -354,22 +350,31 @@ def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTabl
         digit = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
         rgs = np.column_stack((np.repeat(rgs, fan, axis=0), digit.astype(np.int8)))
         top = np.maximum(np.repeat(top, fan), digit)
-    # the pinnings of every block count, as one zero-padded table
+    # the pinnings of every block count, as one zero-padded table of codes
+    # and one of the values they give each block
     pins = [itertools.product(range(m + 1), repeat=k) for k in range(1, n_registers + 1)]
     pins = [[p for p in ps if len(set(p) - {0}) == len(p) - p.count(0)] for ps in pins]
+    sizes = np.array([len(ps) for ps in pins])
     padded = np.array(
         [p + (0,) * (n_registers - len(p)) for ps in pins for p in ps], dtype=np.min_scalar_type(m)
     )
-    sizes = np.array([len(ps) for ps in pins])
+    del pins  # with many constants, the tuples outweigh every array below
+    # the smallest signed type that holds -1 - n, and each constant c with -1 - c
+    dtype = np.result_type(*(np.min_scalar_type(-1 - c) for c in (n_registers, *constants)))
+    pinned = np.array([0, *constants], dtype=dtype)[padded]
+    marks = np.where(padded == 0, -1 - np.arange(n_registers, dtype=dtype), pinned)
     starts = np.cumsum(sizes) - sizes
     count = sizes[top]
     part = np.repeat(np.arange(len(rgs), dtype=np.int32), count)
-    pick = np.arange(len(part)) - (np.cumsum(count) - count - starts[top])[part]
-    block = rgs[part]
-    codes = padded.ravel()[(pick * n_registers)[:, None] + block]
-    alphabet = np.array([ONE, *constants], dtype=np.int64)
-    key = _growth_ranks(rgs)[part] * (m + 1) ** n_registers + _pin_ranks(codes, m)
-    return UniverseTable(block, alphabet[codes], key, alphabet)
+    at = (np.arange(len(part)) - (np.cumsum(count) - count - starts[top])[part]) * n_registers
+    values = np.empty((len(part), n_registers), dtype=dtype)
+    by_growth, by_pin = _key_weights(n_registers, m)
+    key = (rgs @ by_growth)[part]
+    for i in range(n_registers):
+        cell = at + rgs[part, i]
+        values[:, i] = marks.ravel()[cell]
+        key += by_pin[i] * padded.ravel()[cell]
+    return UniverseTable(values, key, constants)
 
 
 @lru_cache(maxsize=None)

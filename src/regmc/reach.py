@@ -2,11 +2,11 @@
 
 A class is exact: its row of the universe table (``matrices``) fixes which
 registers share a value and which constant, if any, each shared value is.
-So a class is read as a valuation (``UniverseTable.valuations``): a
-register pinned to a constant holds it, and each unpinned block holds its
-own negative marker, distinct from every other block and every declared
-constant.  Only the action's parameters are unknown, and a guard atom over
-such rows is a compare of two value columns.
+So the table holds each class as a valuation (``UniverseTable.values``):
+a register pinned to a constant holds it, and each unpinned block holds
+its own negative marker, distinct from every other block and every
+declared constant.  Only the action's parameters are unknown, and a guard
+atom over such rows is a compare of two value columns.
 
 A transition's step is one relational join (``_join``).  A parameter the
 assignment does not store only has to exist, so it is first eliminated
@@ -56,7 +56,6 @@ from regmc.core import (
     Transition,
 )
 from regmc.matrices import (
-    ONE,
     RepConfig,
     RepMatrix,
     UniverseTable,
@@ -214,22 +213,21 @@ def _shared_entries(table: UniverseTable, t: Transition, images: np.ndarray) -> 
     or never to some.  Each is one column compare, and together they admit
     exactly the union of the images' classes.
     """
-    targets = [i for i, _ in t.assignment.updates]
-    block, label = table.block, table.label
-    mask = np.ones(len(block), dtype=bool)
+    column = [table.values[:, i] for i, _ in t.assignment.updates]
+    mask = np.ones(len(table.key), dtype=bool)
     same = images[:, :, None] == images[:, None, :]
     for a, b in zip(*np.nonzero(np.triu(same.all(axis=0), 1))):
-        mask &= block[:, targets[a]] == block[:, targets[b]]
+        mask &= column[a] == column[b]
     for a, b in zip(*np.nonzero(np.triu(~same.any(axis=0), 1))):
-        mask &= block[:, targets[a]] != block[:, targets[b]]
-    constants = table.alphabet[1:]
+        mask &= column[a] != column[b]
+    constants = np.array(table.constants, dtype=table.values.dtype)
     held = images[:, :, None] == constants
     for a, (always, never) in enumerate(zip(held.all(axis=0), ~held.any(axis=0))):
         if always.any():
-            mask &= label[:, targets[a]] == constants[always][0]
+            mask &= column[a] == constants[always][0]
         else:
             for c in constants[never]:
-                mask &= label[:, targets[a]] != c
+                mask &= column[a] != c
     return mask
 
 
@@ -241,7 +239,7 @@ def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
     """
     table = universe_table(ra.num_registers, ra.constants)
     [k] = _classes_of(ra, table, [c])
-    valuation = table.valuations([k])
+    valuation = table.values[[k]]
     out: set[RepConfig] = set()
     for t in ra.transitions:
         if t.source != c.location:
@@ -307,12 +305,7 @@ def _sub_universe(width: int, constants: tuple[int, ...]) -> UniverseTable:
     ``universe_table`` refuses to build."""
     if width:
         return universe_table(width, constants)
-    return UniverseTable(
-        np.zeros((1, 0), dtype=np.int8),
-        np.zeros((1, 0), dtype=np.int64),
-        np.zeros(1, dtype=np.int64),
-        np.array([ONE, *constants], dtype=np.int64),
-    )
+    return UniverseTable(np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.int64), constants)
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -336,7 +329,7 @@ def _build_kernel(ra: RegisterAutomaton, t: Transition, table: UniverseTable) ->
     if plan is not None:
         step = max(1, max(len(table.key) // 2, _JOIN_ROWS) // plan.fan_out)
         for lo in range(0, groups, step):
-            origin, images = _join(ra, plan, read_table.valuations(slice(lo, lo + step)))
+            origin, images = _join(ra, plan, read_table.values[lo : lo + step])
             found = np.searchsorted(target_keys, class_keys(images, ra.constants))
             pairs.append(_distinct((lo + origin) * len(target_keys) + found))
     read, found = np.divmod(np.concatenate(pairs), len(target_keys))

@@ -73,6 +73,31 @@ def test_universe_negative_constants_exit_2(capsys):
             assert (rc, out) == (2, "")
 
 
+def test_constants_past_64_bits_exit_2(capsys, tmp_path):
+    for oracle in ([], ["--oracle"]):
+        rc, out = run(capsys, *oracle, "universe", "-n", "1", "-c", str(2**63))
+        assert (rc, out) == (2, "")
+    path = tmp_path / "huge.ra"
+    path.write_text(
+        "format 1\nconstants 99999999999999999999\nregisters x1\nactions a/1\n"
+        "locations l0*\ntrans l0 -> l0 on a(p1) when p1 != 99999999999999999999 do x1 := p1\n"
+    )
+    for oracle in ([], ["--oracle"]):
+        for argv in (["post", str(path), "l0 | {x1}"], ["reach", str(path), "l0 | {x1}"]):
+            assert run(capsys, *oracle, *argv) == (2, "")
+        assert run(capsys, *oracle, "check", str(path), "EF @l0") == (2, "")
+    # the concrete semantics is plain Python and takes any natural
+    rc, out = run(capsys, "simulate", str(path), "--steps", "2")
+    assert rc == 0 and out.count("config:") == 3
+
+
+def test_largest_constant_lists_like_any_other(capsys):
+    rc, small = run(capsys, "universe", "-n", "2", "-c", "0")
+    rc2, large = run(capsys, "universe", "-n", "2", "-c", str(2**63 - 1))
+    assert (rc, rc2) == (0, 0)
+    assert large == small.replace("=0", f"={2**63 - 1}")
+
+
 def test_post_listing(capsys):
     rc, out = run(capsys, "post", FIG, "l0 | {x1 x2}")
     assert rc == 0

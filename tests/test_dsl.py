@@ -14,7 +14,7 @@ from regmc import ctl, dsl
 from regmc.core import Action, RegisterAutomaton
 from regmc.ctl import EG, EU, EX, And, AtLocation, Not, RegEq, RegEqConst
 from regmc.dsl import ParseError
-from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, universe
+from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, universe, universe_table
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -355,6 +355,14 @@ def test_bare_class_lists_round_trip():
             text = dsl.classes_text(m, names)
             assert dsl.parse_classes(text, names, constants) == m
     assert dsl.classes_text(universe(1, ())[0], ("x1",)) == "{x1}"
+
+
+@pytest.mark.parametrize("constants", [(), (0,), (0, 5), (3, 1, 2), (300,)])
+def test_listing_writer_matches_classes_text(constants):
+    for n in range(1, 7):
+        names = tuple(f"x{i + 1}" for i in range(n))
+        lines = list(dsl.classes_lines(universe_table(n, constants).values, names))
+        assert lines == [dsl.classes_text(m, names) for m in universe(n, constants)]
 
 
 # --- fuzzing ---

@@ -26,6 +26,7 @@ from regmc.matrices import (
     ZERO,
     RepMatrix,
     canonical_valuation,
+    class_keys,
     fresh_symbols,
     has_valid_structure,
     matrix_of_valuation,
@@ -294,12 +295,13 @@ def test_universe_table_matches_matrices(constants):
     for n in range(1, 7):
         table = universe_table(n, constants)
         matrices = universe(n, constants)
-        assert table.block.shape == table.label.shape == (len(matrices), n)
+        assert table.values.shape == (len(matrices), n)
         for k, m in enumerate(matrices):
             for i in range(n):
-                assert table.label[k, i] == m.entry(i, i)
+                diagonal = table.values[k, i] if table.values[k, i] >= 0 else ONE
+                assert diagonal == m.entry(i, i)
                 for j in range(n):
-                    assert (table.block[k, i] == table.block[k, j]) == (m.entry(i, j) != ZERO)
+                    assert (table.values[k, i] == table.values[k, j]) == (m.entry(i, j) != ZERO)
         assert table.positions(matrices).tolist() == list(range(len(matrices)))
         assert len(set(matrices)) == len(matrices)
 
@@ -311,8 +313,12 @@ def test_universe_table_matches_recursive_enumerator(constants):
     for n in range(1, 8):
         table = universe_table(n, constants)
         block, label, want = enumerate_universe(n, constants)
-        assert table.block.dtype == block.dtype and table.label.dtype == label.dtype
-        assert np.array_equal(table.block, block) and np.array_equal(table.label, label)
+        # the marker valuation: a pinned register holds its constant, and
+        # unpinned block b holds -1 - b
+        markers = np.where(label == ONE, -1 - block.astype(np.int64), label)
+        assert table.values.dtype == np.int8
+        assert np.array_equal(table.values, markers)
+        assert np.array_equal(table.key, class_keys(markers, constants))
         built = universe(n, constants)
         assert [m.rows for m in built] == [m.rows for m in want]
         for m in built:
@@ -323,6 +329,20 @@ def test_universe_table_matches_recursive_enumerator(constants):
         assert table.positions(want).tolist() == list(range(len(want)))
         ks = np.array(sorted(rng.sample(range(len(want)), min(len(want), 40))))
         assert list(table.iter_matrices(ks)) == [built[k] for k in ks]
+
+
+@pytest.mark.parametrize(
+    "constants, dtype", [((127,), np.int8), ((128,), np.int16), ((2**63 - 1,), np.int64)]
+)
+def test_value_dtype_holds_the_constants(constants, dtype):
+    for n in range(1, 6):
+        table = universe_table(n, constants)
+        assert table.values.dtype == dtype
+        assert table.values.max() == constants[0] and table.values.min() == -n
+        assert np.array_equal(class_keys(table.values, constants), table.key)
+        matrices = universe(n, constants)
+        assert table.positions(matrices).tolist() == list(range(len(matrices)))
+        assert list(table.iter_matrices()) == list(matrices)
 
 
 def test_lookup_refuses_non_classes():
@@ -360,7 +380,7 @@ def test_ten_register_table_in_budget():
         "table = universe_table(10, (0,))\n"
         "wall = time.perf_counter() - t\n"
         "rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
-        "print(json.dumps([len(table.block), wall, rss_mb]))\n"
+        "print(json.dumps([len(table.key), wall, rss_mb]))\n"
     )
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -371,7 +391,7 @@ def test_ten_register_table_in_budget():
     count, wall, rss_mb = json.loads(done.stdout)
     assert count == 678570
     assert wall < 2.0, wall
-    assert rss_mb < 150, rss_mb
+    assert rss_mb < 100, rss_mb
 
 
 def test_universe_refuses_repeated_constants():
@@ -382,6 +402,12 @@ def test_universe_refuses_repeated_constants():
 def test_universe_refuses_negative_constants():
     for constants in [(-1,), (-2,), (0, -3)]:
         with pytest.raises(ValueError, match="naturals"):
+            universe_table(2, constants)
+
+
+def test_universe_refuses_constants_past_64_bits():
+    for constants in [(2**63,), (0, 10**20)]:
+        with pytest.raises(ValueError, match="below 2"):
             universe_table(2, constants)
 
 

@@ -318,7 +318,7 @@ def test_vector_passes_match_per_node_edges():
 def test_projection_keys_match_submatrix_partition(constants):
     rng = random.Random(27)
     for n in range(1, 7):
-        values = universe_table(n, constants).valuations()
+        values = universe_table(n, constants).values
         ua = np.array([m.rows for m in universe(n, constants)])
         subsets = [[], list(range(n))] + [
             sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(4)
@@ -428,7 +428,7 @@ def test_kernel_join_memory_is_bounded():
 
     kernel, peak = build()
     stored = sum(a.nbytes for a in (kernel.key_of, kernel.tkey_of, kernel.indptr, kernel.indices))
-    budget = 8 * (stored + table.block.nbytes + table.label.nbytes + table.key.nbytes)
+    budget = 8 * (stored + table.values.nbytes + table.key.nbytes)
     assert peak < budget, (peak, budget)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reach_module, "_JOIN_ROWS", 1 << 40)
