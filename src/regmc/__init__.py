@@ -2,10 +2,10 @@
 
 The submodules split along the pipeline: ``core`` defines automata and
 their concrete semantics, ``matrices`` the finite representation of
-valuation classes as a table of block and label columns, ``reach``
+valuation classes as a table of one marker valuation per class, ``reach``
 successor computation (one relational join over table columns per
-transition) and reachability over the quotient, ``ctl`` the branching-time
-checker, ``dsl`` the textual formats, and ``cli`` the command-line front
+transition), reachability over the quotient and the ``LabelSet`` views
+that answer node sets, ``ctl`` the branching-time checker, ``dsl`` the textual formats, and ``cli`` the command-line front
 end.  ``reference`` holds the literal scan implementations used for
 differential checking; it alone writes a class as a constraint system, and
 only ``cli`` imports it.  ``eqlogic``, the (dis)equality reasoning, serves

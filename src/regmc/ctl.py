@@ -13,16 +13,19 @@ when every valuation in it does, so answers transfer verbatim to the
 infinite concrete system; the test suite checks this against an
 explicit-state checker over bounded concrete graphs.
 
-The public operations exchange plain sets of configurations; internally a
-set is one (locations × classes) boolean array, rows in declaration order
-and columns in universe order, so NOT, AND and the fixpoint steps are plain
-array expressions, with results memoized per structurally-equal
-subformula.  Evaluation walks each distinct node once, with neither
-recursion nor recursive hashing, so a formula that shares its subterms
-costs time in its size, not in its unfolded tree.  ``model_check`` and
-``compute_ctl`` still refuse formulas nested deeper than
-``MAX_FORMULA_DEPTH`` with ``ValueError``, the limit the parser and the
-serializer keep.
+A set of configurations is one (locations × classes) boolean array, rows
+in declaration order and columns in universe order, so NOT, AND and the
+fixpoint steps are plain array expressions, with results memoized per
+structurally-equal subformula.  The public operations answer with a
+read-only ``LabelSet`` view over that array, which counts, tests
+membership and combines with other sets without building a configuration;
+they take a view of the same graph as it is, and any other collection of
+configurations by one batched lookup.  Evaluation walks each distinct node
+once, with neither recursion nor recursive hashing, so a formula that
+shares its subterms costs time in its size, not in its unfolded tree.
+``model_check`` and ``compute_ctl`` still refuse formulas nested deeper
+than ``MAX_FORMULA_DEPTH`` with ``ValueError``, the limit the parser and
+the serializer keep.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from regmc.core import RegisterAutomaton
-from regmc.matrices import RepConfig
-from regmc.reach import QuotientGraph
+from regmc.reach import LabelSet, QuotientGraph
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,6 @@ CtlFormula = AtLocation | RegEq | RegEqConst | Not | And | EX | EU | EG
 
 FALSE = Not(RegEq(0, 0))
 TRUE = Not(FALSE)
-
-LabelSet = set[RepConfig]
 
 
 def or_(f0: CtlFormula, f1: CtlFormula) -> CtlFormula:
@@ -244,12 +244,12 @@ def _eval(graph: QuotientGraph, f: CtlFormula) -> np.ndarray:
 
 def compute_ap(graph: QuotientGraph, atom: CtlFormula) -> LabelSet:
     """Configurations satisfying one atom; rejects non-atomic input."""
-    return graph._labelset(_ap_masks(graph, atom))
+    return LabelSet(graph, _ap_masks(graph, atom))
 
 
 def compute_not(graph: QuotientGraph, s: LabelSet) -> LabelSet:
     """Complement within the graph's node set."""
-    return graph._labelset(~graph._masks_of(s))
+    return LabelSet(graph, ~graph._masks_of(s))
 
 
 def compute_and(s0: LabelSet, s1: LabelSet) -> LabelSet:
@@ -258,23 +258,23 @@ def compute_and(s0: LabelSet, s1: LabelSet) -> LabelSet:
 
 def compute_ex(graph: QuotientGraph, s: LabelSet) -> LabelSet:
     """Configurations with at least one successor in ``s``."""
-    return graph._labelset(graph._ex_masks(graph._masks_of(s)))
+    return LabelSet(graph, graph._ex_masks(graph._masks_of(s)))
 
 
 def compute_eu(graph: QuotientGraph, s0: LabelSet, s1: LabelSet) -> LabelSet:
     """Least fixpoint of ``Z ↦ s1 ∪ (s0 ∩ EX Z)``."""
-    return graph._labelset(_eu_masks(graph, graph._masks_of(s0), graph._masks_of(s1)))
+    return LabelSet(graph, _eu_masks(graph, graph._masks_of(s0), graph._masks_of(s1)))
 
 
 def compute_eg(graph: QuotientGraph, s: LabelSet) -> LabelSet:
     """Greatest fixpoint of ``Z ↦ s ∩ EX Z``, started at ``s``."""
-    return graph._labelset(_eg_masks(graph, graph._masks_of(s)))
+    return LabelSet(graph, _eg_masks(graph, graph._masks_of(s)))
 
 
 def compute_ctl(graph: QuotientGraph, f: CtlFormula) -> LabelSet:
     """All configurations satisfying ``f``, by memoized structural labeling."""
     check_depth(f)
-    return graph._labelset(_eval(graph, f))
+    return LabelSet(graph, _eval(graph, f))
 
 
 def model_check(graph: QuotientGraph, f: CtlFormula) -> bool:

@@ -351,14 +351,17 @@ def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTabl
         rgs = np.column_stack((np.repeat(rgs, fan, axis=0), digit.astype(np.int8)))
         top = np.maximum(np.repeat(top, fan), digit)
     # the pinnings of every block count, as one zero-padded table of codes
-    # and one of the values they give each block
-    pins = [itertools.product(range(m + 1), repeat=k) for k in range(1, n_registers + 1)]
-    pins = [[p for p in ps if len(set(p) - {0}) == len(p) - p.count(0)] for ps in pins]
-    sizes = np.array([len(ps) for ps in pins])
-    padded = np.array(
-        [p + (0,) * (n_registers - len(p)) for ps in pins for p in ps], dtype=np.min_scalar_type(m)
-    )
-    del pins  # with many constants, the tuples outweigh every array below
+    # and one of the values they give each block; those of k + 1 blocks
+    # extend each of k blocks by every code, in order, that is 0 or unused
+    codes = np.arange(m + 1, dtype=np.min_scalar_type(m))
+    pins = [np.zeros((1, 0), dtype=codes.dtype)]
+    for _ in range(n_registers):
+        grown = np.column_stack((np.repeat(pins[-1], m + 1, axis=0), np.tile(codes, len(pins[-1]))))
+        unused = ~(grown[:, :-1] == grown[:, -1:]).any(axis=1)
+        pins.append(grown[(grown[:, -1] == 0) | unused])
+    sizes = np.array([len(p) for p in pins[1:]])
+    padded = np.concatenate([np.pad(p, ((0, 0), (0, n_registers - p.shape[1]))) for p in pins[1:]])
+    del pins, grown, unused
     # the smallest signed type that holds -1 - n, and each constant c with -1 - c
     dtype = np.result_type(*(np.min_scalar_type(-1 - c) for c in (n_registers, *constants)))
     pinned = np.array([0, *constants], dtype=dtype)[padded]

@@ -40,9 +40,10 @@ transition relations", 1991).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,22 +187,50 @@ def _join(ra: RegisterAutomaton, plan: _Plan, start: np.ndarray) -> tuple[np.nda
     return origin, rows[:, plan.image]
 
 
+def _node_positions(
+    ra: RegisterAutomaton, table: UniverseTable, configs: list[object]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's location index and universe position, by one batched
+    ``positions`` lookup; both are -1 where the element is no node: not a
+    ``RepConfig``, at an unknown location, or with a matrix that is not a
+    class of ``table``."""
+    index = {loc: i for i, loc in enumerate(ra.locations)}
+    locs = np.full(len(configs), -1, dtype=np.intp)
+    ks = np.full(len(configs), -1, dtype=np.intp)
+    found = [
+        i
+        for i, c in enumerate(configs)
+        if isinstance(c, RepConfig) and isinstance(c.matrix, RepMatrix) and c.location in index
+    ]
+    if found:
+        ks[found] = table.positions([configs[i].matrix for i in found])
+        locs[found] = [index[configs[i].location] for i in found]
+    locs[ks < 0] = -1
+    return locs, ks
+
+
+def _not_a_node(ra: RegisterAutomaton, c: object) -> ValueError:
+    if not isinstance(c, RepConfig):
+        return ValueError(f"not a configuration: {c!r}")
+    if c.location not in ra.locations:
+        return ValueError(f"unknown location: {c.location}")
+    return ValueError(
+        f"matrix is not a consistent class over {ra.num_registers} registers "
+        f"and constants {ra.constants}"
+    )
+
+
 def _classes_of(ra: RegisterAutomaton, table: UniverseTable, configs: list[RepConfig]) -> list[int]:
     """The universe positions of the configurations' matrices.
 
     Raises ``ValueError`` for an unknown location or a matrix that is not a
     class: of the wrong size, with an undeclared constant, or inconsistent.
     """
-    for c in configs:
-        if c.location not in ra.locations:
-            raise ValueError(f"unknown location: {c.location}")
-    ks = table.positions([c.matrix for c in configs]).tolist()
-    if -1 in ks:
-        raise ValueError(
-            f"matrix is not a consistent class over {ra.num_registers} registers "
-            f"and constants {ra.constants}"
-        )
-    return ks
+    locs, ks = _node_positions(ra, table, configs)
+    for c, loc in zip(configs, locs.tolist()):
+        if loc < 0:
+            raise _not_a_node(ra, c)
+    return ks.tolist()
 
 
 def _shared_entries(table: UniverseTable, t: Transition, images: np.ndarray) -> np.ndarray:
@@ -362,8 +391,8 @@ class QuotientGraph:
         return universe(self.ra.num_registers, self.ra.constants)
 
     @property
-    def nodes(self) -> set[RepConfig]:
-        return {RepConfig(l, m) for l in self.ra.locations for m in self.matrices}
+    def nodes(self) -> LabelSet:
+        return LabelSet(self, ~self._empty_masks())
 
     def edges(self, node: RepConfig) -> set[RepConfig]:
         [u] = _classes_of(self.ra, self.table, [node])
@@ -385,21 +414,24 @@ class QuotientGraph:
     def _empty_masks(self) -> np.ndarray:
         return np.zeros((len(self.ra.locations), len(self.table.key)), dtype=bool)
 
-    def _masks_of(self, configs: Iterable[RepConfig]) -> np.ndarray:
+    def _split(self, configs: Iterable[object]) -> tuple[np.ndarray, list[object]]:
+        """The nodes among ``configs`` as masks, and the elements that are
+        not nodes.  A view of the same nodes gives its masks as they are."""
+        if isinstance(configs, LabelSet) and _layout(configs.graph) == _layout(self):
+            return configs.masks, []
         configs = list(configs)
-        ks = _classes_of(self.ra, self.table, configs)
-        locs = [self.ra.locations.index(c.location) for c in configs]
+        locs, ks = _node_positions(self.ra, self.table, configs)
         masks = self._empty_masks()
-        masks[np.array(locs, dtype=np.intp), np.array(ks, dtype=np.intp)] = True
-        return masks
+        hit = locs >= 0
+        masks[locs[hit], ks[hit]] = True
+        return masks, [configs[i] for i in np.flatnonzero(~hit).tolist()]
 
-    def _labelset(self, masks: np.ndarray) -> set[RepConfig]:
-        mats = self.matrices
-        return {
-            RepConfig(l, mats[k])
-            for l, mask in zip(self.ra.locations, masks)
-            for k in np.flatnonzero(mask).tolist()
-        }
+    def _masks_of(self, configs: Iterable[RepConfig]) -> np.ndarray:
+        """The masks of ``configs``; raises ``ValueError`` for a non-node."""
+        masks, foreign = self._split(configs)
+        if foreign:
+            raise _not_a_node(self.ra, foreign[0])
+        return masks
 
     def _ex_masks(self, target: np.ndarray) -> np.ndarray:
         """Sources with at least one successor inside ``target``."""
@@ -422,6 +454,125 @@ class QuotientGraph:
         return reached
 
 
+def _layout(graph: QuotientGraph) -> tuple[object, ...]:
+    """What fixes a graph's node order: its locations and its universe."""
+    return graph.ra.locations, graph.ra.num_registers, graph.ra.constants
+
+
+class LabelSet(Set):
+    """A read-only set of nodes of one quotient graph, held as its
+    (locations × classes) boolean array (``masks``).
+
+    ``len`` counts the array; ``in`` is one universe lookup, and anything
+    that is not a node is simply not a member; iteration builds each
+    ``RepConfig`` as it is reached, in location and universe order.  The
+    comparisons and operators read a view of the same nodes by its masks
+    and any other operand by one batched lookup (``QuotientGraph._split``),
+    and answer on masks.  An operand's non-nodes are in no view, so an
+    answer that holds some (``|``, ``^`` or a reflected ``-``) is a builtin
+    ``set``; every other answer is a view of the same graph.
+    """
+
+    __slots__ = ("_graph", "_masks")
+
+    def __init__(self, graph: QuotientGraph, masks: np.ndarray) -> None:
+        masks.flags.writeable = False  # frozen in place: hand over a fresh array
+        self._graph, self._masks = graph, masks
+
+    @property
+    def graph(self) -> QuotientGraph:
+        return self._graph
+
+    @property
+    def masks(self) -> np.ndarray:
+        return self._masks
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._masks))
+
+    def __contains__(self, x: object) -> bool:
+        locs, ks = _node_positions(self._graph.ra, self._graph.table, [x])
+        return bool(locs[0] >= 0 and self._masks[locs[0], ks[0]])
+
+    def __iter__(self) -> Iterator[RepConfig]:
+        mats = self._graph.matrices
+        for loc, mask in zip(self._graph.ra.locations, self._masks):
+            for k in np.flatnonzero(mask).tolist():
+                yield RepConfig(loc, mats[k])
+
+    def __repr__(self) -> str:
+        return f"<LabelSet: {len(self)} of {self._masks.size} nodes>"
+
+    def _answer(self, masks: np.ndarray, foreign: Sequence[object] = ()) -> LabelSet | set[object]:
+        view = LabelSet(self._graph, masks)
+        return set(view).union(foreign) if foreign else view
+
+    def _order(self, other: Set) -> tuple[bool, bool]:
+        """Whether this set is a subset of ``other``, and whether a superset."""
+        masks, foreign = self._graph._split(other)
+        return not (self._masks & ~masks).any(), not foreign and not (masks & ~self._masks).any()
+
+    def __le__(self, other: object) -> bool:
+        return self._order(other)[0] if isinstance(other, Set) else NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        return self._order(other)[1] if isinstance(other, Set) else NotImplemented
+
+    def __eq__(self, other: object) -> bool:
+        return all(self._order(other)) if isinstance(other, Set) else NotImplemented
+
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Set):
+            return NotImplemented
+        sub, sup = self._order(other)
+        return sub and not sup
+
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, Set):
+            return NotImplemented
+        sub, sup = self._order(other)
+        return sup and not sub
+
+    __hash__ = None
+
+    def isdisjoint(self, other: Iterable[object]) -> bool:
+        return not (self._masks & self._graph._split(other)[0]).any()
+
+    def __and__(self, other: object) -> LabelSet:
+        if not isinstance(other, Iterable):
+            return NotImplemented
+        return self._answer(self._masks & self._graph._split(other)[0])
+
+    __rand__ = __and__
+
+    def __or__(self, other: object) -> LabelSet | set[object]:
+        if not isinstance(other, Iterable):
+            return NotImplemented
+        masks, foreign = self._graph._split(other)
+        return self._answer(self._masks | masks, foreign)
+
+    __ror__ = __or__
+
+    def __xor__(self, other: object) -> LabelSet | set[object]:
+        if not isinstance(other, Iterable):
+            return NotImplemented
+        masks, foreign = self._graph._split(other)
+        return self._answer(self._masks ^ masks, foreign)
+
+    __rxor__ = __xor__
+
+    def __sub__(self, other: object) -> LabelSet:
+        if not isinstance(other, Iterable):
+            return NotImplemented
+        return self._answer(self._masks & ~self._graph._split(other)[0])
+
+    def __rsub__(self, other: object) -> LabelSet | set[object]:
+        if not isinstance(other, Iterable):
+            return NotImplemented
+        masks, foreign = self._graph._split(other)
+        return self._answer(masks & ~self._masks, foreign)
+
+
 def quotient_graph(ra: RegisterAutomaton) -> QuotientGraph:
     """Build the abstract transition system, once, for shared use."""
     table = universe_table(ra.num_registers, ra.constants)
@@ -440,7 +591,7 @@ def reach(ra: RegisterAutomaton, target: RepConfig) -> bool:
     return bool(graph._reachable_masks()[ra.locations.index(target.location), u])
 
 
-def reachable_set(ra: RegisterAutomaton) -> set[RepConfig]:
+def reachable_set(ra: RegisterAutomaton) -> LabelSet:
     """Least set of classes containing every initial one and closed under post."""
     graph = quotient_graph(ra)
-    return graph._labelset(graph._reachable_masks())
+    return LabelSet(graph, graph._reachable_masks())

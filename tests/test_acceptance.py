@@ -12,6 +12,7 @@ import itertools
 import pathlib
 import random
 import time
+import tracemalloc
 
 from gens import (
     D1,
@@ -192,6 +193,23 @@ def test_criterion_6_ctl_matches_explicit_checker():
                 there = Configuration(loc, tuple(sigma[d] for d in v))
                 assert (here in sat) == (there in sat), (ra, f, v, sigma)
     assert time.perf_counter() - start < 120.0
+
+
+def test_byzantine_label_set_is_counted_and_probed_without_configurations():
+    # 118602 satisfying configurations; as RepConfig objects they took
+    # 14.7 MB, the (locations x classes) masks a tenth of a megabyte each
+    byz = byzantine()
+    graph = quotient_graph(byz)
+    probe = RepConfig("l0", matrix_of_valuation(tuple(range(1, 9)), byz.constants))
+    tracemalloc.start()
+    try:
+        sat = compute_ctl(graph, ctl.EX(Not(RegEq(D1, D2))))
+        answers = len(sat), probe in sat
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answers == (118602, True)
+    assert peak < 4 * 2**20, peak
 
 
 def test_criterion_7_byzantine_generals():

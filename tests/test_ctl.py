@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 import random
 import time
 
 import pytest
 
 import oracles
-from gens import random_automaton, random_formula
+from gens import NOT_A_FIGURE_ONE_CLASS, random_automaton, random_formula
 from regmc import ctl, dsl
 from regmc.core import Configuration, sufficient_pool
 from regmc.ctl import (
@@ -39,7 +41,7 @@ from regmc.ctl import (
     or_,
 )
 from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, matrix_of_valuation
-from regmc.reach import quotient_graph
+from regmc.reach import LabelSet, quotient_graph
 
 
 @pytest.fixture()
@@ -182,6 +184,69 @@ def test_labeling_matches_explicit_oracle_on_quotients(fig, figraph):
         for _ in range(3):
             f = random_formula(rng, ra, rng.randint(0, 3))
             assert compute_ctl(g, f) == oracles.explicit_ctl(g, f), (ra, f)
+
+
+_OPERATORS = (operator.and_, operator.or_, operator.sub, operator.xor)
+_COMPARISONS = (operator.eq, operator.ne, operator.le, operator.lt, operator.ge, operator.gt)
+
+
+def _non_members(ra, graph) -> list[object]:
+    """Things that are no node of ``graph``: another location, a matrix over
+    one register too many, and objects that are not configurations."""
+    m = next(iter(graph.nodes)).matrix
+    n = ra.num_registers + 1
+    wide = RepMatrix(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
+    return [RepConfig("nowhere", m), RepConfig(ra.initial, wide), (ra.initial, m), m, 7, None]
+
+
+def test_label_set_views_match_builtin_sets(fig):
+    machines = [fig] + [random_automaton(random.Random(700 + seed)) for seed in range(8)]
+    for seed, ra in enumerate(machines):
+        rng = random.Random(seed)
+        g = quotient_graph(ra)
+        nodes = set(g.nodes)
+        strangers = _non_members(ra, g)
+        if ra is fig:
+            strangers += [RepConfig(loc, m) for loc in ra.locations for m in NOT_A_FIGURE_ONE_CLASS]
+        views = []
+        for _ in range(4):
+            f = random_formula(rng, ra, rng.randint(0, 3))
+            view = compute_ctl(g, f)
+            want = oracles.explicit_ctl(g, f)
+            assert isinstance(view, LabelSet)
+            assert set(view) == want and len(view) == len(want), (ra, f)
+            assert all((node in view) == (node in want) for node in nodes), (ra, f)
+            assert not any(x in view for x in strangers), (ra, f)
+            with pytest.raises(ValueError):
+                view.masks[0, 0] = not view.masks[0, 0]
+            views.append(view)
+        # a view of the same nodes in another graph, and one whose nodes are
+        # listed in another order, which is looked up like any other set
+        again = quotient_graph(ra)
+        flipped = dataclasses.replace(ra, locations=ra.locations[::-1])
+        views.append(compute_ctl(again, EX(TRUE)))
+        views.append(compute_ctl(quotient_graph(flipped), EX(TRUE)))
+        views.append(g.nodes)
+        for view in views:
+            assert compute_not(g, view) == nodes - set(view), ra
+            members = sorted(view, key=lambda c: (c.location, c.matrix.rows))
+            some = set(rng.sample(members, len(members) // 2))
+            builtins = [set(), set(view), some, some | set(strangers[:2]), nodes, set(strangers)]
+            for other in builtins:
+                for op in _OPERATORS + _COMPARISONS:
+                    assert op(view, other) == op(set(view), other), (ra, op, other)
+                    assert op(other, view) == op(other, set(view)), (ra, op, other)
+                assert view.isdisjoint(other) == set(view).isdisjoint(other)
+            for other in views:
+                for op in _OPERATORS + _COMPARISONS:
+                    assert op(view, other) == op(set(view), set(other)), (ra, op)
+            # an answer without non-nodes stays a view
+            assert isinstance(view & some, LabelSet) and isinstance(view - some, LabelSet)
+            assert isinstance(view | some, LabelSet) and isinstance(some ^ view, LabelSet)
+    # a view from another machine's graph is refused like any set of non-nodes
+    other = quotient_graph(random_automaton(random.Random(3), max_registers=1))
+    with pytest.raises(ValueError):
+        compute_not(quotient_graph(fig), other.nodes)
 
 
 def _pool_bijection(rng: random.Random, pool: tuple[int, ...], constants: tuple[int, ...]):

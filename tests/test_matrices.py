@@ -10,6 +10,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,23 @@ def test_universe_order_is_frozen():
         mat((ONE, ZERO), (ZERO, 2)),
         mat((2, ZERO), (ZERO, ONE)),
     )
+
+
+def test_universe_table_memory_is_bounded_by_the_table():
+    # 700 constants over two registers: 491402 classes, nearly all of them
+    # injective pinnings, which as code tuples would outweigh the table
+    # several times over before any array is built
+    constants = tuple(range(700))
+    tracemalloc.start()
+    try:
+        table = universe_table.__wrapped__(2, constants)  # uncached: measure the build
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.key) == universe_size(2, len(constants))
+    assert (np.diff(table.key) > 0).all()  # ascending keys: lexicographic order
+    budget = 6 * (table.values.nbytes + table.key.nbytes)
+    assert peak < budget, (peak, budget)
 
 
 @pytest.mark.parametrize("constants", [(), (0,), (0, 5)])

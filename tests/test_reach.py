@@ -25,7 +25,7 @@ from regmc.core import (
     sufficient_pool,
 )
 from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, class_keys, universe, universe_table
-from regmc.reach import _build_kernel, post, quotient_graph, reach, reachable_set
+from regmc.reach import LabelSet, _build_kernel, post, quotient_graph, reach, reachable_set
 from regmc.reference import literal_post
 
 # the package re-exports the function ``reach`` under the module's name
@@ -296,13 +296,13 @@ def test_vector_passes_match_per_node_edges():
         nodes = sorted(g.nodes, key=lambda c: (c.location, c.matrix.rows))
         some = set(rng.sample(nodes, len(nodes) // 3))
         masks = g._masks_of(some)
-        ex = g._labelset(g._ex_masks(masks))
+        ex = LabelSet(g, g._ex_masks(masks))
         assert ex == {c for c in nodes if g.edges(c) & some}, ra
 
         image = g._empty_masks()
         for src, dst, ker in g._steps:
             image[dst] |= ker.image(masks[src])
-        assert g._labelset(image) == {v for u in some for v in g.edges(u)}, ra
+        assert LabelSet(g, image) == {v for u in some for v in g.edges(u)}, ra
 
         seen = {c for c in nodes if c.location == ra.initial}
         frontier = list(seen)
@@ -311,7 +311,7 @@ def test_vector_passes_match_per_node_edges():
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-        assert g._labelset(g._reachable_masks()) == seen, ra
+        assert LabelSet(g, g._reachable_masks()) == seen, ra
 
 
 @pytest.mark.parametrize("constants", [(), (0,), (0, 5)])
