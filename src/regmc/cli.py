@@ -28,7 +28,14 @@ from collections.abc import Iterable, Sequence
 from regmc import dsl, reference
 from regmc.core import Configuration, RegisterAutomaton, concrete_steps, sufficient_pool
 from regmc.ctl import compute_ctl, model_check
-from regmc.matrices import RepConfig, matrix_of_valuation, universe_table
+from regmc.matrices import (
+    RepConfig,
+    class_keys,
+    marker_rows,
+    matrix_entries,
+    matrix_of_valuation,
+    universe_table,
+)
 from regmc.reach import post, quotient_graph, reach
 
 
@@ -38,8 +45,12 @@ def _load_automaton(path: str) -> RegisterAutomaton:
 
 
 def _ordered(ra: RegisterAutomaton, configs: set[RepConfig]) -> list[RepConfig]:
-    table = universe_table(ra.num_registers, ra.constants)
-    rank = dict(zip(configs, table.positions([c.matrix for c in configs]).tolist()))
+    """``configs`` by location, then in listing order: by the rank key of
+    each class, which needs no table."""
+    configs = list(configs)
+    entries = matrix_entries([c.matrix for c in configs], ra.num_registers)
+    keys = class_keys(marker_rows(entries), ra.constants)
+    rank = dict(zip(configs, keys.tolist()))
     return sorted(configs, key=lambda c: (ra.locations.index(c.location), rank[c]))
 
 

@@ -148,17 +148,33 @@ def _stirling2(n: int, k: int) -> int:
     return sum(signed) // math.factorial(k)
 
 
-def universe_size(n_registers: int, num_constants: int) -> int:
-    """|universe(n, C)| without materializing it.
+@lru_cache(maxsize=None)
+def extension_count(blocks: int, pinned: int, released: int, num_constants: int) -> int:
+    """The classes over ``released`` more registers that extend one class of
+    ``blocks`` blocks, ``pinned`` of them pinned to constants.
 
-    Sums, over partitions of the registers into k blocks, the number of ways
-    to pin an injective subset of blocks to constants.
+    Of the released registers, ``t`` open new blocks and the rest each join
+    one of the ``blocks`` old ones (a used constant is one of those); the
+    ``t`` form ``j`` new blocks, of which ``i`` take distinct unused
+    constants.
     """
+    free = num_constants - pinned
     return sum(
-        _stirling2(n_registers, k) * math.comb(k, j) * math.perm(num_constants, j)
-        for k in range(1, n_registers + 1)
-        for j in range(min(k, num_constants) + 1)
+        math.comb(released, t)
+        * blocks ** (released - t)
+        * _stirling2(t, j)
+        * math.comb(j, i)
+        * math.perm(free, i)
+        for t in range(released + 1)
+        for j in range(t + 1)
+        for i in range(min(j, free) + 1)
     )
+
+
+def universe_size(n_registers: int, num_constants: int) -> int:
+    """|universe(n, C)| without materializing it: the extensions of the one
+    class over no registers."""
+    return extension_count(0, 0, n_registers, num_constants)
 
 
 # The largest universe ``universe_table`` enumerates: admits 10 registers
@@ -166,7 +182,8 @@ def universe_size(n_registers: int, num_constants: int) -> int:
 # constant (4213597 each), before any matrix is built.
 MAX_CLASSES = 1_000_000
 
-_CHUNK = 8192  # classes ``UniverseTable.iter_matrices`` builds at once
+_CHUNK = 8192  # classes built or keyed at once
+_FIRST_CHUNK = 64  # ``doubling_chunks`` starts here and doubles up to ``_CHUNK``
 
 
 def check_universe_args(n_registers: int, constants: Sequence[int]) -> None:
@@ -190,13 +207,36 @@ def is_class(m: RepMatrix, n_registers: int, constants: Sequence[int]) -> bool:
     return m.n == n_registers and has_valid_structure(m, constants)
 
 
+def value_dtype(n_registers: int, constants: Sequence[int]) -> np.dtype:
+    """The smallest signed type that holds ``-1 - n`` and every constant."""
+    return np.result_type(*(np.min_scalar_type(-1 - c) for c in (n_registers, *constants)))
+
+
+def matrix_entries(matrices: Sequence[RepMatrix], n_registers: int) -> np.ndarray:
+    """The entries of ``n_registers``-square matrices as one (matrices, n, n) array."""
+    n = n_registers
+    rows = itertools.chain.from_iterable(m.rows for m in matrices)
+    given = np.fromiter(itertools.chain.from_iterable(rows), np.int64, len(matrices) * n * n)
+    return given.reshape(-1, n, n)
+
+
+def marker_rows(entries: np.ndarray) -> np.ndarray:
+    """Each class of ``entries`` (``matrix_entries``) read as a marker
+    valuation: a register holds its diagonal constant, or else ``-1`` minus
+    its first related register (its row's first nonzero entry).  The rows
+    have the keys (``class_keys``) of their classes."""
+    n = entries.shape[1]
+    diag = entries.reshape(-1, n * n)[:, :: n + 1]
+    return np.where(diag == ONE, -1 - (entries != ZERO).argmax(axis=2), diag)
+
+
 def diagonal_entries(values: np.ndarray) -> np.ndarray:
     """The matrix diagonal of marker valuations (``UniverseTable.values``):
     a value that is a constant, else ``ONE`` for a block marker."""
     return np.where(values >= 0, values, ONE).astype(np.int64)
 
 
-def _build_matrices(values: np.ndarray) -> Iterator[RepMatrix]:
+def build_matrices(values: np.ndarray) -> Iterator[RepMatrix]:
     """The matrices of table rows ``values``, built unchecked: equal rows
     share one tuple, and the hashes are one numpy fold (``_matrix_hash``)."""
     n = values.shape[1]
@@ -221,6 +261,22 @@ def _build_matrices(values: np.ndarray) -> Iterator[RepMatrix]:
         yield m
 
 
+def doubling_chunks(ks: Sequence[int]) -> Iterator[Sequence[int]]:
+    """``ks`` in order, a chunk at a time.  The chunks double from
+    ``_FIRST_CHUNK`` to ``_CHUNK``, so that the first few cost little."""
+    lo, size = 0, _FIRST_CHUNK
+    while lo < len(ks):
+        yield ks[lo : lo + size]
+        lo, size = lo + size, min(2 * size, _CHUNK)
+
+
+def iter_matrices(values: np.ndarray, ks: np.ndarray | None = None) -> Iterator[RepMatrix]:
+    """The matrices of rows ``ks`` (all by default) of the marker valuations
+    ``values``, in order, built ``doubling_chunks`` at a time."""
+    for chunk in doubling_chunks(np.arange(len(values)) if ks is None else ks):
+        yield from build_matrices(values[chunk])
+
+
 class UniverseTable(NamedTuple):
     """One universe in listing order, as one value row per class.
 
@@ -238,31 +294,19 @@ class UniverseTable(NamedTuple):
     key: np.ndarray
     constants: tuple[int, ...]
 
-    def iter_matrices(self, ks: np.ndarray | None = None) -> Iterator[RepMatrix]:
-        """The matrices of classes ``ks`` (all by default), in order, a chunk at a time."""
-        ks = np.arange(len(self.key)) if ks is None else ks
-        for chunk in np.split(ks, range(_CHUNK, len(ks), _CHUNK)):
-            yield from _build_matrices(self.values[chunk])
-
     def positions(self, matrices: Sequence[RepMatrix]) -> np.ndarray:
         """Each matrix's class position, or -1 where it is not a class here.
 
-        A matrix is read as a marker row, each register holding its diagonal
-        constant or else ``-1`` minus its first related register (its row's
-        first nonzero entry); one sorted search finds that row's key, and
-        the hit stands only if the matrix equals the table row it names,
-        entry for entry.
+        A matrix is read as its marker row (``marker_rows``); one sorted
+        search finds that row's key, and the hit stands only if the matrix
+        equals the table row it names, entry for entry.
         """
         n = self.values.shape[1]
         found = dict.fromkeys(matrices, -1)
         square = [m for m in found if m.n == n]
         if square:
-            rows = itertools.chain.from_iterable(m.rows for m in square)
-            given = np.fromiter(itertools.chain.from_iterable(rows), np.int64, len(square) * n * n)
-            given = given.reshape(-1, n, n)
-            diag = given.reshape(-1, n * n)[:, :: n + 1]
-            marks = np.where(diag == ONE, -1 - (given != ZERO).argmax(axis=2), diag)
-            keys = class_keys(marks, self.constants)
+            given = matrix_entries(square, n)
+            keys = class_keys(marker_rows(given), self.constants)
             pos = np.minimum(np.searchsorted(self.key, keys), len(self.key) - 1)
             values = self.values[pos]
             label = diagonal_entries(values)[:, :, None]
@@ -286,8 +330,13 @@ class UniverseTable(NamedTuple):
 def _key_weights(n_registers: int, num_constants: int) -> tuple[np.ndarray, np.ndarray]:
     """The weights that read a growth string and a pinning-code string as
     one mixed-radix key: digit ``i`` of the growth string has radix
-    ``i + 1``, and each pinning code radix ``num_constants + 1``."""
+    ``i + 1``, and each pinning code radix ``num_constants + 1``.  Raises
+    ``ValueError`` when the keys would not fit in 63 bits."""
     n, base = n_registers, num_constants + 1
+    if math.factorial(n) * base**n > 2**63:
+        raise ValueError(
+            f"{n} registers and {num_constants} constant(s) are too many to rank classes"
+        )
     growth = [math.prod(range(i + 2, n + 1)) * base**n for i in range(n)]
     pins = [base ** (n - 1 - i) for i in range(n)]
     return np.array(growth, dtype=np.int64), np.array(pins, dtype=np.int64)
@@ -362,8 +411,7 @@ def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTabl
     sizes = np.array([len(p) for p in pins[1:]])
     padded = np.concatenate([np.pad(p, ((0, 0), (0, n_registers - p.shape[1]))) for p in pins[1:]])
     del pins, grown, unused
-    # the smallest signed type that holds -1 - n, and each constant c with -1 - c
-    dtype = np.result_type(*(np.min_scalar_type(-1 - c) for c in (n_registers, *constants)))
+    dtype = value_dtype(n_registers, constants)
     pinned = np.array([0, *constants], dtype=dtype)[padded]
     marks = np.where(padded == 0, -1 - np.arange(n_registers, dtype=dtype), pinned)
     starts = np.cumsum(sizes) - sizes
@@ -383,4 +431,4 @@ def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTabl
 @lru_cache(maxsize=None)
 def universe(n_registers: int, constants: tuple[int, ...]) -> tuple[RepMatrix, ...]:
     """The matrices of ``universe_table``, in its listing order."""
-    return tuple(universe_table(n_registers, constants).iter_matrices())
+    return tuple(iter_matrices(universe_table(n_registers, constants).values))

@@ -14,12 +14,12 @@ from the guard (``_stored_guard``).  The join starts from value rows over
 the declared constants and the k registers the transition reads, and
 extends them by one column per stored parameter: a new column takes a
 value already in the row (a declared constant included) or one fresh
-value.  A row is dropped as soon as every column of some guard atom exists
-and the atom fails.  Each surviving row's *image* is the values of the
-assigned terms.  Registers outside the assignment are released and may
-take any value, so the successors of a class are exactly the classes whose
-sub-matrix over the q assigned registers is the class of one of its
-images.
+value, below every value in the row (``_grow``).  A row is dropped as
+soon as every column of some guard atom exists and the atom fails.  Each
+surviving row's *image* is the values of the assigned terms.  Registers
+outside the assignment are released and may take any value, so the
+successors of a class are exactly the classes whose sub-matrix over the q
+assigned registers is the class of one of its images.
 
 Both sides of the relation are positions in smaller universes: a class's
 *read group* is its sub-matrix over the read registers, a position in
@@ -29,8 +29,13 @@ projection code, the tables' own rank key (``matrices.class_keys``), finds
 both, for the rows of the full table and for the images alike.
 ``quotient_graph`` runs the join over the whole k-register table, a chunk
 of read groups at a time, and stores each transition as CSR rows from read
-groups to target groups (``_Kernel``); ``post`` runs it from its single
-class and filters the full table by the entries all its images share.  A
+groups to target groups (``_Kernel``), and ``quotient_graph`` refuses a
+graph of more than ``MAX_NODES`` nodes.  ``post`` runs the join from its
+single class and generates the successors instead: each distinct image
+class is extended to all n registers by the same column growth, one
+released register at a time (``_extend``), so it needs no n-register
+table.  It counts the extensions first by a closed form
+(``matrices.extension_count``) and refuses more than ``MAX_CLASSES``.  A
 set of nodes is one (locations × classes) boolean array, so reachability
 and the branching-time operators run as a few numpy passes per transition
 (see Burch, Clarke & Long, "Symbolic model checking with partitioned
@@ -57,12 +62,22 @@ from regmc.core import (
     Transition,
 )
 from regmc.matrices import (
+    MAX_CLASSES,
     RepConfig,
     RepMatrix,
     UniverseTable,
+    build_matrices,
+    check_universe_args,
     class_keys,
+    doubling_chunks,
+    extension_count,
+    is_class,
+    iter_matrices,
+    marker_rows,
+    matrix_entries,
     universe,
     universe_table,
+    value_dtype,
 )
 
 # ``_build_kernel`` joins as many read groups at once as the worst-case
@@ -70,6 +85,11 @@ from regmc.matrices import (
 # under this floor on small tables, so the join's rows stay within the
 # per-class arrays the kernel stores.
 _JOIN_ROWS = 1 << 13
+
+# The most (location, class) nodes ``quotient_graph`` admits: one node set
+# is a 32 MB mask at the limit.  Admits byzantine (126882 nodes) and ten
+# registers with one constant over four locations (2714280).
+MAX_NODES = 1 << 25
 
 
 def _stored_guard(t: Transition) -> list[Atom] | None:
@@ -153,32 +173,41 @@ def _plan(t: Transition, constants: tuple[int, ...]) -> _Plan | None:
     return _Plan(tuple(reads), tuple(map(tuple, stages)), image_cols, fan_out)
 
 
+def _grow(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every way to add one column to ``rows``: the value of any column that
+    is the first in its row to hold it, or one fresh value, below every value
+    in ``rows``.  Returns the row each new row extends, and the new rows."""
+    width = rows.shape[1]
+    first = np.ones((len(rows), width + 1), dtype=bool)  # the fresh value is last
+    for c in range(1, width):
+        first[:, c] = ~(rows[:, :c] == rows[:, c : c + 1]).any(axis=1)
+    cand = np.column_stack((rows, np.full(len(rows), rows.min(initial=-1) - 1, dtype=rows.dtype)))
+    r, c = np.nonzero(first)
+    grown = cand[r]
+    grown[:, width] = cand[r, c]
+    return r, grown
+
+
+def _with_constants(constants: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+    """``rows`` behind one leading column per declared constant."""
+    fixed = np.broadcast_to(np.array(constants, dtype=rows.dtype), (len(rows), len(constants)))
+    return np.column_stack((fixed, rows))
+
+
 def _join(ra: RegisterAutomaton, plan: _Plan, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The firing rows of a transition over the classes ``start``, and their
     images.
 
-    ``start`` holds one valuation per class over ``plan.reads``.  A
-    parameter column takes the value of any earlier column that is the
-    first to hold its value, or a fresh value, below every block marker.
-    Returns, for every row that satisfies the guard, the index of the
-    ``start`` row it extends and the values of the assigned terms, in
-    target order.
+    ``start`` holds one valuation per class over ``plan.reads``.  Each
+    stored parameter adds a column (``_grow``).  Returns, for every row that
+    satisfies the guard, the index of the ``start`` row it extends and the
+    values of the assigned terms, in target order.
     """
-    n, constants = ra.num_registers, ra.constants
-    rows = np.column_stack(
-        (np.broadcast_to(np.array(constants, dtype=np.int64), (len(start), len(constants))), start)
-    )
+    rows = _with_constants(ra.constants, start.astype(np.int64, copy=False))
     origin = np.arange(len(start))
     for s, atoms in enumerate(plan.stages):
         if s:
-            width = rows.shape[1]
-            first = np.ones((len(rows), width + 1), dtype=bool)  # the fresh value is last
-            for c in range(1, width):
-                first[:, c] = ~(rows[:, :c] == rows[:, c : c + 1]).any(axis=1)
-            cand = np.column_stack((rows, np.full(len(rows), -1 - n - s)))
-            r, c = np.nonzero(first)
-            rows = cand[r]
-            rows[:, width] = cand[r, c]
+            r, rows = _grow(rows)
             origin = origin[r]
         keep = np.ones(len(rows), dtype=bool)
         for a, b, equal in atoms:
@@ -233,53 +262,94 @@ def _classes_of(ra: RegisterAutomaton, table: UniverseTable, configs: list[RepCo
     return ks.tolist()
 
 
-def _shared_entries(table: UniverseTable, t: Transition, images: np.ndarray) -> np.ndarray:
-    """Rows of ``table`` whose sub-matrix over the assigned registers is the
-    class of one of ``images``.
+def _image_classes(images: np.ndarray, dtype: np.dtype, constants: tuple[int, ...]) -> np.ndarray:
+    """One marker row per distinct class among ``images``, in ``dtype``.
 
-    Filters by the entries all images share: a pair of assigned registers
-    that always or never match, and a diagonal always pinned to one constant
-    or never to some.  Each is one column compare, and together they admit
-    exactly the union of the images' classes.
+    A value that is no constant is negative, so it becomes ``-1`` minus the
+    first column that holds it; rows of one class then coincide.
     """
-    column = [table.values[:, i] for i, _ in t.assignment.updates]
-    mask = np.ones(len(table.key), dtype=bool)
+    keys = class_keys(images, constants)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    images = images[order[np.concatenate(([True], keys[1:] != keys[:-1]))]]
     same = images[:, :, None] == images[:, None, :]
-    for a, b in zip(*np.nonzero(np.triu(same.all(axis=0), 1))):
-        mask &= column[a] == column[b]
-    for a, b in zip(*np.nonzero(np.triu(~same.any(axis=0), 1))):
-        mask &= column[a] != column[b]
-    constants = np.array(table.constants, dtype=table.values.dtype)
-    held = images[:, :, None] == constants
-    for a, (always, never) in enumerate(zip(held.all(axis=0), ~held.any(axis=0))):
-        if always.any():
-            mask &= column[a] == constants[always][0]
-        else:
-            for c in constants[never]:
-                mask &= column[a] != c
-    return mask
+    holder = same.argmax(axis=1) if images.size else images  # no argmax over no columns
+    return np.where(images >= 0, images, -1 - holder).astype(dtype)
+
+
+def _extension_count(images: np.ndarray, released: int, constants: tuple[int, ...]) -> int:
+    """How many classes ``_extend`` makes of the marker rows ``images``."""
+    if released > MAX_CLASSES.bit_length():
+        return MAX_CLASSES + 1  # one class alone has at least 2^(released - 1)
+    pinned = (images[:, :, None] == np.array(constants, dtype=images.dtype)).any(axis=1).sum(axis=1)
+    blocks = (images == -1 - np.arange(images.shape[1])).sum(axis=1) + pinned
+    return sum(
+        extension_count(b, p, released, len(constants))
+        for b, p in zip(blocks.tolist(), pinned.tolist())
+    )
+
+
+def _extend(
+    images: np.ndarray, targets: list[int], n: int, constants: tuple[int, ...]
+) -> np.ndarray:
+    """The marker valuations over ``n`` registers whose sub-matrix over
+    ``targets`` is the class of one of ``images``.
+
+    Each released register in turn joins a block of the row, takes a
+    constant no register holds yet, or opens a new block: it is one more
+    column (``_grow``) behind the declared constants and the images.
+    """
+    rows = _with_constants(constants, images)
+    released = [i for i in range(n) if i not in targets]
+    for _ in released:
+        rows = _grow(rows)[1]
+    out = np.empty((len(rows), n), dtype=rows.dtype)
+    out[:, targets + released] = rows[:, len(constants) :]
+    return out
 
 
 def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
     """All one-step successor classes of ``c``.
 
-    Raises ``ValueError`` for an unknown location, a matrix of the wrong
-    size, an undeclared constant, or an inconsistent matrix.
+    Every transition from ``c``'s location is joined from ``c``'s marker
+    row; each distinct image class is then extended to every register
+    (``_extend``), and only those rows become matrices.  Raises
+    ``ValueError`` for an unknown location, a matrix of the wrong size, an
+    undeclared constant or an inconsistent matrix, and, before any matrix is
+    built, when there would be more than ``MAX_CLASSES`` successors.
     """
-    table = universe_table(ra.num_registers, ra.constants)
-    [k] = _classes_of(ra, table, [c])
-    valuation = table.values[[k]]
-    out: set[RepConfig] = set()
+    n, constants = ra.num_registers, ra.constants
+    check_universe_args(n, constants)
+    if not (
+        isinstance(c, RepConfig)
+        and isinstance(c.matrix, RepMatrix)
+        and c.location in ra.locations
+        and is_class(c.matrix, n, constants)
+    ):
+        raise _not_a_node(ra, c)
+    valuation = marker_rows(matrix_entries([c.matrix], n))
+    dtype = value_dtype(n, constants)
+    steps = []
     for t in ra.transitions:
         if t.source != c.location:
             continue
-        plan = _plan(t, ra.constants)
+        plan = _plan(t, constants)
         if plan is None:
             continue
         _, images = _join(ra, plan, valuation[:, plan.reads])
         if len(images):
-            hits = np.nonzero(_shared_entries(table, t, images))[0]
-            out.update(RepConfig(t.target, m) for m in table.iter_matrices(hits))
+            steps.append((t, _image_classes(images, dtype, constants)))
+    count = sum(
+        _extension_count(images, n - images.shape[1], constants) for _, images in steps
+    )
+    if count > MAX_CLASSES:
+        raise ValueError(
+            f"{c.location} has more than {MAX_CLASSES} successor classes over {n} registers"
+        )
+    out: set[RepConfig] = set()
+    for t, images in steps:
+        rows = _extend(images, [i for i, _ in t.assignment.updates], n, constants)
+        out.update(RepConfig(t.target, m) for m in iter_matrices(rows))
     return out
 
 
@@ -385,10 +455,26 @@ class QuotientGraph:
     ra: RegisterAutomaton
     table: UniverseTable
     _steps: list[tuple[int, int, _Kernel]]
+    # each class's matrix once built, by ``_matrices_of``, else None
+    _built: list[RepMatrix | None] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._built = [None] * len(self.table.key)
 
     @property
     def matrices(self) -> tuple[RepMatrix, ...]:
         return universe(self.ra.num_registers, self.ra.constants)
+
+    def _matrices_of(self, ks: np.ndarray) -> Iterator[list[RepMatrix]]:
+        """The matrices of classes ``ks``, in order, ``doubling_chunks`` at
+        a time.  A class's matrix is built the first time a view or
+        ``edges`` reads it and is shared from then on."""
+        built = self._built
+        for chunk in doubling_chunks(ks.tolist()):
+            missing = [k for k in chunk if built[k] is None]
+            for k, m in zip(missing, build_matrices(self.table.values[missing])):
+                built[k] = m
+            yield [built[k] for k in chunk]
 
     @property
     def nodes(self) -> LabelSet:
@@ -398,10 +484,11 @@ class QuotientGraph:
         [u] = _classes_of(self.ra, self.table, [node])
         loc = self.ra.locations.index(node.location)
         return {
-            RepConfig(self.ra.locations[dst], self.matrices[k])
+            RepConfig(self.ra.locations[dst], m)
             for src, dst, ker in self._steps
             if src == loc
-            for k in ker.successor_indices(u)
+            for matrices in self._matrices_of(ker.successor_indices(u))
+            for m in matrices
         }
 
     def _location_index(self, location: str) -> int:
@@ -465,7 +552,8 @@ class LabelSet(Set):
 
     ``len`` counts the array; ``in`` is one universe lookup, and anything
     that is not a node is simply not a member; iteration builds each
-    ``RepConfig`` as it is reached, in location and universe order.  The
+    ``RepConfig`` as it is reached, in location and universe order, over
+    matrices the graph builds once (``QuotientGraph._matrices_of``).  The
     comparisons and operators read a view of the same nodes by its masks
     and any other operand by one batched lookup (``QuotientGraph._split``),
     and answer on masks.  An operand's non-nodes are in no view, so an
@@ -495,10 +583,11 @@ class LabelSet(Set):
         return bool(locs[0] >= 0 and self._masks[locs[0], ks[0]])
 
     def __iter__(self) -> Iterator[RepConfig]:
-        mats = self._graph.matrices
-        for loc, mask in zip(self._graph.ra.locations, self._masks):
-            for k in np.flatnonzero(mask).tolist():
-                yield RepConfig(loc, mats[k])
+        graph = self._graph
+        for loc, mask in zip(graph.ra.locations, self._masks):
+            for matrices in graph._matrices_of(np.flatnonzero(mask)):
+                for m in matrices:
+                    yield RepConfig(loc, m)
 
     def __repr__(self) -> str:
         return f"<LabelSet: {len(self)} of {self._masks.size} nodes>"
@@ -574,8 +663,18 @@ class LabelSet(Set):
 
 
 def quotient_graph(ra: RegisterAutomaton) -> QuotientGraph:
-    """Build the abstract transition system, once, for shared use."""
+    """Build the abstract transition system, once, for shared use.
+
+    Raises ``ValueError`` before any kernel is built when there are more
+    than ``MAX_NODES`` nodes.
+    """
     table = universe_table(ra.num_registers, ra.constants)
+    nodes = len(ra.locations) * len(table.key)
+    if nodes > MAX_NODES:
+        raise ValueError(
+            f"{len(ra.locations)} locations x {len(table.key)} classes exceed "
+            f"the {MAX_NODES} node limit"
+        )
     loc = ra.locations.index
     return QuotientGraph(
         ra,

@@ -3,14 +3,17 @@
 ``figure_one`` and ``byzantine`` construct the two showcase machines
 programmatically; the DSL tests check that parsing ``fixtures/*.ra`` yields
 exactly these objects.  The ``random_*`` helpers generate seeded instances
-for differential testing against the brute-force oracles.
+for differential testing against the brute-force oracles.  ``wide``,
+``load``, ``chain`` and ``havoc`` build the scaling machines the ROADMAP
+measures, at any size.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
-from regmc import ctl
+from regmc import ctl, dsl
 from regmc.core import (
     Action,
     Assignment,
@@ -264,3 +267,72 @@ def shift_machine() -> RegisterAutomaton:
             ),
         ),
     )
+
+
+# The 9-register machine of the benchmark's wide-post workload.
+WIDE_POST = """\
+format 1
+constants 0
+registers r1 r2 r3 r4 r5 r6 r7 r8 r9
+actions load/1 pair/2 tick/0
+locations w0* w1 w2 w3
+trans w0 -> w0 on load(p1) when r1 != p1 & r2 = p1 do r1 := r1, r2 := r2, r3 := r6, r4 := r4, r5 := r8, r6 := r6, r7 := p1, r8 := r8, r9 := r9
+trans w0 -> w1 on load(p1) when r1 = 0 & r9 = r7 do r1 := r1, r2 := r2, r3 := r3, r4 := r4, r5 := r5, r7 := r7, r8 := r8, r9 := r9
+trans w0 -> w3 on tick() when r6 != 0 & r6 = r9 do r1 := r1, r2 := r2, r3 := r4, r5 := r7, r6 := r6, r7 := r7, r8 := r8, r9 := r7
+trans w1 -> w1 on tick() when r9 = r6 do r1 := r1, r2 := r2, r3 := r1, r4 := r4, r5 := r5, r7 := r7, r8 := r8, r9 := r9
+trans w1 -> w2 on tick() when r6 != r1 do r1 := r4, r2 := r2, r3 := r3, r4 := r4, r5 := r5, r6 := r6, r8 := r8, r9 := r9
+trans w1 -> w1 on tick() when r2 = r9 do r1 := r1, r2 := r2, r3 := r3, r4 := r4, r5 := r3, r6 := r6, r7 := r9, r8 := r8, r9 := r9
+trans w2 -> w2 on load(p1) when r5 != r6 & r9 = r8 do r1 := r1, r2 := r2, r3 := r3, r4 := r3, r5 := r5, r6 := r6, r7 := r7, r8 := r8, r9 := r9
+trans w2 -> w3 on pair(p1, p2) when r3 = r2 & r9 = r8 do r1 := r1, r2 := p2, r3 := r3, r4 := r1, r5 := r5, r6 := r6, r7 := r7, r8 := r8, r9 := r9
+trans w2 -> w1 on pair(p1, p2) when r3 != 0 & r5 != p2 do r1 := r1, r2 := r2, r3 := r3, r4 := r4, r5 := r5, r6 := r6, r7 := r5, r9 := r9
+trans w3 -> w3 on pair(p1, p2) when r2 != 0 & r3 != p2 do r1 := r1, r2 := r2, r3 := r3, r4 := r8, r5 := r5, r6 := r6, r7 := r7, r8 := r8
+trans w3 -> w0 on load(p1) when r1 = 0 do r1 := r1, r2 := r2, r3 := r3, r4 := r4, r5 := p1, r6 := r6, r8 := r8, r9 := r9
+trans w3 -> w3 on pair(p1, p2) when r2 != r8 & r5 != r6 do r1 := r1, r3 := r3, r4 := r4, r5 := r5, r6 := r6, r7 := r7, r8 := r8, r9 := r2
+"""
+
+
+def wide(n: int) -> RegisterAutomaton:
+    """The wide-post machine with registers ``r10 … rn`` appended, each kept
+    by every transition (``wide(9)`` is the machine itself)."""
+    ra = dsl.parse_automaton(WIDE_POST)
+    extra = range(ra.num_registers, n)
+    keep = tuple((i, RegisterTerm(i)) for i in extra)
+    return dataclasses.replace(
+        ra,
+        registers=ra.registers + tuple(f"r{i + 1}" for i in extra),
+        transitions=tuple(
+            dataclasses.replace(t, assignment=Assignment(t.assignment.updates + keep))
+            for t in ra.transitions
+        ),
+    )
+
+
+def _registers(n: int) -> tuple[str, ...]:
+    return tuple(f"r{i + 1}" for i in range(n))
+
+
+def load(n: int) -> RegisterAutomaton:
+    """One step loads n parameters, each distinct from the register it replaces."""
+    params = [ParameterTerm(i + 1) for i in range(n)]
+    guard = tuple(Atom(RegisterTerm(i), p, False) for i, p in enumerate(params))
+    step = Transition("q", "ld", guard, Assignment(tuple(enumerate(params))), "q")
+    return RegisterAutomaton((0,), _registers(n), (Action("ld", n),), ("q",), "q", (step,))
+
+
+def chain(n: int, length: int) -> RegisterAutomaton:
+    """``length`` locations in a line, each step guarded by ``r1 != r2`` and
+    keeping every register."""
+    locations = tuple(f"q{i}" for i in range(length))
+    guard = (Atom(RegisterTerm(0), RegisterTerm(1), False),)
+    steps = tuple(
+        Transition(a, "go", guard, Assignment.identity(range(n)), b)
+        for a, b in zip(locations, locations[1:])
+    )
+    return RegisterAutomaton((0,), _registers(n), (Action("go", 0),), locations, "q0", steps)
+
+
+def havoc(n: int, kept: int = 0) -> RegisterAutomaton:
+    """One unguarded self-loop that keeps the first ``kept`` registers and
+    releases the rest."""
+    step = Transition("q", "go", (), Assignment.identity(range(kept)), "q")
+    return RegisterAutomaton((0,), _registers(n), (Action("go", 0),), ("q",), "q", (step,))

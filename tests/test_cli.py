@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from gens import byzantine, figure_one, shift_machine
+from gens import byzantine, chain, figure_one, havoc, shift_machine, wide
 from regmc import dsl
 from regmc.cli import main
 from regmc.core import Configuration, check_run
@@ -125,6 +125,34 @@ def test_post_shift_example(capsys, tmp_path):
     rc, out = run(capsys, "post", str(path), "m | {x1} {x2 x3}")
     assert rc == 0
     assert out == ""
+
+
+def test_post_needs_no_universe_of_the_machine(capsys, tmp_path):
+    # wide11 has 4213597 classes, over the class limit, and post answers
+    path = tmp_path / "wide11.ra"
+    path.write_text(dsl.serialize(wide(11)))
+    config = "w1 | {r1 r5 r7} {r2 r6} {r3=0 r4=0} {r8} {r9 r10} {r11}"
+    rc, out = run(capsys, "post", str(path), config)
+    assert rc == 0
+    lines = out.splitlines()
+    assert len(lines) == len(set(lines)) > 0
+    assert all(line.startswith(("w1 | ", "w2 | ")) for line in lines)
+
+
+def test_post_over_its_limits_exits_2(capsys, tmp_path):
+    # 4213597 successors; and 30 kept registers, whose classes no 63-bit
+    # rank key orders
+    for ra in (havoc(12), havoc(30, kept=30)):
+        path = tmp_path / "havoc.ra"
+        path.write_text(dsl.serialize(ra))
+        config = "q | {" + " ".join(ra.registers) + "}"
+        assert run(capsys, "post", str(path), config) == (2, "")
+
+
+def test_graph_over_the_node_limit_exits_2(capsys, tmp_path):
+    path = tmp_path / "chain.ra"
+    path.write_text(dsl.serialize(chain(10, 300)))
+    assert run(capsys, "check", str(path), "EF @q299") == (2, "")
 
 
 def test_post_oracle_flag_agrees(capsys):

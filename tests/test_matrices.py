@@ -28,8 +28,10 @@ from regmc.matrices import (
     RepMatrix,
     canonical_valuation,
     class_keys,
+    extension_count,
     fresh_symbols,
     has_valid_structure,
+    iter_matrices,
     matrix_of_valuation,
     universe,
     universe_size,
@@ -281,6 +283,21 @@ def test_universe_counts():
     assert expected_universe_size(8, 1) == 21147
 
 
+@pytest.mark.parametrize("constants", [(), (0,), (0, 5), (0, 5, 7)])
+def test_extension_count_matches_the_universe(constants):
+    # the classes over n registers that agree with one class over the first
+    # q, counted in the full table, against the closed form
+    for n in range(1, 6):
+        values = universe_table(n, constants).values
+        for q in range(n + 1):
+            keys = class_keys(values[:, :q], constants)
+            for key in set(keys.tolist()):
+                row = values[keys.tolist().index(key), :q].tolist()
+                blocks, pinned = len(set(row)), len({v for v in row if v in constants})
+                want = int(np.count_nonzero(keys == key))
+                assert extension_count(blocks, pinned, n - q, len(constants)) == want, (n, row)
+
+
 def test_universe_order_is_frozen():
     assert universe(2, (2,)) == (
         mat((ONE, ONE), (ONE, ONE)),
@@ -346,7 +363,7 @@ def test_universe_table_matches_recursive_enumerator(constants):
         assert len({hash(m) for m in built}) == len(built)
         assert table.positions(want).tolist() == list(range(len(want)))
         ks = np.array(sorted(rng.sample(range(len(want)), min(len(want), 40))))
-        assert list(table.iter_matrices(ks)) == [built[k] for k in ks]
+        assert list(iter_matrices(table.values, ks)) == [built[k] for k in ks]
 
 
 @pytest.mark.parametrize(
@@ -360,7 +377,7 @@ def test_value_dtype_holds_the_constants(constants, dtype):
         assert np.array_equal(class_keys(table.values, constants), table.key)
         matrices = universe(n, constants)
         assert table.positions(matrices).tolist() == list(range(len(matrices)))
-        assert list(table.iter_matrices()) == list(matrices)
+        assert list(iter_matrices(table.values)) == list(matrices)
 
 
 def test_lookup_refuses_non_classes():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import itertools
 import random
 import tracemalloc
 
@@ -11,7 +12,20 @@ import numpy as np
 import pytest
 
 import oracles
-from gens import NOT_A_FIGURE_ONE_CLASS, random_automaton, random_term, shift_machine
+from gens import (
+    D1,
+    D2,
+    NOT_A_FIGURE_ONE_CLASS,
+    byzantine,
+    chain,
+    havoc,
+    load,
+    random_automaton,
+    random_term,
+    shift_machine,
+    wide,
+)
+from regmc import ctl
 from regmc.core import (
     Action,
     Assignment,
@@ -24,8 +38,26 @@ from regmc.core import (
     Transition,
     sufficient_pool,
 )
-from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, class_keys, universe, universe_table
-from regmc.reach import LabelSet, _build_kernel, post, quotient_graph, reach, reachable_set
+from regmc.matrices import (
+    ONE,
+    ZERO,
+    RepConfig,
+    RepMatrix,
+    class_keys,
+    matrix_of_valuation,
+    universe,
+    universe_size,
+    universe_table,
+)
+from regmc.reach import (
+    MAX_NODES,
+    LabelSet,
+    _build_kernel,
+    post,
+    quotient_graph,
+    reach,
+    reachable_set,
+)
 from regmc.reference import literal_post
 
 # the package re-exports the function ``reach`` under the module's name
@@ -379,6 +411,15 @@ def _join_shapes(rng: random.Random, n: int, constants: tuple[int, ...]) -> tupl
             tuple(atom(term(), term()) for _ in range(rng.randint(0, 2))),
             tuple((i, term()) for i in range(n) if rng.random() < 0.6),
         ),
+        # releases every register, unguarded (havoc)
+        ("a", (), ()),
+        # keeps all registers but one
+        ("a", (atom(reg(), reg()),), tuple((i, RegisterTerm(i)) for i in range(n) if i != n - 1)),
+        # images that hold every constant the registers can, releasing the rest
+        ("a", (), tuple((i, ConstantTerm(c)) for i, c in zip(range(n - 1, -1, -1), constants))),
+        # stored parameters beside released registers: the fresh values of
+        # the join and of the extension must not meet
+        ("b", (atom(p1, reg()), atom(p2, p1)), tuple({0: p1, n - 1: p2}.items())),
     ]
     return tuple(
         Transition(rng.choice("lm"), action, guard, Assignment(updates), rng.choice("lm"))
@@ -436,3 +477,110 @@ def test_kernel_join_memory_is_bounded():
     assert whole_peak > budget, (whole_peak, budget)
     for name in ("key_of", "tkey_of", "indptr", "indices"):
         assert np.array_equal(getattr(kernel, name), getattr(whole, name))
+
+
+def test_post_counts_its_successors_before_building_them():
+    # post refuses exactly past MAX_CLASSES successors, so the closed-form
+    # count of the extensions of its distinct image classes is exact
+    rng = random.Random(31)
+    for constants in ((), (0,), (0, 5)):
+        for n in (1, 2, 3):
+            actions = (Action("a", 2), Action("b", 3))
+            registers = tuple(f"x{i + 1}" for i in range(n))
+            for t in _join_shapes(rng, n, constants):
+                ra = RegisterAutomaton(constants, registers, actions, ("l", "m"), "l", (t,))
+                for m in universe(n, constants):
+                    node = RepConfig(t.source, m)
+                    got = post(ra, node)
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(reach_module, "MAX_CLASSES", len(got))
+                        assert post(ra, node) == got
+                        if got:
+                            mp.setattr(reach_module, "MAX_CLASSES", len(got) - 1)
+                            with pytest.raises(ValueError, match="successor classes"):
+                                post(ra, node)
+
+
+def test_post_is_bounded_without_the_full_universe():
+    # releasing all twelve registers makes 4213597 successors: refused
+    # before any image is extended
+    node = RepConfig("q", RepMatrix(((O,) * 12,) * 12))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reach_module, "_extend", None)
+        with pytest.raises(ValueError, match="successor classes"):
+            post(havoc(12), node)
+    # releasing two of twelve distinct registers, with the constant 0 unused:
+    # both join old blocks (10 * 10); one does and the other opens a new
+    # block, unpinned or 0 (2 * 10 * 2); both open one new block, unpinned
+    # or 0 (2), or two, at most one of them 0 (3)
+    distinct = RepMatrix(tuple(tuple(O if i == j else Z for j in range(12)) for i in range(12)))
+    got = post(havoc(12, kept=10), RepConfig("q", distinct))
+    assert len(got) == 100 + 40 + 2 + 3
+    kept = tuple(row[:10] for row in distinct.rows[:10])
+    assert all(tuple(row[:10] for row in c.matrix.rows[:10]) == kept for c in got)
+
+
+def test_post_on_wide11_restricts_to_post_on_wide_post():
+    # r10 and r11 are kept by every step and read by none, so forgetting
+    # them maps the successors onto those of the 9-register machine; wide11
+    # has 16.9M nodes, and post answers without its universe
+    big, small = wide(11), wide(9)
+    rng = random.Random(32)
+    for _ in range(20):
+        valuation = [rng.choice((0, 1, 2, 3, 4)) for _ in range(11)]
+        node = RepConfig(rng.choice(big.locations), matrix_of_valuation(valuation, (0,)))
+        restricted = {
+            RepConfig(c.location, RepMatrix(tuple(row[:9] for row in c.matrix.rows[:9])))
+            for c in post(big, node)
+        }
+        source = RepConfig(node.location, matrix_of_valuation(valuation[:9], (0,)))
+        assert restricted == post(small, source), node
+
+
+def test_load_post_matches_literal_scan_and_graph():
+    for n in (2, 3, 4):
+        ra = load(n)
+        g = quotient_graph(ra)
+        for node in g.nodes:
+            want = literal_post(ra, node)
+            assert post(ra, node) == want, node
+            assert g.edges(node) == want, node
+
+
+def test_label_set_iteration_builds_only_what_it_yields():
+    # the first element of a 118602-node byzantine view builds a few
+    # matrices, not all 21147 of the universe
+    graph = quotient_graph(byzantine())
+    view = ctl.compute_ctl(graph, ctl.EX(ctl.Not(ctl.RegEq(D1, D2))))
+    assert len(view) == 118602
+    universe.cache_clear()  # measure from a cold start, as a fresh process would
+    tracemalloc.start()
+    try:
+        first = next(iter(view))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first in view
+    assert peak < 2 << 20, peak
+    # each class is built once and shared by every view and location: a
+    # pass that another view's pass (over some classes only) interrupts
+    # reads the same matrices as a later pass, and they are the universe's
+    nodes = iter(graph.nodes)
+    begun = [c.matrix for c in itertools.islice(nodes, 100)]
+    assert 0 < len(list(ctl.compute_ctl(graph, ctl.RegEq(D1, D2)))) < len(view)
+    resumed = begun + [c.matrix for c in nodes]
+    whole = [c.matrix for c in graph.nodes]
+    assert len({id(m) for m in whole}) == 21147
+    assert all(a is b for a, b in zip(resumed, whole, strict=True))
+    assert whole == list(universe(8, byzantine().constants)) * 6
+
+
+def test_quotient_graph_refuses_past_the_node_limit():
+    # 300 locations x 678570 classes: refused before any kernel is built
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reach_module, "_build_kernel", None)
+        with pytest.raises(ValueError, match="node limit"):
+            quotient_graph(chain(10, 300))
+    # byzantine, wide-post and wide10 stay admitted
+    for ra in (byzantine(), wide(9), wide(10)):
+        assert len(ra.locations) * universe_size(ra.num_registers, len(ra.constants)) <= MAX_NODES
