@@ -3,12 +3,12 @@
 Five subcommands cover the library: ``universe`` lists the consistent
 matrices over a register count, ``post`` and ``reach`` answer successor
 and reachability queries for a configuration, ``check`` model-checks a
-formula, and ``simulate`` walks a random concrete run.  Exit status 0
-means the property holds (or the configuration is a member / reachable),
-1 means it does not, and 2 flags a usage or parse problem or an input over
-a size limit — in which case nothing is written to stdout.  Any other
-failure is a bug in regmc: it exits 3 with the traceback on stderr, so it
-never reads as an answer.
+formula, and ``simulate`` walks a random concrete run, one sampled step
+at a time (``core.sample_step``).  Exit status 0 means the property holds
+(or the configuration is a member / reachable), 1 means it does not, and
+2 flags a usage or parse problem or an input over a size limit — in which
+case nothing is written to stdout.  Any other failure is a bug in regmc:
+it exits 3 with the traceback on stderr, so it never reads as an answer.
 
 Listings are deterministic: matrices appear in the enumeration order of
 ``universe`` and locations in declaration order, so outputs can serve as
@@ -25,18 +25,13 @@ import sys
 import traceback
 from collections.abc import Iterable, Sequence
 
-from regmc import dsl, reference
-from regmc.core import Configuration, RegisterAutomaton, concrete_steps, sufficient_pool
-from regmc.ctl import compute_ctl, model_check
-from regmc.matrices import (
-    RepConfig,
-    class_keys,
-    marker_rows,
-    matrix_entries,
-    matrix_of_valuation,
-    universe_table,
-)
-from regmc.reach import post, quotient_graph, reach
+from regmc import dsl
+from regmc.classes import RepConfig, matrix_of_valuation
+from regmc.core import Configuration, RegisterAutomaton, sample_step, sufficient_pool
+
+# Each subcommand imports the engine it runs when it runs: ``simulate``
+# needs no quotient and never loads numpy, and only ``--oracle`` loads the
+# reference scans.
 
 
 def _load_automaton(path: str) -> RegisterAutomaton:
@@ -47,6 +42,8 @@ def _load_automaton(path: str) -> RegisterAutomaton:
 def _ordered(ra: RegisterAutomaton, configs: set[RepConfig]) -> list[RepConfig]:
     """``configs`` by location, then in listing order: by the rank key of
     each class, which needs no table."""
+    from regmc.matrices import class_keys, marker_rows, matrix_entries
+
     configs = list(configs)
     entries = matrix_entries([c.matrix for c in configs], ra.num_registers)
     keys = class_keys(marker_rows(entries), ra.constants)
@@ -55,12 +52,16 @@ def _ordered(ra: RegisterAutomaton, configs: set[RepConfig]) -> list[RepConfig]:
 
 
 def _cmd_universe(args: argparse.Namespace) -> int:
+    from regmc.matrices import classes_lines, universe_table
+
     constants = tuple(dict.fromkeys(args.constants))
     names = tuple(f"x{i + 1}" for i in range(args.registers))
     table = universe_table(args.registers, constants)
     count = len(table.key)
-    lines: Iterable[str] = dsl.classes_lines(table.values, names)
+    lines: Iterable[str] = classes_lines(table.values, names)
     if args.oracle:
+        from regmc import reference
+
         # same canonical presentation order; only the computation differs
         scanned = reference.literal_universe(args.registers, constants)
         ks = [k if k >= 0 else count for k in table.positions(scanned).tolist()]
@@ -76,13 +77,22 @@ def _cmd_universe(args: argparse.Namespace) -> int:
 def _cmd_post(args: argparse.Namespace) -> int:
     ra = _load_automaton(args.file)
     config = dsl.parse_repconfig(args.config, ra)
-    successors = reference.literal_post(ra, config) if args.oracle else post(ra, config)
+    if args.oracle:
+        from regmc.reference import literal_post
+
+        successors = literal_post(ra, config)
+    else:
+        from regmc.reach import post
+
+        successors = post(ra, config)
     for succ in _ordered(ra, successors):
         print(dsl.serialize(succ, ra))
     return 0
 
 
 def _cmd_reach(args: argparse.Namespace) -> int:
+    from regmc.reach import reach
+
     ra = _load_automaton(args.file)
     config = dsl.parse_repconfig(args.config, ra)
     if reach(ra, config):
@@ -93,6 +103,9 @@ def _cmd_reach(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from regmc.ctl import compute_ctl, model_check
+    from regmc.reach import quotient_graph
+
     ra = _load_automaton(args.file)
     formula = dsl.parse_formula(args.formula, ra)
     config = dsl.parse_repconfig(args.config, ra) if args.config else None
@@ -143,10 +156,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     show(current)
     for _ in range(args.steps):
-        steps = list(concrete_steps(ra, current, pool))
-        if not steps:
+        step = sample_step(ra, current, pool, rng)
+        if step is None:
             break
-        action, data, current = rng.choice(steps)
+        action, data, current = step
         print(f"symbol: {action}({', '.join(str(d) for d in data)})")
         show(current)
     return 0

@@ -7,14 +7,16 @@ step's assignment are *havocked*: the step relation lets them take any value
 whatsoever.  Because of that, concrete enumeration is always parameterised
 by an explicit finite pool of values; ``sufficient_pool`` returns one large
 enough that every behaviour distinguishable by (dis)equality already shows
-up inside it.
+up inside it.  ``concrete_steps`` lists every step over a pool, which costs
+pool^arity tuples and more; ``sample_step`` draws one without listing any.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from collections.abc import Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -221,6 +223,134 @@ def concrete_successors(
 ) -> set[Configuration]:
     """One-step successors with action arguments and havoc drawn from ``pool``."""
     return {c for _, _, c in concrete_steps(ra, config, pool)}
+
+
+def _extends(
+    guard: Sequence[Atom], valuation: Sequence[int], args: Sequence[int], pool: Set[int]
+) -> bool:
+    """Whether the guard's equalities, closed over its terms, leave it
+    satisfiable with the first ``len(args)`` parameters set to ``args``.
+
+    The closure fails when it equates two distinct values, puts both sides
+    of a disequality in one class, or forces a parameter still unset to a
+    value outside ``pool``.  Every extension of ``args`` to a satisfying
+    tuple passes, so the test never prunes a solution.  It is exact when
+    every parameter is set, and also whenever the pool leaves each
+    parameter-only class its own value outside every value in the closure.
+    """
+    parent: dict[object, object] = {}
+
+    def find(x: object) -> object:
+        while x in parent:
+            x = parent[x]
+        return x
+
+    def node(term: Term) -> object:
+        if isinstance(term, ParameterTerm) and term.index > len(args):
+            return term
+        return eval_term(term, valuation, args)
+
+    for a in guard:
+        if a.equal:
+            x, y = find(node(a.left)), find(node(a.right))
+            if x != y:
+                if isinstance(x, int) and isinstance(y, int):
+                    return False
+                if isinstance(x, int):
+                    x, y = y, x
+                parent[x] = y  # a value stays the root of its class
+    if any(find(node(a.left)) == find(node(a.right)) for a in guard if not a.equal):
+        return False
+    roots = [find(x) for x in parent if isinstance(x, ParameterTerm)]
+    return all(not isinstance(r, int) or r in pool for r in roots)
+
+
+def _fresh_value(pool: Sequence[int], taken: Set[int], rng: random.Random) -> int | None:
+    """A pool value outside ``taken``, uniformly, or None when there is none."""
+    rest = [v for v in pool if v not in taken]
+    return rng.choice(rest) if rest else None
+
+
+def _sample_args(
+    ra: RegisterAutomaton,
+    t: Transition,
+    valuation: Sequence[int],
+    pool: Sequence[int],
+    in_pool: Set[int],
+    rng: random.Random,
+) -> tuple[int, ...] | None:
+    """Arguments from ``pool`` that satisfy ``t``'s guard, drawn one
+    parameter at a time, or None when there are none.
+
+    Parameter k is drawn from the pool values a register holds, the
+    declared constants, parameters 1 … k-1, and one pool value outside all
+    of those: any satisfying tuple maps onto such a one by a bijection of
+    the other pool values, which no guard can tell apart.  Candidates are
+    tried in random order and kept when ``_extends`` passes, backtracking
+    over the candidates only.
+    """
+    known = {v for v in (*valuation, *ra.constants) if v in in_pool}
+    if not _extends(t.guard, valuation, (), in_pool):
+        return None
+
+    def candidates(args: list[int]) -> list[int]:
+        taken = known.union(args)
+        out = sorted(taken)
+        fresh = _fresh_value(pool, taken, rng)
+        if fresh is not None:
+            out.append(fresh)
+        rng.shuffle(out)
+        return out
+
+    arity = ra.action_arity(t.action)
+    args: list[int] = []
+    options = [candidates(args)] if arity else []
+    while len(args) < arity:
+        if not options[-1]:
+            options.pop()
+            if not args:
+                return None
+            args.pop()
+        else:
+            value = options[-1].pop()
+            if _extends(t.guard, valuation, [*args, value], in_pool):
+                args.append(value)
+                if len(args) < arity:
+                    options.append(candidates(args))
+    return tuple(args)
+
+
+def sample_step(
+    ra: RegisterAutomaton, config: Configuration, pool: Sequence[int], rng: random.Random
+) -> tuple[str, tuple[int, ...], Configuration] | None:
+    """One labelled step drawn from ``concrete_steps(ra, config, pool)``, or
+    None exactly when that yields nothing.
+
+    The transition is uniform among the enabled ones.  Its parameters are
+    drawn in order, each uniformly among the candidates of ``_sample_args``
+    that still let the guard hold; each released register takes a uniform
+    pool value.  No tuple of the pool is ever enumerated: with a pool at
+    least ``sufficient_pool``'s size a parameter never backtracks, and the
+    work is polynomial in the registers, the arity and the pool size.
+    """
+    in_pool = frozenset(pool)
+    outgoing = [t for t in ra.transitions if t.source == config.location]
+    rng.shuffle(outgoing)
+    for t in outgoing:
+        targets = t.assignment.targets()
+        released = [i for i in range(ra.num_registers) if i not in targets]
+        if released and not pool:
+            continue
+        args = _sample_args(ra, t, config.valuation, pool, in_pool, rng)
+        if args is None:
+            continue
+        valuation = list(config.valuation)
+        for i, term in t.assignment.updates:
+            valuation[i] = eval_term(term, config.valuation, args)
+        for i in released:
+            valuation[i] = rng.choice(pool)
+        return t.action, args, Configuration(t.target, tuple(valuation))
+    return None
 
 
 def check_run(

@@ -1,11 +1,10 @@
 """Branching-time (CTL) property checking over the quotient graph.
 
-Formulas speak about locations and register (dis)equalities — exactly the
-observations the finite quotient preserves — under the usual boolean and
-path operators with next (EX), until (EU), and always-on-some-path (EG) as
-the core; the remaining operators are abbreviations expanded at
-construction time.  Satisfaction sets are computed by the standard labeling
-recursion: atoms compare the value columns of the universe table
+The formulas (``formulas``, re-exported here) speak about locations and
+register (dis)equalities, exactly the observations the finite quotient
+preserves, with next (EX), until (EU) and always-on-some-path (EG) as the
+core temporal operators.  Satisfaction sets are computed by the standard
+labeling recursion: atoms compare the value columns of the universe table
 (``matrices.universe_table``), EU is a least fixpoint of
 ``Z ↦ f₁ ∪ (f₀ ∩ EX Z)``, EG a greatest fixpoint of ``Z ↦ f ∩ EX Z``
 started at the full labeling of ``f``.  A class satisfies a formula exactly
@@ -21,155 +20,44 @@ read-only ``LabelSet`` view over that array, which counts, tests
 membership and combines with other sets without building a configuration;
 they take a view of the same graph as it is, and any other collection of
 configurations by one batched lookup.  Evaluation walks each distinct node
-once, with neither recursion nor recursive hashing, so a formula that
-shares its subterms costs time in its size, not in its unfolded tree.
-``model_check`` and ``compute_ctl`` still refuse formulas nested deeper
-than ``MAX_FORMULA_DEPTH`` with ``ValueError``, the limit the parser and
-the serializer keep.
+once (``formulas.postorder``), so a formula that shares its subterms costs
+time in its size, not in its unfolded tree.  ``model_check`` and
+``compute_ctl`` still refuse formulas nested deeper than
+``MAX_FORMULA_DEPTH`` with ``ValueError``, the limit the parser and the
+serializer keep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from regmc.core import RegisterAutomaton
+# the formula syntax is re-exported, so callers keep one import
+from regmc.formulas import (  # noqa: F401
+    EG,
+    EU,
+    EX,
+    FALSE,
+    MAX_FORMULA_DEPTH,
+    TRUE,
+    And,
+    AtLocation,
+    CtlFormula,
+    Not,
+    RegEq,
+    RegEqConst,
+    af,
+    ag,
+    ax,
+    check_atom,
+    check_depth,
+    children,
+    ef,
+    formula_depth,
+    implies,
+    or_,
+    postorder,
+)
 from regmc.reach import LabelSet, QuotientGraph
-
-
-@dataclass(frozen=True)
-class AtLocation:
-    location: str
-
-
-@dataclass(frozen=True)
-class RegEq:
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class RegEqConst:
-    i: int
-    c: int
-
-
-@dataclass(frozen=True)
-class Not:
-    f: CtlFormula
-
-
-@dataclass(frozen=True)
-class And:
-    f0: CtlFormula
-    f1: CtlFormula
-
-
-@dataclass(frozen=True)
-class EX:
-    f: CtlFormula
-
-
-@dataclass(frozen=True)
-class EU:
-    f0: CtlFormula
-    f1: CtlFormula
-
-
-@dataclass(frozen=True)
-class EG:
-    f: CtlFormula
-
-
-CtlFormula = AtLocation | RegEq | RegEqConst | Not | And | EX | EU | EG
-
-FALSE = Not(RegEq(0, 0))
-TRUE = Not(FALSE)
-
-
-def or_(f0: CtlFormula, f1: CtlFormula) -> CtlFormula:
-    return Not(And(Not(f0), Not(f1)))
-
-
-def implies(f0: CtlFormula, f1: CtlFormula) -> CtlFormula:
-    return Not(And(f0, Not(f1)))
-
-
-def ax(f: CtlFormula) -> CtlFormula:
-    return Not(EX(Not(f)))
-
-
-def ef(f: CtlFormula) -> CtlFormula:
-    return EU(TRUE, f)
-
-
-def ag(f: CtlFormula) -> CtlFormula:
-    return Not(ef(Not(f)))
-
-
-def af(f: CtlFormula) -> CtlFormula:
-    return Not(EG(Not(f)))
-
-
-# Structural hashing and serialization recurse over the formula tree; this
-# depth keeps them well inside the interpreter's recursion limit.
-MAX_FORMULA_DEPTH = 150
-
-
-def _children(f: CtlFormula) -> tuple[CtlFormula, ...]:
-    if isinstance(f, (Not, EX, EG)):
-        return (f.f,)
-    if isinstance(f, (And, EU)):
-        return (f.f0, f.f1)
-    return ()
-
-
-def _postorder(f: CtlFormula) -> list[CtlFormula]:
-    """Each distinct node of ``f`` (by identity) once, children first.
-
-    Iterative and without hashing formulas, so a formula that shares its
-    subterms costs time in its distinct nodes, not in its paths.
-    """
-    seen: set[int] = set()
-    out: list[CtlFormula] = []
-    stack: list[tuple[CtlFormula, bool]] = [(f, False)]
-    while stack:
-        g, done = stack.pop()
-        if done:
-            out.append(g)
-        elif id(g) not in seen:
-            seen.add(id(g))
-            stack.append((g, True))
-            stack += [(k, False) for k in _children(g)]
-    return out
-
-
-def formula_depth(f: CtlFormula) -> int:
-    """Nesting depth of ``f``, counted once per distinct node."""
-    height: dict[int, int] = {}
-    for g in _postorder(f):
-        height[id(g)] = 1 + max((height[id(k)] for k in _children(g)), default=0)
-    return height[id(f)]
-
-
-def check_depth(f: CtlFormula) -> None:
-    """Raise ``ValueError`` for a formula nested deeper than ``MAX_FORMULA_DEPTH``."""
-    if formula_depth(f) > MAX_FORMULA_DEPTH:
-        raise ValueError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
-
-
-def check_atom(ra: RegisterAutomaton, atom: CtlFormula) -> None:
-    """Raise ``ValueError`` for an atom that names an unknown location, a
-    register index out of range, or an undeclared constant of ``ra``."""
-    if isinstance(atom, AtLocation) and atom.location not in ra.locations:
-        raise ValueError(f"unknown location: {atom.location}")
-    regs = (atom.i, atom.j) if isinstance(atom, RegEq) else ()
-    regs = (atom.i,) if isinstance(atom, RegEqConst) else regs
-    if not all(0 <= i < ra.num_registers for i in regs):
-        raise ValueError(f"register index out of range: {atom}")
-    if isinstance(atom, RegEqConst) and atom.c not in ra.constants:
-        raise ValueError(f"constant {atom.c} not declared: {atom}")
 
 
 def _ap_masks(graph: QuotientGraph, atom: CtlFormula) -> np.ndarray:
@@ -232,8 +120,8 @@ def _eval(graph: QuotientGraph, f: CtlFormula) -> np.ndarray:
     key_of: dict[int, int] = {}
     keys: dict[object, int] = {}
     sats: list[np.ndarray] = []
-    for g in _postorder(f):
-        kids = [key_of[id(k)] for k in _children(g)]
+    for g in postorder(f):
+        kids = [key_of[id(k)] for k in children(g)]
         sig = (type(g), *kids) if kids else g
         if sig not in keys:
             keys[sig] = len(sats)

@@ -16,7 +16,7 @@ temporal operators ``EX EF EG AX AF AG`` and ``E [ f U g ]``; ``!`` and
 the prefix operators bind tightest, then ``&``, then ``|``, then the
 right-associative ``->``.  Derived operators expand on the spot, so the
 parsed tree is over the core connectives only.  A formula may nest at most
-``ctl.MAX_FORMULA_DEPTH`` levels, counted both on that tree and on the
+``formulas.MAX_FORMULA_DEPTH`` levels, counted both on that tree and on the
 brackets of the text (parentheses, ``E [ … ]`` and ``->`` chains); deeper
 input is a ``ParseError``.  The serializer refuses a deeper formula built
 in Python with ``ValueError``, and writes at most one bracket per tree
@@ -34,12 +34,10 @@ the serializer always writes every class out.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
-from regmc import ctl
+from regmc import formulas
+from regmc.classes import ZERO, RepConfig, RepMatrix, block_text, is_class, matrix_of_valuation
 from regmc.core import (
     Action,
     Assignment,
@@ -51,11 +49,8 @@ from regmc.core import (
     Term,
     Transition,
 )
-from regmc.ctl import (
+from regmc.formulas import (
     EG, EU, EX, MAX_FORMULA_DEPTH, And, AtLocation, CtlFormula, Not, RegEq, RegEqConst,
-)
-from regmc.matrices import (
-    ONE, ZERO, RepConfig, RepMatrix, diagonal_entries, is_class, matrix_of_valuation,
 )
 
 
@@ -412,7 +407,7 @@ def parse_formula(text: str, ra: RegisterAutomaton) -> CtlFormula:
     trailing = cur.peek()
     if trailing.kind != "eof":
         raise ParseError(trailing.span, f"unexpected {trailing.text!r} after the formula")
-    if ctl.formula_depth(f) > MAX_FORMULA_DEPTH:
+    if formulas.formula_depth(f) > MAX_FORMULA_DEPTH:
         raise ParseError(first.span, f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
     return f
 
@@ -423,14 +418,14 @@ def _formula(cur: _Cursor, ra: RegisterAutomaton, brackets: int) -> CtlFormula:
         raise ParseError(cur.peek().span, f"formula nests deeper than {MAX_FORMULA_DEPTH} levels")
     left = _or_level(cur, ra, brackets)
     if cur.eat_op("->"):
-        return ctl.implies(left, _formula(cur, ra, brackets + 1))
+        return formulas.implies(left, _formula(cur, ra, brackets + 1))
     return left
 
 
 def _or_level(cur: _Cursor, ra: RegisterAutomaton, brackets: int) -> CtlFormula:
     out = _and_level(cur, ra, brackets)
     while cur.eat_op("|"):
-        out = ctl.or_(out, _and_level(cur, ra, brackets))
+        out = formulas.or_(out, _and_level(cur, ra, brackets))
     return out
 
 
@@ -444,10 +439,10 @@ def _and_level(cur: _Cursor, ra: RegisterAutomaton, brackets: int) -> CtlFormula
 _PREFIX = {
     "EX": EX,
     "EG": EG,
-    "EF": ctl.ef,
-    "AX": ctl.ax,
-    "AF": ctl.af,
-    "AG": ctl.ag,
+    "EF": formulas.ef,
+    "AX": formulas.ax,
+    "AF": formulas.af,
+    "AG": formulas.ag,
 }
 
 
@@ -494,10 +489,10 @@ def _operand(cur: _Cursor, ra: RegisterAutomaton, brackets: int) -> CtlFormula:
             return EU(f0, f1)
         if tok.text == "true":
             cur.next()
-            return ctl.TRUE
+            return formulas.TRUE
         if tok.text == "false":
             cur.next()
-            return ctl.FALSE
+            return formulas.FALSE
     return _atom(cur, ra)
 
 
@@ -608,44 +603,11 @@ def parse_classes(text: str, registers: tuple[str, ...], constants: tuple[int, .
     return matrix
 
 
-def _block_text(members: list[int], label: int, registers: tuple[str, ...]) -> str:
-    """One block of a class, written from its members and the diagonal
-    entry (``label``) they share."""
-    pin = "" if label == ONE else f"={label}"
-    return "{" + " ".join(registers[j] + pin for j in members) + "}"
-
-
-_CHUNK = 8192  # rows ``classes_lines`` writes at once
-
-
-def classes_lines(values: np.ndarray, registers: tuple[str, ...]) -> Iterator[str]:
-    """``classes_text`` of each row of ``values`` (``UniverseTable.values``), in order.
-
-    Each block is one piece, coded by its members and diagonal entry and
-    kept at its first register; numpy codes a chunk of rows at once, each
-    distinct piece is written once, and a line joins its row's pieces.
-    """
-    n = values.shape[1]
-    for chunk in np.split(values, range(_CHUNK, len(values), _CHUNK)):
-        same = chunk[:, :, None] == chunk[:, None, :]
-        labels, lab = np.unique(diagonal_entries(chunk), return_inverse=True)
-        pieces = (same * (1 << np.arange(n))).sum(axis=2) * len(labels) + lab.reshape(chunk.shape)
-        pieces = np.where(same.argmax(axis=2) == np.arange(n), pieces, 0)  # 0: no members
-        distinct, ids = np.unique(pieces, return_inverse=True)
-        members, label = np.divmod(distinct, len(labels))
-        texts = [
-            f" {_block_text([j for j in range(n) if m >> j & 1], d, registers)}" if m else ""
-            for m, d in zip(members.tolist(), labels[label].tolist())
-        ]
-        for row in ids.reshape(chunk.shape).tolist():
-            yield "".join([texts[p] for p in row])[1:]
-
-
 def classes_text(matrix: RepMatrix, registers: tuple[str, ...]) -> str:
     """Render a class as its equality classes, every class written out."""
     # each block from the row of its first register
     return " ".join(
-        _block_text([j for j, e in enumerate(row) if e != ZERO], row[i], registers)
+        block_text([j for j, e in enumerate(row) if e != ZERO], row[i], registers)
         for i, row in enumerate(matrix.rows)
         if row.index(row[i]) == i
     )
@@ -679,7 +641,7 @@ def serialize(
     if isinstance(value, (AtLocation, RegEq, RegEqConst, Not, And, EX, EU, EG)):
         if ra is None:
             raise ValueError("serializing a formula needs the automaton")
-        ctl.check_depth(value)
+        formulas.check_depth(value)
         return _formula_text(value, ra)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -734,7 +696,7 @@ def _formula_text(f: CtlFormula, ra: RegisterAutomaton) -> str:
             return _formula_text(g, ra)
         return "(" + _formula_text(g, ra) + ")"
 
-    ctl.check_atom(ra, f)
+    formulas.check_atom(ra, f)
     if isinstance(f, AtLocation):
         return f"@{f.location}"
     if isinstance(f, RegEq):

@@ -1,210 +1,61 @@
-"""Finite quotient of the infinite valuation space.
+"""The universe of valuation classes as numpy value columns.
 
-Two valuations are interchangeable for every guard the machine can ever
-evaluate when some bijection of the alphabet fixing each declared constant
-maps one onto the other.  A class of interchangeable valuations is named by
-its *representative matrix*: entry ``(i, j)`` records whether registers
-``i`` and ``j`` hold the same value, and whether that shared value is a
-declared constant.  The matrix alphabet is ``{ZERO, ONE} ∪ C``:
+A class is named by its representative matrix (``classes``, which also
+holds the consistency check, the witness valuation and the closed-form
+class counts; they are re-exported here).  There are finitely many such
+matrices per register count, so reachability and branching-time questions
+about the infinite concrete system reduce to the same questions over this
+finite universe.  This module owns its one layout, ``universe_table``: one
+*marker valuation* per class in listing order, in which a register pinned
+to a constant holds it and each unpinned block holds its own negative
+marker.  Entry ``(i, j)`` is ``ZERO`` when the values of ``i`` and ``j``
+differ, and otherwise the value when it is a constant, else ``ONE``; so
+every question the successor search and the checker ask of a class is a
+compare of value columns.  ``RepMatrix`` objects and listing lines are
+built from table rows only where a caller reads them, and a matrix is
+located by one sorted search over the table's rank keys.  The rank key is
+one formula over any valuation (``class_keys``), so the sub-matrix of a
+class over some of its registers is found the same way in the smaller
+table.  Universes over ``MAX_CLASSES`` classes are refused.
 
-* ``ZERO``  — the registers differ;
-* ``ONE``   — equal, but not a constant;
-* ``c ∈ C`` — equal to the constant ``c``.
-
-There are finitely many such matrices per register count, so reachability
-and branching-time questions about the infinite concrete system reduce to
-the same questions over this finite universe.  This module owns its one
-layout, ``universe_table``: one *marker valuation* per class in listing
-order, in which a register pinned to a constant holds it and each
-unpinned block holds its own negative marker.  Entry ``(i, j)`` is
-``ZERO`` when the values of ``i`` and ``j`` differ, and otherwise the
-value when it is a constant, else ``ONE``; so every question the
-successor search and the checker ask of a class is a compare of value
-columns.  ``RepMatrix`` objects are built from table rows only where a
-caller reads them, and a matrix is located by one sorted search over the
-table's rank keys.  The rank key is one formula over any valuation
-(``class_keys``), so the sub-matrix of a class over some of its registers
-is found the same way in the smaller table.  Universes over
-``MAX_CLASSES`` classes are refused.
-
-A matrix is *consistent* when it is the matrix of some valuation;
-``has_valid_structure`` decides this from the entries alone, and
-``canonical_valuation`` produces the deterministic witness.  Reading a
-class as a system of (dis)equality constraints is left to the literal
-reference scans (``reference``): nothing here imports the constraint
-engine or the automaton model.
+Reading a class as a system of (dis)equality constraints is left to the
+literal reference scans (``reference``): nothing here imports the
+constraint engine or the automaton model.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-ZERO = -1
-ONE = -2
-
-Valuation = tuple[int, ...]
-
-
-# A matrix's hash folds one code per row, mod 2^64: the first column that
-# holds the row's diagonal entry, and that entry.  For a class the pair is
-# the register's first block member and its label.
-_HASH_MUL = 0x9E3779B97F4A7C15
-
-
-def _matrix_hash(rows: tuple[tuple[int, ...], ...]) -> int:
-    n = h = len(rows)
-    for i, row in enumerate(rows):
-        h = (h * _HASH_MUL + row.index(row[i]) + (n + 1) * (row[i] + 3)) % 2**64
-    return h - 2**64 if h >= 2**63 else h
-
-
-@dataclass(frozen=True)
-class RepMatrix:
-    """A square matrix over ``{ZERO, ONE} ∪ C`` naming a valuation class."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.rows or any(len(row) != len(self.rows) for row in self.rows):
-            raise ValueError("matrix must be square and nonempty")
-        if any(e < ONE for row in self.rows for e in row):
-            raise ValueError(f"entry {min(map(min, self.rows))} outside the matrix alphabet")
-        object.__setattr__(self, "_hash", _matrix_hash(self.rows))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
-
-@dataclass(frozen=True)
-class RepConfig:
-    """A location paired with a valuation-class matrix."""
-
-    location: str
-    matrix: RepMatrix
-
-
-def matrix_of_valuation(v: Sequence[int], constants: Sequence[int]) -> RepMatrix:
-    cset = set(constants)
-    rows = tuple(tuple((x if x in cset else ONE) if x == y else ZERO for y in v) for x in v)
-    return RepMatrix(rows)
-
-
-def has_valid_structure(m: RepMatrix, constants: Sequence[int]) -> bool:
-    """Direct structural characterisation of consistency.
-
-    Every row holds its diagonal entry, ``ONE`` or a declared constant, at
-    the registers related to it and ``ZERO`` elsewhere; related registers
-    have identical rows, which makes relatedness an equivalence; and no two
-    classes claim the same constant.  Agrees with
-    ``reference.is_consistent_matrix`` (tested exhaustively); implemented
-    independently of the constraint engine.
-    """
-    cset = set(constants)
-    rows, n = m.rows, m.n
-    for i, row in enumerate(rows):
-        d = row[i]
-        if (d != ONE and d not in cset) or row.count(d) + row.count(ZERO) != n:
-            return False
-        if any(rows[j] != row for j, e in enumerate(row) if e != ZERO):
-            return False  # related registers must have one row
-    pins = [row[i] for i, row in enumerate(rows) if row[i] != ONE and row.index(row[i]) == i]
-    return len(set(pins)) == len(pins)  # no two classes pinned to one constant
-
-
-def fresh_symbols(constants: Sequence[int], count: int) -> list[int]:
-    """The ``count`` smallest naturals ≥ 1 outside the constant set."""
-    return list(itertools.islice((c for c in itertools.count(1) if c not in constants), count))
-
-
-def canonical_valuation(m: RepMatrix, constants: Sequence[int]) -> Valuation:
-    """The deterministic witness valuation of a consistent matrix.
-
-    A register takes its diagonal constant if it has one, else the fresh
-    symbol numbered by the first register of its class.  Raises
-    ``ValueError`` for an inconsistent matrix.
-    """
-    if not has_valid_structure(m, constants):
-        raise ValueError("matrix is not consistent")
-    fresh = fresh_symbols(constants, m.n)
-    return tuple(row[i] if row[i] != ONE else fresh[row.index(ONE)] for i, row in enumerate(m.rows))
-
-
-def _stirling2(n: int, k: int) -> int:
-    """Partitions of ``n`` items into ``k`` blocks, by inclusion–exclusion."""
-    signed = ((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
-    return sum(signed) // math.factorial(k)
-
-
-@lru_cache(maxsize=None)
-def extension_count(blocks: int, pinned: int, released: int, num_constants: int) -> int:
-    """The classes over ``released`` more registers that extend one class of
-    ``blocks`` blocks, ``pinned`` of them pinned to constants.
-
-    Of the released registers, ``t`` open new blocks and the rest each join
-    one of the ``blocks`` old ones (a used constant is one of those); the
-    ``t`` form ``j`` new blocks, of which ``i`` take distinct unused
-    constants.
-    """
-    free = num_constants - pinned
-    return sum(
-        math.comb(released, t)
-        * blocks ** (released - t)
-        * _stirling2(t, j)
-        * math.comb(j, i)
-        * math.perm(free, i)
-        for t in range(released + 1)
-        for j in range(t + 1)
-        for i in range(min(j, free) + 1)
-    )
-
-
-def universe_size(n_registers: int, num_constants: int) -> int:
-    """|universe(n, C)| without materializing it: the extensions of the one
-    class over no registers."""
-    return extension_count(0, 0, n_registers, num_constants)
-
-
-# The largest universe ``universe_table`` enumerates: admits 10 registers
-# with one constant (678570 classes), refuses 12 registers, or 11 with one
-# constant (4213597 each), before any matrix is built.
-MAX_CLASSES = 1_000_000
+# the numpy-free names are re-exported, so callers keep one import
+from regmc.classes import (  # noqa: F401
+    _HASH_MUL,
+    MAX_CLASSES,
+    ONE,
+    ZERO,
+    RepConfig,
+    RepMatrix,
+    Valuation,
+    block_text,
+    canonical_valuation,
+    check_universe_args,
+    checked_universe_size,
+    extension_count,
+    fresh_symbols,
+    has_valid_structure,
+    is_class,
+    matrix_of_valuation,
+    universe_size,
+)
 
 _CHUNK = 8192  # classes built or keyed at once
 _FIRST_CHUNK = 64  # ``doubling_chunks`` starts here and doubles up to ``_CHUNK``
-
-
-def check_universe_args(n_registers: int, constants: Sequence[int]) -> None:
-    """Raise ``ValueError`` unless there is a register and the constants are
-    distinct naturals below 2^63; a negative one would collide with ``ZERO``
-    or ``ONE``, and a larger one fits no table column."""
-    if n_registers < 1:
-        raise ValueError("need at least one register")
-    negative = [c for c in constants if c < 0]
-    if negative:
-        raise ValueError(f"constants must be naturals, got {negative[0]}")
-    huge = [c for c in constants if c >= 2**63]
-    if huge:
-        raise ValueError(f"constants must be below 2**63, got {huge[0]}")
-    if len(set(constants)) != len(constants):
-        raise ValueError("duplicate constants")
-
-
-def is_class(m: RepMatrix, n_registers: int, constants: Sequence[int]) -> bool:
-    """Whether ``m`` is a member of ``universe(n_registers, constants)``."""
-    return m.n == n_registers and has_valid_structure(m, constants)
 
 
 def value_dtype(n_registers: int, constants: Sequence[int]) -> np.dtype:
@@ -236,29 +87,48 @@ def diagonal_entries(values: np.ndarray) -> np.ndarray:
     return np.where(values >= 0, values, ONE).astype(np.int64)
 
 
-def build_matrices(values: np.ndarray) -> Iterator[RepMatrix]:
+def _row_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each register's matrix row in the classes ``values`` as one code: the
+    bitmask of the registers sharing its value, times the label count, plus
+    its label's index in ``labels``, the distinct diagonal entries
+    (``diagonal_entries``) in ascending order.  Returns the (classes, n, n)
+    equality of the value columns, the (classes, n) codes and ``labels``."""
+    n = values.shape[1]
+    same = values[:, :, None] == values[:, None, :]
+    labels, lab = np.unique(diagonal_entries(values), return_inverse=True)
+    codes = (same * (1 << np.arange(n))).sum(axis=2) * len(labels) + lab.reshape(values.shape)
+    return same, codes, labels
+
+
+_set_rows = RepMatrix.rows.__set__  # type: ignore[attr-defined]
+_set_hash = RepMatrix._hash.__set__  # type: ignore[attr-defined]
+
+
+def build_matrices(values: np.ndarray) -> list[RepMatrix]:
     """The matrices of table rows ``values``, built unchecked: equal rows
     share one tuple, and the hashes are one numpy fold (``_matrix_hash``)."""
     n = values.shape[1]
-    same = values[:, :, None] == values[:, None, :]
-    members = (same * (1 << np.arange(n))).sum(axis=2)
-    label = diagonal_entries(values)
-    labels, lab = np.unique(label, return_inverse=True)
-    rows, ids = np.unique(members * len(labels) + lab.reshape(label.shape), return_inverse=True)
-    shared = [
-        tuple(int(labels[r % len(labels)]) if r // len(labels) >> j & 1 else ZERO for j in range(n))
-        for r in rows.tolist()
-    ]
+    if not len(values):
+        return []
+    same, codes, labels = _row_codes(values)
+    rows, ids = np.unique(codes, return_inverse=True)
+    width = len(labels)
+    shared = np.fromiter(
+        (tuple(int(labels[r % width]) if r // width >> j & 1 else ZERO for j in range(n)) for r in rows.tolist()),
+        dtype=object,
+        count=len(rows),
+    )
     # the fold unrolled: n and the row codes, weighted by powers of _HASH_MUL
-    codes = np.column_stack((np.full(len(values), n), same.argmax(axis=2) + (n + 1) * (label + 3)))
+    label = labels[codes % width]
+    folded = np.column_stack((np.full(len(values), n), same.argmax(axis=2) + (n + 1) * (label + 3)))
     weights = np.array([pow(_HASH_MUL, k, 2**64) for k in range(n, -1, -1)], dtype=np.uint64)
-    h = (codes.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
-    for row_ids, hash_ in zip(ids.reshape(-1, n).tolist(), h.view(np.int64).tolist()):
-        m = object.__new__(RepMatrix)
-        # the constructor's attribute order, which keeps instances compact
-        object.__setattr__(m, "rows", tuple([shared[r] for r in row_ids]))
-        object.__setattr__(m, "_hash", hash_)
-        yield m
+    h = (folded.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+    # the slots are set through their descriptors, past the frozen __setattr__
+    out = list(map(object.__new__, itertools.repeat(RepMatrix, len(values))))
+    matrix_rows = map(tuple, shared[ids.reshape(-1, n)].tolist())
+    collections.deque(map(_set_rows, out, matrix_rows), maxlen=0)
+    collections.deque(map(_set_hash, out, h.view(np.int64).tolist()), maxlen=0)
+    return out
 
 
 def doubling_chunks(ks: Sequence[int]) -> Iterator[Sequence[int]]:
@@ -275,6 +145,28 @@ def iter_matrices(values: np.ndarray, ks: np.ndarray | None = None) -> Iterator[
     ``values``, in order, built ``doubling_chunks`` at a time."""
     for chunk in doubling_chunks(np.arange(len(values)) if ks is None else ks):
         yield from build_matrices(values[chunk])
+
+
+def classes_lines(values: np.ndarray, registers: tuple[str, ...]) -> Iterator[str]:
+    """``dsl.classes_text`` of each row of ``values`` (``UniverseTable.values``), in order.
+
+    Each block is one piece, coded by its members and diagonal entry
+    (``_row_codes``) and kept at its first register; numpy codes a chunk of
+    rows at once, each distinct piece is written once, and a line joins its
+    row's pieces.
+    """
+    n = values.shape[1]
+    for chunk in np.split(values, range(_CHUNK, len(values), _CHUNK)):
+        same, pieces, labels = _row_codes(chunk)
+        pieces = np.where(same.argmax(axis=2) == np.arange(n), pieces, 0)  # 0: no members
+        distinct, ids = np.unique(pieces, return_inverse=True)
+        members, label = np.divmod(distinct, len(labels))
+        texts = [
+            f" {block_text([j for j in range(n) if m >> j & 1], d, registers)}" if m else ""
+            for m, d in zip(members.tolist(), labels[label].tolist())
+        ]
+        for row in ids.reshape(chunk.shape).tolist():
+            yield "".join([texts[p] for p in row])[1:]
 
 
 class UniverseTable(NamedTuple):
@@ -382,16 +274,7 @@ def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTabl
     ever held.  Raises ``ValueError`` before any work for a negative,
     repeated or too large constant, or past ``MAX_CLASSES``.
     """
-    check_universe_args(n_registers, constants)
-    # even without constants there are at least 2^(n-1) classes, so a
-    # register count past the limit's bit length is refused without counting
-    if n_registers > MAX_CLASSES.bit_length() or (
-        universe_size(n_registers, len(constants)) > MAX_CLASSES
-    ):
-        raise ValueError(
-            f"the universe over {n_registers} registers and {len(constants)} constant(s) "
-            f"exceeds the {MAX_CLASSES} class limit"
-        )
+    checked_universe_size(n_registers, constants)
     m = len(constants)
     rgs, top = np.zeros((1, 1), dtype=np.int8), np.zeros(1, dtype=np.int64)
     for _ in range(n_registers - 1):

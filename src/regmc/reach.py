@@ -68,6 +68,7 @@ from regmc.matrices import (
     UniverseTable,
     build_matrices,
     check_universe_args,
+    checked_universe_size,
     class_keys,
     doubling_chunks,
     extension_count,
@@ -249,6 +250,20 @@ def _not_a_node(ra: RegisterAutomaton, c: object) -> ValueError:
     )
 
 
+def _check_node(ra: RegisterAutomaton, c: object) -> None:
+    """Raise ``ValueError`` for invalid universe arguments
+    (``check_universe_args``) or unless ``c`` is a node of ``ra``'s graph,
+    without building any table."""
+    check_universe_args(ra.num_registers, ra.constants)
+    if not (
+        isinstance(c, RepConfig)
+        and isinstance(c.matrix, RepMatrix)
+        and c.location in ra.locations
+        and is_class(c.matrix, ra.num_registers, ra.constants)
+    ):
+        raise _not_a_node(ra, c)
+
+
 def _classes_of(ra: RegisterAutomaton, table: UniverseTable, configs: list[RepConfig]) -> list[int]:
     """The universe positions of the configurations' matrices.
 
@@ -319,14 +334,7 @@ def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
     built, when there would be more than ``MAX_CLASSES`` successors.
     """
     n, constants = ra.num_registers, ra.constants
-    check_universe_args(n, constants)
-    if not (
-        isinstance(c, RepConfig)
-        and isinstance(c.matrix, RepMatrix)
-        and c.location in ra.locations
-        and is_class(c.matrix, n, constants)
-    ):
-        raise _not_a_node(ra, c)
+    _check_node(ra, c)
     valuation = marker_rows(matrix_entries([c.matrix], n))
     dtype = value_dtype(n, constants)
     steps = []
@@ -665,16 +673,17 @@ class LabelSet(Set):
 def quotient_graph(ra: RegisterAutomaton) -> QuotientGraph:
     """Build the abstract transition system, once, for shared use.
 
-    Raises ``ValueError`` before any kernel is built when there are more
-    than ``MAX_NODES`` nodes.
+    Raises ``ValueError`` before the universe table or any kernel is built
+    when there are more than ``MAX_CLASSES`` classes or ``MAX_NODES``
+    nodes.
     """
-    table = universe_table(ra.num_registers, ra.constants)
-    nodes = len(ra.locations) * len(table.key)
-    if nodes > MAX_NODES:
+    classes = checked_universe_size(ra.num_registers, ra.constants)
+    if len(ra.locations) * classes > MAX_NODES:
         raise ValueError(
-            f"{len(ra.locations)} locations x {len(table.key)} classes exceed "
+            f"{len(ra.locations)} locations x {classes} classes exceed "
             f"the {MAX_NODES} node limit"
         )
+    table = universe_table(ra.num_registers, ra.constants)
     loc = ra.locations.index
     return QuotientGraph(
         ra,
@@ -685,8 +694,9 @@ def quotient_graph(ra: RegisterAutomaton) -> QuotientGraph:
 
 def reach(ra: RegisterAutomaton, target: RepConfig) -> bool:
     """Whether ``target`` is reachable from any initial-location class."""
-    [u] = _classes_of(ra, universe_table(ra.num_registers, ra.constants), [target])
+    _check_node(ra, target)
     graph = quotient_graph(ra)
+    [u] = _classes_of(ra, graph.table, [target])
     return bool(graph._reachable_masks()[ra.locations.index(target.location), u])
 
 

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
-from gens import byzantine, chain, figure_one, havoc, shift_machine, wide
+from gens import byzantine, chain, figure_one, havoc, load, shift_machine, wide
 from regmc import dsl
 from regmc.cli import main
 from regmc.core import Configuration, check_run
@@ -18,6 +22,8 @@ from regmc.reach import post
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FIG = str(FIXTURES / "figure1.ra")
 BYZ = str(FIXTURES / "byzantine.ra")
+SRC = str(FIXTURES.parent / "src")
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -258,6 +264,32 @@ def test_simulate_is_reproducible(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "machine, pool_size",
+    [
+        ("havoc8", []),  # 9^8 havoc tuples per step
+        ("load8", []),  # 19^8 argument tuples per step
+        ("figure1", ["--pool-size", "100000"]),
+    ],
+    ids=["havoc8", "load8", "figure1-pool-100000"],
+)
+def test_simulate_is_bounded(tmp_path, machine, pool_size):
+    """Each step is sampled, never enumerated: a fresh process prints every
+    step of a valid run well inside the budget."""
+    ra = {"havoc8": havoc(8), "load8": load(8), "figure1": figure_one()}[machine]
+    path = tmp_path / f"{machine}.ra"
+    path.write_text(dsl.serialize(ra))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "regmc.cli", "simulate", str(path), "--steps", "3", *pool_size],
+        capture_output=True, text=True, timeout=10, env=SUBPROCESS_ENV,
+    )
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 0, done.stderr
+    configs, symbols, _ = parse_trace(done.stdout)
+    assert len(symbols) == 3 and check_run(ra, symbols, configs)
+
+
 def test_simulate_pool_size(capsys):
     rc, out = run(capsys, "simulate", FIG, "--steps", "2", "--seed", "1", "--pool-size", "9")
     assert rc == 0
@@ -287,7 +319,8 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     def broken(ra):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("regmc.cli.quotient_graph", broken)
+    # the subcommand imports the engine when it runs, so patch it at home
+    monkeypatch.setattr(importlib.import_module("regmc.reach"), "quotient_graph", broken)
     assert main(["check", FIG, "EF @l1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -19,9 +19,11 @@ from regmc.core import (
     Transition,
     apply_assignment,
     check_run,
+    concrete_steps,
     concrete_successors,
     eval_guard,
     eval_term,
+    sample_step,
     sufficient_pool,
 )
 
@@ -181,3 +183,36 @@ def test_steps_commute_with_constant_fixing_bijections(fig):
         lhs = {apply_bijection(mapping, c) for c in concrete_successors(fig, config, pool)}
         rhs = concrete_successors(fig, apply_bijection(mapping, config), pool)
         assert lhs == rhs
+
+
+def test_sampled_steps_are_concrete_steps():
+    """Each sampled step is one ``concrete_steps`` yields, and the sampler
+    answers None exactly where it yields none: over the sufficient pool, and
+    over pools too small to keep every parameter fresh, from valuations that
+    hold values outside the pool."""
+    rng = random.Random(12)
+    sampled = deadlocked = 0
+    for _ in range(300):
+        ra = gens.random_automaton(rng, max_constants=2, max_transitions=6)
+        for pool in (sufficient_pool(ra), (0, 1, 2), (1,), ()):
+            for loc in ra.locations:
+                config = Configuration(loc, tuple(rng.randrange(6) for _ in ra.registers))
+                steps = set(concrete_steps(ra, config, pool))
+                for seed in range(2):
+                    step = sample_step(ra, config, pool, random.Random(seed))
+                    if step is None:
+                        assert not steps, (ra, config, pool)
+                        deadlocked += 1
+                    else:
+                        assert step in steps, (ra, config, pool, step)
+                        sampled += 1
+    assert sampled > 1000 and deadlocked > 1000  # both answers are exercised
+    # over the pool {0, 1} with x1 = 0, p1 = 1 admits no p2: the sampler
+    # must back out of that choice
+    p1, p2 = ParameterTerm(1), ParameterTerm(2)
+    guard = (Atom(p1, p2, False), Atom(p2, RegisterTerm(0), False))
+    t = Transition("q", "a", guard, Assignment(((0, p2),)), "q")
+    ra = RegisterAutomaton((), ("x1",), (Action("a", 2),), ("q",), "q", (t,))
+    for seed in range(10):
+        step = sample_step(ra, Configuration("q", (0,)), (0, 1), random.Random(seed))
+        assert step == ("a", (0, 1), Configuration("q", (1,)))

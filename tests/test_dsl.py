@@ -14,7 +14,7 @@ from regmc import ctl, dsl
 from regmc.core import Action, RegisterAutomaton
 from regmc.ctl import EG, EU, EX, And, AtLocation, Not, RegEq, RegEqConst
 from regmc.dsl import ParseError
-from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, universe, universe_table
+from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, classes_lines, universe, universe_table
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -361,7 +361,7 @@ def test_bare_class_lists_round_trip():
 def test_listing_writer_matches_classes_text(constants):
     for n in range(1, 7):
         names = tuple(f"x{i + 1}" for i in range(n))
-        lines = list(dsl.classes_lines(universe_table(n, constants).values, names))
+        lines = list(classes_lines(universe_table(n, constants).values, names))
         assert lines == [dsl.classes_text(m, names) for m in universe(n, constants)]
 
 

@@ -3,35 +3,45 @@
 ``matrices`` is the class layout and knows nothing of constraints, and the
 literal reference scans stay independent of the engine they judge: only the
 command-line front end may import ``reference``, and only ``reference``
-reasons with constraints (``eqlogic``).
+reasons with constraints (``eqlogic``).  ``regmc simulate`` runs on the
+numpy-free modules alone, which fresh processes confirm with
+``-X importtime``.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "regmc"
 
 
-def regmc_imports(path: pathlib.Path) -> set[str]:
-    """The ``regmc`` submodules a module imports, by short name."""
+def imported_modules(path: pathlib.Path, module_level: bool = False) -> set[str]:
+    """Every module a file imports, by full name, anywhere in it or, with
+    ``module_level``, in its top-level statements only."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     out: set[str] = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in tree.body if module_level else ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
+            out.update(a.name for a in node.names)
         elif isinstance(node, ast.ImportFrom):
             # a relative import inside the package is an import of ``regmc``
-            module = "regmc" if node.level else ""
-            module = ".".join(filter(None, (module, node.module)))
-            names = [module, *(f"{module}.{a.name}" for a in node.names)]
-        else:
-            continue
-        for name in names:
-            parts = name.split(".")
-            if parts[0] == "regmc" and len(parts) > 1:
-                out.add(parts[1])
+            module = ".".join(filter(None, ("regmc" if node.level else "", node.module)))
+            out.update([module, *(f"{module}.{a.name}" for a in node.names)])
     return out
+
+
+def regmc_imports(path: pathlib.Path, module_level: bool = False) -> set[str]:
+    """The ``regmc`` submodules a module imports, by short name."""
+    names = imported_modules(path, module_level)
+    return {n.split(".")[1] for n in names if n.startswith("regmc.")}
+
+
+def imports_numpy(path: pathlib.Path, module_level: bool = False) -> bool:
+    return any(n.split(".")[0] == "numpy" for n in imported_modules(path, module_level))
 
 
 def test_regmc_imports_reads_every_form(tmp_path):
@@ -52,3 +62,44 @@ def test_only_the_cli_imports_reference():
 def test_only_the_reference_imports_eqlogic():
     importers = {p.stem for p in SRC.glob("*.py") if "eqlogic" in regmc_imports(p)}
     assert importers == {"reference"}
+
+
+# What ``regmc simulate`` runs: the concrete semantics and its sampler, the
+# class names and the text formats.  The package and the command-line front
+# end load them, and nothing else, before a subcommand runs.
+SIMULATE_PATH = ("core", "classes", "formulas", "dsl")
+ENGINE = {"matrices", "reach", "ctl"}
+
+
+def test_the_simulate_path_needs_no_numpy():
+    for stem in SIMULATE_PATH:
+        assert not imports_numpy(SRC / f"{stem}.py"), stem
+        assert not regmc_imports(SRC / f"{stem}.py") & ENGINE, stem
+    for stem in ("__init__", "cli"):
+        assert not imports_numpy(SRC / f"{stem}.py", module_level=True), stem
+        loaded = regmc_imports(SRC / f"{stem}.py", module_level=True)
+        assert not loaded & (ENGINE | {"reference", "eqlogic"}), stem
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    """The modules a fresh ``regmc`` process imports, read from ``-X importtime``."""
+    root = SRC.parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "regmc.cli", *argv],
+        capture_output=True, text=True, cwd=root, env=env, timeout=60, check=True,
+    )
+    lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+def test_simulate_loads_no_numpy():
+    loaded = loaded_modules("simulate", "fixtures/figure1.ra", "--steps", "2")
+    assert "regmc.dsl" in loaded  # the machine file is parsed
+    assert not {m for m in loaded if m.split(".")[0] == "numpy"}
+    assert not {f"regmc.{m}" for m in ENGINE | {"reference", "eqlogic"}} & loaded
+
+
+def test_only_the_oracle_loads_the_reference_scans():
+    assert not {"regmc.reference", "regmc.eqlogic"} & loaded_modules("post", "fixtures/figure1.ra", "l0 | {x1 x2}")
+    assert "regmc.reference" in loaded_modules("--oracle", "post", "fixtures/figure1.ra", "l0 | {x1 x2}")

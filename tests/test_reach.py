@@ -576,11 +576,23 @@ def test_label_set_iteration_builds_only_what_it_yields():
 
 
 def test_quotient_graph_refuses_past_the_node_limit():
-    # 300 locations x 678570 classes: refused before any kernel is built
+    # 300 locations x 678570 classes: refused before the table (tens of MB)
+    # or any kernel is built, by ``reach`` as well
+    ra = chain(10, 300)
+    target = RepConfig("q299", matrix_of_valuation(range(1, 11), ra.constants))
+    universe_table.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reach_module, "_build_kernel", None)
-        with pytest.raises(ValueError, match="node limit"):
-            quotient_graph(chain(10, 300))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="node limit"):
+                quotient_graph(ra)
+            with pytest.raises(ValueError, match="node limit"):
+                reach(ra, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20, peak
     # byzantine, wide-post and wide10 stay admitted
     for ra in (byzantine(), wide(9), wide(10)):
         assert len(ra.locations) * universe_size(ra.num_registers, len(ra.constants)) <= MAX_NODES
