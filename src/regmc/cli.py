@@ -27,7 +27,7 @@ from collections.abc import Iterable, Sequence
 
 from regmc import dsl
 from regmc.classes import RepConfig, matrix_of_valuation
-from regmc.core import Configuration, RegisterAutomaton, sample_step, sufficient_pool
+from regmc.core import Configuration, RegisterAutomaton, ValuePool, sample_step, sufficient_pool
 
 # Each subcommand imports the engine it runs when it runs: ``simulate``
 # needs no quotient and never loads numpy, and only ``--oracle`` loads the
@@ -128,17 +128,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.steps < 0:
         raise ValueError("steps must be nonnegative")
     pool = sufficient_pool(ra)
+    extra = 0
     if args.pool_size is not None:
-        fresh = [d for d in pool if d not in ra.constants]
-        if args.pool_size < len(fresh):
-            raise ValueError(f"pool size must be at least {len(fresh)}")
-        top = max(pool) if pool else 0
-        extra = []
-        while len(fresh) + len(extra) < args.pool_size:
-            top += 1
-            if top not in ra.constants:
-                extra.append(top)
-        pool = tuple(sorted(set(pool) | set(extra)))
+        # the fresh values above the sufficient pool's are never constants
+        fresh = len(pool) - len(ra.constants)
+        if args.pool_size < fresh:
+            raise ValueError(f"pool size must be at least {fresh}")
+        extra = args.pool_size - fresh
+    pool = ValuePool(pool, extra)
     rng = random.Random(args.seed)
 
     def show(config: Configuration) -> None:

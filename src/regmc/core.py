@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Iterable, Iterator, Sequence, Set
+from collections.abc import Container, Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass
 
 
@@ -226,7 +226,7 @@ def concrete_successors(
 
 
 def _extends(
-    guard: Sequence[Atom], valuation: Sequence[int], args: Sequence[int], pool: Set[int]
+    guard: Sequence[Atom], valuation: Sequence[int], args: Sequence[int], pool: Container[int]
 ) -> bool:
     """Whether the guard's equalities, closed over its terms, leave it
     satisfiable with the first ``len(args)`` parameters set to ``args``.
@@ -265,18 +265,64 @@ def _extends(
     return all(not isinstance(r, int) or r in pool for r in roots)
 
 
-def _fresh_value(pool: Sequence[int], taken: Set[int], rng: random.Random) -> int | None:
-    """A pool value outside ``taken``, uniformly, or None when there is none."""
-    rest = [v for v in pool if v not in taken]
-    return rng.choice(rest) if rest else None
+class ValuePool(Sequence[int]):
+    """The distinct values ``base``, in order, then the ``extra`` naturals
+    just above the largest of them (or from 0 when ``base`` is empty).
+
+    A pool widened by many fresh values (``regmc simulate --pool-size``) is
+    described, not listed: length, item access, membership and ``index``
+    are arithmetic over the range part, so a step costs the same at any
+    width.
+    """
+
+    def __init__(self, base: Iterable[int], extra: int = 0):
+        self.base = tuple(base)
+        self._where = {v: i for i, v in enumerate(self.base)}
+        start = max(self.base) + 1 if self.base else 0
+        self.extra = range(start, start + extra)
+
+    def __len__(self) -> int:
+        return len(self.base) + len(self.extra)
+
+    def __getitem__(self, i: int) -> int:  # type: ignore[override]
+        if not -len(self) <= i < len(self):
+            raise IndexError("pool index out of range")
+        i %= len(self)
+        return self.base[i] if i < len(self.base) else self.extra[i - len(self.base)]
+
+    def __iter__(self) -> Iterator[int]:
+        return itertools.chain(self.base, self.extra)
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._where or value in self.extra
+
+    def index(self, value: int) -> int:  # type: ignore[override]
+        """The position of ``value``; ``ValueError`` outside the pool."""
+        if value in self._where:
+            return self._where[value]
+        return len(self.base) + self.extra.index(value)
+
+
+def _fresh_value(pool: ValuePool, taken: Set[int], rng: random.Random) -> int | None:
+    """A pool value outside ``taken``, uniformly, or None when there is
+    none: a uniform index among the rest, stepped past the taken values'
+    positions."""
+    skip = sorted(pool.index(v) for v in taken if v in pool)
+    if len(skip) == len(pool):
+        return None
+    k = rng.randrange(len(pool) - len(skip))
+    for at in skip:
+        if at > k:
+            break
+        k += 1
+    return pool[k]
 
 
 def _sample_args(
     ra: RegisterAutomaton,
     t: Transition,
     valuation: Sequence[int],
-    pool: Sequence[int],
-    in_pool: Set[int],
+    pool: ValuePool,
     rng: random.Random,
 ) -> tuple[int, ...] | None:
     """Arguments from ``pool`` that satisfy ``t``'s guard, drawn one
@@ -289,8 +335,8 @@ def _sample_args(
     tried in random order and kept when ``_extends`` passes, backtracking
     over the candidates only.
     """
-    known = {v for v in (*valuation, *ra.constants) if v in in_pool}
-    if not _extends(t.guard, valuation, (), in_pool):
+    known = {v for v in (*valuation, *ra.constants) if v in pool}
+    if not _extends(t.guard, valuation, (), pool):
         return None
 
     def candidates(args: list[int]) -> list[int]:
@@ -313,7 +359,7 @@ def _sample_args(
             args.pop()
         else:
             value = options[-1].pop()
-            if _extends(t.guard, valuation, [*args, value], in_pool):
+            if _extends(t.guard, valuation, [*args, value], pool):
                 args.append(value)
                 if len(args) < arity:
                     options.append(candidates(args))
@@ -331,9 +377,12 @@ def sample_step(
     that still let the guard hold; each released register takes a uniform
     pool value.  No tuple of the pool is ever enumerated: with a pool at
     least ``sufficient_pool``'s size a parameter never backtracks, and the
-    work is polynomial in the registers, the arity and the pool size.
+    work is polynomial in the registers and the arity.  ``pool`` holds
+    distinct values; a ``ValuePool`` is never copied, so the work does not
+    grow with its width.
     """
-    in_pool = frozenset(pool)
+    if not isinstance(pool, ValuePool):
+        pool = ValuePool(pool)
     outgoing = [t for t in ra.transitions if t.source == config.location]
     rng.shuffle(outgoing)
     for t in outgoing:
@@ -341,7 +390,7 @@ def sample_step(
         released = [i for i in range(ra.num_registers) if i not in targets]
         if released and not pool:
             continue
-        args = _sample_args(ra, t, config.valuation, pool, in_pool, rng)
+        args = _sample_args(ra, t, config.valuation, pool, rng)
         if args is None:
             continue
         valuation = list(config.valuation)

@@ -26,10 +26,12 @@ constraint engine or the automaton model.
 from __future__ import annotations
 
 import collections
+import contextlib
+import gc
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +58,7 @@ from regmc.classes import (  # noqa: F401
 
 _CHUNK = 8192  # classes built or keyed at once
 _FIRST_CHUNK = 64  # ``doubling_chunks`` starts here and doubles up to ``_CHUNK``
+_GATHER = 1 << 16  # classes whose columns ``universe_table`` gathers at once
 
 
 def value_dtype(n_registers: int, constants: Sequence[int]) -> np.dtype:
@@ -81,23 +84,125 @@ def marker_rows(entries: np.ndarray) -> np.ndarray:
     return np.where(diag == ONE, -1 - (entries != ZERO).argmax(axis=2), diag)
 
 
+def distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of ``x``, ascending.  (``np.unique`` does the same
+    but imports ``numpy.ma`` on first use, which every process would pay.)"""
+    x = np.sort(x)
+    return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
+
+
 def diagonal_entries(values: np.ndarray) -> np.ndarray:
     """The matrix diagonal of marker valuations (``UniverseTable.values``):
     a value that is a constant, else ``ONE`` for a block marker."""
     return np.where(values >= 0, values, ONE).astype(np.int64)
 
 
-def _row_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each register's matrix row in the classes ``values`` as one code: the
-    bitmask of the registers sharing its value, times the label count, plus
-    its label's index in ``labels``, the distinct diagonal entries
-    (``diagonal_entries``) in ascending order.  Returns the (classes, n, n)
-    equality of the value columns, the (classes, n) codes and ``labels``."""
-    n = values.shape[1]
-    same = values[:, :, None] == values[:, None, :]
-    labels, lab = np.unique(diagonal_entries(values), return_inverse=True)
-    codes = (same * (1 << np.arange(n))).sum(axis=2) * len(labels) + lab.reshape(values.shape)
-    return same, codes, labels
+@lru_cache(maxsize=None)
+def _bits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bits of an ``n``-register mask, as int64 and as float64 (exact,
+    and the dtype whose dot product is fast)."""
+    bits = 1 << np.arange(n, dtype=np.int64)
+    return bits, bits.astype(np.float64)
+
+
+class _RowCodes:
+    """Each register's matrix row in marker valuations as one int64 code.
+
+    A row is fixed by the registers sharing the register's value and by its
+    label, the diagonal entry: the code is the label's code shifted past
+    ``n`` bits, or'ed with the members' bitmask.  A label's code is 0 for
+    ``ONE`` and otherwise the constant plus one, or, when some constant of
+    ``values`` is too large to sit above the mask, its position in
+    ``labels``: ``ONE``, then those constants in ascending order.  Up to 31
+    registers.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.n = n = values.shape[1]
+        if n > 31:
+            raise ValueError(f"rows over {n} registers are not coded")
+        self.labels = None
+        if len(values) and values.max() >= 2 ** (62 - n):
+            self.labels = np.concatenate(([ONE], distinct(values[values >= 0])))
+        self._bits, self._fbits = _bits(n)
+
+    def of(self, cols: np.ndarray) -> np.ndarray:
+        """The (n, rows) codes of value columns ``cols``.  The columns are
+        compared with all columns a group at a time, sized so that no
+        temporary holds more than n × ``_CHUNK`` entries."""
+        n, rows = cols.shape
+        masks = np.empty(cols.shape)
+        step = max(1, _CHUNK // rows)  # registers compared at once: n * _CHUNK entries at most
+        for lo in range(0, n, step):
+            masks[lo : lo + step] = self._fbits @ (cols[lo : lo + step, None] == cols)
+        lab = cols.astype(np.int64) + 1 if self.labels is None else self.labels.searchsorted(cols)
+        codes = np.where(cols >= 0, lab, 0) << self.n
+        codes |= masks.astype(np.int64)
+        return codes
+
+    def decode(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (codes, n) members and the labels of ``codes``."""
+        lab = codes >> self.n
+        labels = np.where(lab > 0, lab - 1, ONE) if self.labels is None else self.labels[lab]
+        return (codes[:, None] & self._bits) != 0, labels
+
+
+_SENTINEL = np.iinfo(np.int64).max  # above every row code
+
+
+class _Interned:
+    """What ``make`` gives for each row code of one call, made once per code.
+
+    ``keys`` holds the codes seen so far in ascending order, then a
+    sentinel; ``objects`` and ``terms`` hold the object and the uint64 term
+    ``make`` gave for each.  A chunk's codes are found by one sorted search,
+    and only the codes not seen before are deduplicated and made.
+    """
+
+    def __init__(self, make: Callable[[np.ndarray], tuple[Iterable[object], np.ndarray]]):
+        self.make = make
+        self.keys = np.array([_SENTINEL])
+        self.objects = np.array([None])
+        self.terms = np.zeros(1, dtype=np.uint64)
+
+    def positions(self, codes: np.ndarray) -> np.ndarray:
+        """Where each of ``codes`` is in ``keys``, making the new ones."""
+        pos = self.keys.searchsorted(codes)
+        new = codes[self.keys[pos] != codes]
+        if not len(new):
+            return pos
+        new = distinct(new)
+        objects, terms = self.make(new)
+        keys = np.concatenate((self.keys, new))
+        order = keys.argsort()
+        self.keys = keys[order]
+        made = np.fromiter(objects, dtype=object, count=len(new))
+        self.objects = np.concatenate((self.objects, made))[order]
+        self.terms = np.concatenate((self.terms, terms))[order]
+        return self.keys.searchsorted(codes)
+
+
+@lru_cache(maxsize=None)
+def _hash_weights(n: int) -> tuple[np.uint64, np.ndarray]:
+    """``_matrix_hash`` unrolled over ``n`` rows: ``h = n``, then ``h *
+    _HASH_MUL + term`` for each row in turn, is the first return plus the
+    row terms weighted by the (n, 1) second, mod 2^64."""
+    powers = [pow(_HASH_MUL, k, 2**64) for k in range(n, -1, -1)]
+    return np.uint64(n * powers[0] % 2**64), np.array(powers[1:], dtype=np.uint64)[:, None]
+
+
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """The cyclic garbage collector off for a bulk build of objects that
+    hold no cycles; collections between them would only re-scan a growing
+    heap (each full one scans every tracked object) and free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _set_rows = RepMatrix.rows.__set__  # type: ignore[attr-defined]
@@ -105,29 +210,40 @@ _set_hash = RepMatrix._hash.__set__  # type: ignore[attr-defined]
 
 
 def build_matrices(values: np.ndarray) -> list[RepMatrix]:
-    """The matrices of table rows ``values``, built unchecked: equal rows
-    share one tuple, and the hashes are one numpy fold (``_matrix_hash``)."""
+    """The matrices of marker valuations ``values`` (``UniverseTable.values``,
+    ``marker_rows``), built unchecked ``_CHUNK`` rows at a time.
+
+    Each register's row is read from its code (``_RowCodes``), computed
+    from compares of value columns, so no temporary holds more than
+    n × ``_CHUNK`` entries.  Equal rows are one tuple for the whole call
+    (``_Interned``), and a class's tuple of rows is zipped from
+    per-register columns of them.  The hash (``_matrix_hash``) sums each
+    row's term, its first member plus ``n + 1`` times its label plus 3,
+    weighted by powers of ``_HASH_MUL`` in uint64.
+    """
     n = values.shape[1]
-    if not len(values):
-        return []
-    same, codes, labels = _row_codes(values)
-    rows, ids = np.unique(codes, return_inverse=True)
-    width = len(labels)
-    shared = np.fromiter(
-        (tuple(int(labels[r % width]) if r // width >> j & 1 else ZERO for j in range(n)) for r in rows.tolist()),
-        dtype=object,
-        count=len(rows),
-    )
-    # the fold unrolled: n and the row codes, weighted by powers of _HASH_MUL
-    label = labels[codes % width]
-    folded = np.column_stack((np.full(len(values), n), same.argmax(axis=2) + (n + 1) * (label + 3)))
-    weights = np.array([pow(_HASH_MUL, k, 2**64) for k in range(n, -1, -1)], dtype=np.uint64)
-    h = (folded.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
-    # the slots are set through their descriptors, past the frozen __setattr__
-    out = list(map(object.__new__, itertools.repeat(RepMatrix, len(values))))
-    matrix_rows = map(tuple, shared[ids.reshape(-1, n)].tolist())
-    collections.deque(map(_set_rows, out, matrix_rows), maxlen=0)
-    collections.deque(map(_set_hash, out, h.view(np.int64).tolist()), maxlen=0)
+    codes = _RowCodes(values)
+
+    def make(new: np.ndarray) -> tuple[Iterable[tuple[int, ...]], np.ndarray]:
+        members, labels = codes.decode(new)
+        rows = np.where(members, labels[:, None], ZERO).tolist()
+        terms = members.argmax(axis=1).astype(np.uint64)
+        terms += np.uint64(n + 1) * (labels.astype(np.uint64) + np.uint64(3))  # wraps as mod 2^64
+        return map(tuple, rows), terms
+
+    rows = _Interned(make)
+    start, weights = _hash_weights(n)
+    out: list[RepMatrix] = []
+    with _collector_paused():
+        for lo in range(0, len(values), _CHUNK):
+            cols = np.ascontiguousarray(values[lo : lo + _CHUNK].T)
+            pos = rows.positions(codes.of(cols))
+            h = (rows.terms[pos] * weights).sum(axis=0, dtype=np.uint64) + start
+            # the slots are set through their descriptors, past the frozen __setattr__
+            chunk = list(map(object.__new__, itertools.repeat(RepMatrix, cols.shape[1])))
+            collections.deque(map(_set_rows, chunk, zip(*rows.objects[pos].tolist())), maxlen=0)
+            collections.deque(map(_set_hash, chunk, h.view(np.int64).tolist()), maxlen=0)
+            out += chunk
     return out
 
 
@@ -150,23 +266,30 @@ def iter_matrices(values: np.ndarray, ks: np.ndarray | None = None) -> Iterator[
 def classes_lines(values: np.ndarray, registers: tuple[str, ...]) -> Iterator[str]:
     """``dsl.classes_text`` of each row of ``values`` (``UniverseTable.values``), in order.
 
-    Each block is one piece, coded by its members and diagonal entry
-    (``_row_codes``) and kept at its first register; numpy codes a chunk of
-    rows at once, each distinct piece is written once, and a line joins its
-    row's pieces.
+    Each block is one piece, coded by its members and label (``_RowCodes``)
+    and kept at its first register; the other registers get the empty piece
+    (code 0).  Each distinct piece is written once per call (``_Interned``),
+    and a line joins its row's pieces, ``_CHUNK`` rows at a time.
     """
     n = values.shape[1]
-    for chunk in np.split(values, range(_CHUNK, len(values), _CHUNK)):
-        same, pieces, labels = _row_codes(chunk)
-        pieces = np.where(same.argmax(axis=2) == np.arange(n), pieces, 0)  # 0: no members
-        distinct, ids = np.unique(pieces, return_inverse=True)
-        members, label = np.divmod(distinct, len(labels))
+    codes = _RowCodes(values)
+
+    def make(new: np.ndarray) -> tuple[Iterable[str], np.ndarray]:
+        members, labels = codes.decode(new)
         texts = [
-            f" {block_text([j for j in range(n) if m >> j & 1], d, registers)}" if m else ""
-            for m, d in zip(members.tolist(), labels[label].tolist())
+            " " + block_text(np.flatnonzero(m).tolist(), label, registers) if code else ""
+            for code, m, label in zip(new.tolist(), members, labels.tolist())
         ]
-        for row in ids.reshape(chunk.shape).tolist():
-            yield "".join([texts[p] for p in row])[1:]
+        return texts, np.zeros(len(texts), dtype=np.uint64)
+
+    pieces = _Interned(make)
+    bits = _bits(n)[0][:, None]
+    for lo in range(0, len(values), _CHUNK):
+        c = codes.of(np.ascontiguousarray(values[lo : lo + _CHUNK].T))
+        c[(c & -c) != bits] = 0  # the lowest mask bit is the block's first member
+        pos = pieces.positions(c)
+        for line in map("".join, zip(*pieces.objects[pos].tolist())):
+            yield line[1:]
 
 
 class UniverseTable(NamedTuple):
@@ -270,9 +393,10 @@ def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTabl
     appended (Knuth, TAOCP 4A §7.2.1.5), each expanded by the injective
     partial pinnings of its blocks (code 0 for none, then the constants as
     declared, in lexicographic order).  The value and key columns are
-    gathered one register at a time, so no (classes × registers) index is
-    ever held.  Raises ``ValueError`` before any work for a negative,
-    repeated or too large constant, or past ``MAX_CLASSES``.
+    gathered ``_GATHER`` classes and one register at a time, so no index or
+    temporary is longer than such a chunk.  Raises ``ValueError`` before
+    any work for a negative, repeated or too large constant, or past
+    ``MAX_CLASSES``.
     """
     checked_universe_size(n_registers, constants)
     m = len(constants)
@@ -295,23 +419,30 @@ def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTabl
     padded = np.concatenate([np.pad(p, ((0, 0), (0, n_registers - p.shape[1]))) for p in pins[1:]])
     del pins, grown, unused
     dtype = value_dtype(n_registers, constants)
-    pinned = np.array([0, *constants], dtype=dtype)[padded]
-    marks = np.where(padded == 0, -1 - np.arange(n_registers, dtype=dtype), pinned)
-    starts = np.cumsum(sizes) - sizes
+    marks = np.array([0, *constants], dtype=dtype)[padded]
+    np.copyto(marks, -1 - np.arange(n_registers, dtype=dtype), where=padded == 0)
+    # growth string g owns classes ends[g] - count[g] .. ends[g] - 1, and
+    # class k of them takes pinning row k + offset[g] of its block count
     count = sizes[top]
-    part = np.repeat(np.arange(len(rgs), dtype=np.int32), count)
-    at = (np.arange(len(part)) - (np.cumsum(count) - count - starts[top])[part]) * n_registers
-    values = np.empty((len(part), n_registers), dtype=dtype)
+    ends = np.cumsum(count)
+    offset = (np.cumsum(sizes) - sizes)[top] - (ends - count)
     by_growth, by_pin = _key_weights(n_registers, m)
-    key = (rgs @ by_growth)[part]
-    for i in range(n_registers):
-        cell = at + rgs[part, i]
-        values[:, i] = marks.ravel()[cell]
-        key += by_pin[i] * padded.ravel()[cell]
+    growth_key = rgs @ by_growth
+    values = np.empty((ends[-1], n_registers), dtype=dtype)
+    key = np.empty(ends[-1], dtype=np.int64)
+    for lo in range(0, len(key), _GATHER):
+        k = np.arange(lo, min(lo + _GATHER, len(key)))
+        g = ends.searchsorted(k, side="right")
+        at = (k + offset[g]) * n_registers  # the pinning row, flat
+        key[lo : lo + _GATHER] = growth_key[g]
+        for i in range(n_registers):
+            cell = at + rgs[g, i]
+            values[lo : lo + _GATHER, i] = marks.take(cell)
+            key[lo : lo + _GATHER] += by_pin[i] * padded.take(cell)
     return UniverseTable(values, key, constants)
 
 
 @lru_cache(maxsize=None)
 def universe(n_registers: int, constants: tuple[int, ...]) -> tuple[RepMatrix, ...]:
     """The matrices of ``universe_table``, in its listing order."""
-    return tuple(iter_matrices(universe_table(n_registers, constants).values))
+    return tuple(build_matrices(universe_table(n_registers, constants).values))

@@ -70,6 +70,7 @@ from regmc.matrices import (
     check_universe_args,
     checked_universe_size,
     class_keys,
+    distinct,
     doubling_chunks,
     extension_count,
     is_class,
@@ -415,13 +416,6 @@ def _sub_universe(width: int, constants: tuple[int, ...]) -> UniverseTable:
     return UniverseTable(np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.int64), constants)
 
 
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of ``x``, ascending.  (``np.unique`` does the same
-    but imports ``numpy.ma`` on first use, which every process would pay.)"""
-    x = np.sort(x)
-    return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
-
-
 def _build_kernel(ra: RegisterAutomaton, t: Transition, table: UniverseTable) -> _Kernel:
     """``t``'s relation over ``table``, by one join per chunk of read groups."""
     plan = _plan(t, ra.constants)
@@ -438,7 +432,7 @@ def _build_kernel(ra: RegisterAutomaton, t: Transition, table: UniverseTable) ->
         for lo in range(0, groups, step):
             origin, images = _join(ra, plan, read_table.values[lo : lo + step])
             found = np.searchsorted(target_keys, class_keys(images, ra.constants))
-            pairs.append(_distinct((lo + origin) * len(target_keys) + found))
+            pairs.append(distinct((lo + origin) * len(target_keys) + found))
     read, found = np.divmod(np.concatenate(pairs), len(target_keys))
     indptr = np.zeros(groups + 1, dtype=np.int64)
     np.cumsum(np.bincount(read, minlength=groups), out=indptr[1:])

@@ -290,6 +290,25 @@ def test_simulate_is_bounded(tmp_path, machine, pool_size):
     assert len(symbols) == 3 and check_run(ra, symbols, configs)
 
 
+def test_simulate_pool_width_costs_nothing(tmp_path):
+    """A pool of 10^9 fresh values is described, never listed: a fresh
+    process prints a valid three-step run in under a second."""
+    path = tmp_path / "figure1.ra"
+    path.write_text(dsl.serialize(figure_one()))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "regmc.cli", "simulate", str(path), "--steps", "3",
+         "--pool-size", str(10**9)],
+        capture_output=True, text=True, timeout=10, env=SUBPROCESS_ENV,
+    )
+    assert time.perf_counter() - start < 1
+    assert done.returncode == 0, done.stderr
+    configs, symbols, _ = parse_trace(done.stdout)
+    assert len(symbols) == 3 and check_run(figure_one(), symbols, configs)
+    # values past the sufficient pool's are drawn
+    assert max(max(c.valuation) for c in configs) > 10**6
+
+
 def test_simulate_pool_size(capsys):
     rc, out = run(capsys, "simulate", FIG, "--steps", "2", "--seed", "1", "--pool-size", "9")
     assert rc == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import json
 import math
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gens import NOT_A_FIGURE_ONE_CLASS
+from gens import NOT_A_FIGURE_ONE_CLASS, havoc
 from oracles import enumerate_universe, equivalent
 from regmc.core import Assignment, ConstantTerm, ParameterTerm, RegisterTerm
 from regmc.eqlogic import Atom, const, par, primed, reg
@@ -25,13 +26,17 @@ from regmc.matrices import (
     MAX_CLASSES,
     ONE,
     ZERO,
+    RepConfig,
     RepMatrix,
+    build_matrices,
     canonical_valuation,
     class_keys,
     extension_count,
     fresh_symbols,
     has_valid_structure,
     iter_matrices,
+    marker_rows,
+    matrix_entries,
     matrix_of_valuation,
     universe,
     universe_size,
@@ -311,7 +316,8 @@ def test_universe_order_is_frozen():
 def test_universe_table_memory_is_bounded_by_the_table():
     # 700 constants over two registers: 491402 classes, nearly all of them
     # injective pinnings, which as code tuples would outweigh the table
-    # several times over before any array is built
+    # several times over before any array is built; gathered a chunk of
+    # classes at a time, the build peaks near twice the table
     constants = tuple(range(700))
     tracemalloc.start()
     try:
@@ -321,7 +327,7 @@ def test_universe_table_memory_is_bounded_by_the_table():
         tracemalloc.stop()
     assert len(table.key) == universe_size(2, len(constants))
     assert (np.diff(table.key) > 0).all()  # ascending keys: lexicographic order
-    budget = 6 * (table.values.nbytes + table.key.nbytes)
+    budget = 3 * (table.values.nbytes + table.key.nbytes)
     assert peak < budget, (peak, budget)
 
 
@@ -378,6 +384,76 @@ def test_value_dtype_holds_the_constants(constants, dtype):
         matrices = universe(n, constants)
         assert table.positions(matrices).tolist() == list(range(len(matrices)))
         assert list(iter_matrices(table.values)) == list(matrices)
+
+
+def assert_built_as_checked(values: np.ndarray, constants: tuple[int, ...]) -> None:
+    """``build_matrices`` of marker valuations gives, row for row, the
+    matrices the checked constructor builds from the same valuations."""
+    built = build_matrices(values)
+    want = [matrix_of_valuation(row, constants) for row in values.tolist()]
+    assert [m.rows for m in built] == [m.rows for m in want]
+    assert built == want
+    assert [hash(m) for m in built] == [hash(m) for m in want]
+
+
+def test_build_matrices_reads_first_register_markers():
+    # ``marker_rows`` marks a block by -1 minus its first register, where the
+    # table numbers blocks in order of appearance
+    rng = random.Random(5)
+    for n, constants in [(1, ()), (1, (0,)), (4, ()), (5, (0, 7)), (7, (3,))]:
+        alphabet = [*constants, 1, 2, 4, 5, 6][: n + len(constants)]
+        valuations = [tuple(rng.choice(alphabet) for _ in range(n)) for _ in range(60)]
+        matrices = [matrix_of_valuation(v, constants) for v in valuations]
+        values = marker_rows(matrix_entries(matrices, n))
+        assert_built_as_checked(values, constants)
+        assert build_matrices(values) == matrices
+
+
+def test_build_matrices_on_post_rows(monkeypatch):
+    # ``post`` extends its images by one column per released register, over
+    # 12 registers: past the universe limit, so no table holds these rows
+    reach_module = importlib.import_module("regmc.reach")
+    ra = havoc(12, kept=9)
+    rows = []
+    real = reach_module.iter_matrices
+    monkeypatch.setattr(
+        reach_module, "iter_matrices", lambda values, ks=None: rows.append(values) or real(values, ks)
+    )
+    distinct = RepConfig("q", matrix_of_valuation(tuple(range(1, 13)), ra.constants))
+    successors = reach_module.post(ra, distinct)
+    assert sum(map(len, rows)) == len(successors) > 1
+    for values in rows:
+        assert values.shape[1] == 12
+        assert_built_as_checked(values, ra.constants)
+
+
+@pytest.mark.parametrize(
+    "constants", [(127,), (128,), (2**63 - 1,), (0, 127, 128), (5, 2**62, 2**63 - 1)]
+)
+def test_build_matrices_at_the_dtype_edges(constants):
+    rng = np.random.default_rng(len(constants))
+    for n in (1, 2, 3, 6):
+        table = universe_table(n, constants)
+        assert_built_as_checked(table.values, constants)
+        # rows in no listing order, with repeats, in one call
+        picked = table.values[rng.integers(0, len(table.values), size=200)]
+        assert_built_as_checked(picked, constants)
+
+
+def test_build_matrices_memory_is_bounded_by_its_columns():
+    # an 8192-row chunk of the 9-register table: a (rows, n, n) int64
+    # product alone is n times an (n, rows) int64 column set
+    values = universe_table(9, (0,)).values[:8192]
+    column_set = values.size * 8
+    build_matrices(values[:8])  # caches, outside the measurement
+    tracemalloc.start()
+    try:
+        built = build_matrices(values)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(built) == len(values)
+    assert peak - kept < 4 * column_set, (peak, kept, column_set)
 
 
 def test_lookup_refuses_non_classes():
