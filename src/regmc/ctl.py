@@ -7,10 +7,13 @@ core temporal operators.  Satisfaction sets are computed by the standard
 labeling recursion: atoms compare the value columns of the universe table
 (``matrices.universe_table``), EU is a least fixpoint of
 ``Z ↦ f₁ ∪ (f₀ ∩ EX Z)``, EG a greatest fixpoint of ``Z ↦ f ∩ EX Z``
-started at the full labeling of ``f``.  A class satisfies a formula exactly
-when every valuation in it does, so answers transfer verbatim to the
-infinite concrete system; the test suite checks this against an
-explicit-state checker over bounded concrete graphs.
+started at the full labeling of ``f``.  Both run as one worklist over
+location rows (``QuotientGraph._fixpoint``): a round re-runs a transition
+kernel only where its input row changed in the round before, so the work
+follows the rows that change rather than rounds × transitions.  A class
+satisfies a formula exactly when every valuation in it does, so answers
+transfer verbatim to the infinite concrete system; the test suite checks
+this against an explicit-state checker over bounded concrete graphs.
 
 A set of configurations is one (locations × classes) boolean array, rows
 in declaration order and columns in universe order, so NOT, AND and the
@@ -76,21 +79,11 @@ def _ap_masks(graph: QuotientGraph, atom: CtlFormula) -> np.ndarray:
 
 
 def _eu_masks(graph: QuotientGraph, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    out = m1
-    while True:
-        nxt = m1 | (m0 & graph._ex_masks(out))
-        if np.array_equal(nxt, out):
-            return out
-        out = nxt
+    return graph._fixpoint(m1.copy(), lambda r, ex: m1[r] | (m0[r] & ex))
 
 
 def _eg_masks(graph: QuotientGraph, s: np.ndarray) -> np.ndarray:
-    out = s
-    while True:
-        nxt = out & graph._ex_masks(out)
-        if np.array_equal(nxt, out):
-            return out
-        out = nxt
+    return graph._fixpoint(s.copy(), lambda r, ex: s[r] & ex)
 
 
 def _apply(graph: QuotientGraph, f: CtlFormula, args: list[np.ndarray]) -> np.ndarray:

@@ -314,32 +314,38 @@ class UniverseTable(NamedTuple):
 
         A matrix is read as its marker row (``marker_rows``); one sorted
         search finds that row's key, and the hit stands only if the matrix
-        equals the table row it names, entry for entry.
+        equals the table row it names, entry for entry.  The matrices are
+        read ``_CHUNK`` at a time, so no entry array grows with the batch.
         """
         n = self.values.shape[1]
         found = dict.fromkeys(matrices, -1)
         square = [m for m in found if m.n == n]
-        if square:
-            given = matrix_entries(square, n)
+        for lo in range(0, len(square), _CHUNK):
+            chunk = square[lo : lo + _CHUNK]
+            given = matrix_entries(chunk, n)
             keys = class_keys(marker_rows(given), self.constants)
             pos = np.minimum(np.searchsorted(self.key, keys), len(self.key) - 1)
             values = self.values[pos]
             label = diagonal_entries(values)[:, :, None]
             named = np.where(values[:, :, None] == values[:, None, :], label, ZERO)
             hit = (self.key[pos] == keys) & (named == given).all(axis=(1, 2))
-            found.update(zip(square, np.where(hit, pos, -1).tolist()))
+            found.update(zip(chunk, np.where(hit, pos, -1).tolist()))
         return np.array([found[m] for m in matrices], dtype=np.int64)
 
-    def projection_keys(self, registers: Sequence[int]) -> np.ndarray:
-        """Each class's sub-matrix over ``registers``, as its key in the
-        universe over that many registers (``class_keys``), computed a chunk
-        of classes at a time."""
-        return np.concatenate(
-            [
-                class_keys(self.values[lo : lo + _CHUNK, registers], self.constants)
-                for lo in range(0, len(self.key), _CHUNK)
-            ]
-        )
+    def groups(self, registers: tuple[int, ...]) -> np.ndarray:
+        """Each class's sub-matrix over ``registers`` as its position in the
+        universe over that many registers (the one class over none), as
+        int32, a chunk of classes at a time.  Over every register, in
+        order, each class is its own group."""
+        if registers == tuple(range(self.values.shape[1])):
+            return np.arange(len(self.key), dtype=np.int32)
+        out = np.zeros(len(self.key), dtype=np.int32)
+        if registers:
+            keys = universe_table(len(registers), self.constants).key
+            for lo in range(0, len(out), _CHUNK):
+                sub = class_keys(self.values[lo : lo + _CHUNK, registers], self.constants)
+                out[lo : lo + _CHUNK] = np.searchsorted(keys, sub)
+        return out
 
 
 def _key_weights(n_registers: int, num_constants: int) -> tuple[np.ndarray, np.ndarray]:

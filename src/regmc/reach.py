@@ -27,25 +27,28 @@ Both sides of the relation are positions in smaller universes: a class's
 assigned registers, a position in ``universe_table(q, C)``.  One
 projection code, the tables' own rank key (``matrices.class_keys``), finds
 both, for the rows of the full table and for the images alike.
-``quotient_graph`` runs the join over the whole k-register table, a chunk
-of read groups at a time, and stores each transition as CSR rows from read
-groups to target groups (``_Kernel``), and ``quotient_graph`` refuses a
-graph of more than ``MAX_NODES`` nodes.  ``post`` runs the join from its
-single class and generates the successors instead: each distinct image
-class is extended to all n registers by the same column growth, one
-released register at a time (``_extend``), so it needs no n-register
-table.  It counts the extensions first by a closed form
-(``matrices.extension_count``) and refuses more than ``MAX_CLASSES``.  A
+``quotient_graph`` runs the join once per distinct step (guard and
+assignment) over the whole k-register table, a chunk of read groups at a
+time, and stores it as CSR rows from read groups to target groups
+(``_Kernel``); kernels over one register set share one grouping of the
+classes.  ``quotient_graph`` refuses a graph of more than ``MAX_NODES``
+nodes.  ``post`` runs the join from its single class and generates the
+successors instead: each distinct image class is extended to all n
+registers by the same column growth, one released register at a time
+(``_extend``), so it needs no n-register table.  It counts the extensions
+first by a closed form (``matrices.extension_count``) and refuses more
+than ``MAX_CLASSES``.  A
 set of nodes is one (locations × classes) boolean array, so reachability
-and the branching-time operators run as a few numpy passes per transition
-(see Burch, Clarke & Long, "Symbolic model checking with partitioned
-transition relations", 1991).
+and the branching-time operators run as one worklist over its location
+rows (``QuotientGraph._fixpoint``; Clarke, Emerson & Sistla, TOPLAS 1986,
+over the partitioned relation of Burch, Clarke & Long, "Symbolic model
+checking with partitioned transition relations", 1991).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence, Set
+from collections.abc import Callable, Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -82,10 +85,9 @@ from regmc.matrices import (
     value_dtype,
 )
 
-# ``_build_kernel`` joins as many read groups at once as the worst-case
-# fan-out (``_Plan.fan_out``) lets in under half the table's class count, or
-# under this floor on small tables, so the join's rows stay within the
-# per-class arrays the kernel stores.
+# ``_build_kernel`` joins as many read groups at once as keep the join's
+# rows under half the table's class count, or under this floor on small
+# tables, so they stay within the per-class arrays the kernel stores.
 _JOIN_ROWS = 1 << 13
 
 # The most (location, class) nodes ``quotient_graph`` admits: one node set
@@ -196,26 +198,31 @@ def _with_constants(constants: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     return np.column_stack((fixed, rows))
 
 
-def _join(ra: RegisterAutomaton, plan: _Plan, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _join(
+    ra: RegisterAutomaton, plan: _Plan, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
     """The firing rows of a transition over the classes ``start``, and their
     images.
 
     ``start`` holds one valuation per class over ``plan.reads``.  Each
     stored parameter adds a column (``_grow``).  Returns, for every row that
     satisfies the guard, the index of the ``start`` row it extends and the
-    values of the assigned terms, in target order.
+    values of the assigned terms, in target order; and the most rows the
+    join held at once.
     """
     rows = _with_constants(ra.constants, start.astype(np.int64, copy=False))
     origin = np.arange(len(start))
+    peak = len(rows)
     for s, atoms in enumerate(plan.stages):
         if s:
             r, rows = _grow(rows)
             origin = origin[r]
+            peak = max(peak, len(rows))
         keep = np.ones(len(rows), dtype=bool)
         for a, b, equal in atoms:
             keep &= (rows[:, a] == rows[:, b]) == equal
         rows, origin = rows[keep], origin[keep]
-    return origin, rows[:, plan.image]
+    return origin, rows[:, plan.image], peak
 
 
 def _node_positions(
@@ -345,7 +352,7 @@ def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
         plan = _plan(t, constants)
         if plan is None:
             continue
-        _, images = _join(ra, plan, valuation[:, plan.reads])
+        _, images, _ = _join(ra, plan, valuation[:, plan.reads])
         if len(images):
             steps.append((t, _image_classes(images, dtype, constants)))
     count = sum(
@@ -373,17 +380,16 @@ class _Kernel:
     is a class's sub-matrix over the registers the transition reads
     (``_Plan.reads``), a target group its sub-matrix over the assigned
     registers, each named by its position in the universe over that many
-    registers (the one class over none when there are none).
+    registers (the one class over none when there are none).  ``key_of``
+    and ``tkey_of`` (``UniverseTable.groups``) are shared with every kernel
+    of the same graph over the same registers.
     """
 
     key_of: np.ndarray
     tkey_of: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    num_targets: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.num_targets = int(self.tkey_of.max()) + 1
+    num_targets: int
 
     def successor_indices(self, u: int) -> np.ndarray:
         g = self.key_of[u]
@@ -416,29 +422,40 @@ def _sub_universe(width: int, constants: tuple[int, ...]) -> UniverseTable:
     return UniverseTable(np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.int64), constants)
 
 
-def _build_kernel(ra: RegisterAutomaton, t: Transition, table: UniverseTable) -> _Kernel:
-    """``t``'s relation over ``table``, by one join per chunk of read groups."""
+def _build_kernel(
+    ra: RegisterAutomaton,
+    t: Transition,
+    table: UniverseTable,
+    groups: Callable[[tuple[int, ...]], np.ndarray] | None = None,
+) -> _Kernel:
+    """``t``'s relation over ``table``, by one join per chunk of read groups;
+    ``groups`` (``table.groups`` by default) gives the groupings.
+
+    The first chunk is sized by the worst-case fan-out (``_Plan.fan_out``)
+    and each next one by the rows the last one held, to half the budget and
+    at most twice as many groups, so rows far below the worst case take few
+    chunks.
+    """
     plan = _plan(t, ra.constants)
     reads = () if plan is None else plan.reads
-    targets = [i for i, _ in t.assignment.updates]
+    targets = tuple(i for i, _ in t.assignment.updates)
     read_table = _sub_universe(len(reads), ra.constants)
     target_keys = _sub_universe(len(targets), ra.constants).key
-    key_of = np.searchsorted(read_table.key, table.projection_keys(reads))
-    tkey_of = np.searchsorted(target_keys, table.projection_keys(targets))
-    groups = len(read_table.key)
+    num_groups = len(read_table.key)
     pairs = [np.zeros(0, dtype=np.int64)]
     if plan is not None:
-        step = max(1, max(len(table.key) // 2, _JOIN_ROWS) // plan.fan_out)
-        for lo in range(0, groups, step):
-            origin, images = _join(ra, plan, read_table.values[lo : lo + step])
+        budget = max(len(table.key) // 2, _JOIN_ROWS)
+        lo, step = 0, max(1, budget // plan.fan_out)
+        while lo < num_groups:
+            origin, images, peak = _join(ra, plan, read_table.values[lo : lo + step])
             found = np.searchsorted(target_keys, class_keys(images, ra.constants))
             pairs.append(distinct((lo + origin) * len(target_keys) + found))
+            lo, step = lo + step, max(1, min(2 * step, step * budget // (2 * peak)))
     read, found = np.divmod(np.concatenate(pairs), len(target_keys))
-    indptr = np.zeros(groups + 1, dtype=np.int64)
-    np.cumsum(np.bincount(read, minlength=groups), out=indptr[1:])
-    return _Kernel(
-        key_of.astype(np.int32), tkey_of.astype(np.int32), indptr, found.astype(np.int32)
-    )
+    indptr = np.zeros(num_groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(read, minlength=num_groups), out=indptr[1:])
+    groups = groups or table.groups
+    return _Kernel(groups(reads), groups(targets), indptr, found.astype(np.int32), len(target_keys))
 
 
 @dataclass
@@ -449,9 +466,10 @@ class QuotientGraph:
     one-step successor relation, held per transition as a factored
     relation between read groups and target groups (``_Kernel``), tagged
     with the positions of the transition's source and target locations.
-    A set of nodes is one (locations × classes) boolean array, rows in
-    declaration order and columns in universe order, so the whole-graph
-    fixpoints run as one vectorized pass per transition.
+    Transitions with one step (guard and assignment) share one kernel.  A
+    set of nodes is one (locations × classes) boolean array, rows in
+    declaration order and columns in universe order, so a fixpoint round
+    is one vectorized pass per kernel and location row (``_fixpoint``).
     """
 
     ra: RegisterAutomaton
@@ -529,18 +547,48 @@ class QuotientGraph:
             out[src] |= ker.pre(target[dst])
         return out
 
+    def _fixpoint(
+        self,
+        z: np.ndarray,
+        update: Callable[[int, np.ndarray], np.ndarray],
+        forward: bool = False,
+    ) -> np.ndarray:
+        """Replace each row ``r`` of ``z`` by ``update(r, x)`` until nothing
+        changes, where ``x`` is row ``r`` of EX ``z`` (``_ex_masks``), or
+        with ``forward`` of the successors of ``z``.
+
+        Each transition's kernel runs on its input row (its target row, or
+        its source row when ``forward``) and its last answer is kept: a
+        round re-runs only the kernels whose input row changed in the last
+        one, and updates only the rows they feed.
+        """
+        # (input row, output row, kernel) per transition
+        steps = [(s, d, k) if forward else (d, s, k) for s, d, k in self._steps]
+        last = [None] * len(steps)
+        dirty, touched = range(len(steps)), range(len(z))
+        while True:
+            for i in dirty:
+                inp, _, ker = steps[i]
+                last[i] = ker.image(z[inp]) if forward else ker.pre(z[inp])
+            changed = set()
+            for r in touched:
+                x = np.zeros(z.shape[1], dtype=bool)
+                for i, (_, out, _) in enumerate(steps):
+                    if out == r:
+                        x |= last[i]
+                new = update(r, x)
+                if not np.array_equal(new, z[r]):
+                    z[r] = new
+                    changed.add(r)
+            if not changed:
+                return z
+            dirty = [i for i, (inp, _, _) in enumerate(steps) if inp in changed]
+            touched = {steps[i][1] for i in dirty}
+
     def _reachable_masks(self) -> np.ndarray:
-        reached = self._empty_masks()
-        reached[self._location_index(self.ra.initial)] = True
-        changed = True
-        while changed:
-            changed = False
-            for src, dst, ker in self._steps:
-                add = ker.image(reached[src]) & ~reached[dst]
-                if add.any():
-                    reached[dst] |= add
-                    changed = True
-        return reached
+        start = self._empty_masks()
+        start[self._location_index(self.ra.initial)] = True
+        return self._fixpoint(start.copy(), lambda r, x: start[r] | x, forward=True)
 
 
 def _layout(graph: QuotientGraph) -> tuple[object, ...]:
@@ -678,12 +726,16 @@ def quotient_graph(ra: RegisterAutomaton) -> QuotientGraph:
             f"the {MAX_NODES} node limit"
         )
     table = universe_table(ra.num_registers, ra.constants)
+    # one kernel per step, whatever its locations and action, and one
+    # grouping per register set
+    groups, kernels, steps = lru_cache(maxsize=None)(table.groups), {}, []
     loc = ra.locations.index
-    return QuotientGraph(
-        ra,
-        table,
-        [(loc(t.source), loc(t.target), _build_kernel(ra, t, table)) for t in ra.transitions],
-    )
+    for t in ra.transitions:
+        step = (t.guard, t.assignment)
+        if step not in kernels:
+            kernels[step] = _build_kernel(ra, t, table, groups)
+        steps.append((loc(t.source), loc(t.target), kernels[step]))
+    return QuotientGraph(ra, table, steps)
 
 
 def reach(ra: RegisterAutomaton, target: RepConfig) -> bool:

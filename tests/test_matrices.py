@@ -456,6 +456,24 @@ def test_build_matrices_memory_is_bounded_by_its_columns():
     assert peak - kept < 4 * column_set, (peak, kept, column_set)
 
 
+def test_lookup_memory_is_bounded_by_a_chunk():
+    # five 8192-matrix chunks of the 9-register table: read whole, the
+    # batch's (matrices, n, n) int64 entries alone would be five times one
+    # chunk's, and the lookup then builds a second such array to compare
+    table = universe_table(9, (0,))
+    chunk_entries = 8192 * 9 * 9 * 8
+    matrices = build_matrices(table.values[: 5 * 8192])
+    table.positions(matrices[:8])  # caches, outside the measurement
+    tracemalloc.start()
+    try:
+        found = table.positions(matrices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.tolist() == list(range(len(matrices)))
+    assert peak < 6 * chunk_entries, (peak, chunk_entries)
+
+
 def test_lookup_refuses_non_classes():
     table = universe_table(2, (2,))
     assert table.positions(NOT_A_FIGURE_ONE_CLASS).tolist() == [-1] * len(NOT_A_FIGURE_ONE_CLASS)

@@ -575,6 +575,54 @@ def test_label_set_iteration_builds_only_what_it_yields():
     assert whole == list(universe(8, byzantine().constants)) * 6
 
 
+def test_kernels_are_shared_per_step_and_groupings_per_register_set():
+    ra = byzantine()
+    graph = quotient_graph(ra)
+    kernels = {id(ker): ker for _, _, ker in graph._steps}
+    # two l1 -> L1 and two l2 -> L2 transitions assign alike under
+    # different guards
+    assert len({t.assignment for t in ra.transitions}) == 10
+    assert len(kernels) == len({(t.guard, t.assignment) for t in ra.transitions}) == 12
+    by_registers: dict[tuple[int, ...], list[np.ndarray]] = {}
+    for t, (_, _, ker) in zip(ra.transitions, graph._steps, strict=True):
+        reads = reach_module._plan(t, ra.constants).reads
+        by_registers.setdefault(reads, []).append(ker.key_of)
+        by_registers.setdefault(tuple(i for i, _ in t.assignment.updates), []).append(ker.tkey_of)
+    # 24 groupings over 11 register sets, one of them every register
+    assert sum(map(len, by_registers.values())) == 24
+    assert len(by_registers) == 11
+    for arrays in by_registers.values():
+        assert all(a is arrays[0] and a.dtype == np.int32 for a in arrays)
+    # over every register each class is its own group
+    assert np.array_equal(by_registers[tuple(range(8))][0], np.arange(21147))
+    # the chain's transitions differ only in their locations
+    chain_graph = quotient_graph(chain(8, 120))
+    assert len(chain_graph._steps) == 119
+    assert len({id(ker) for _, _, ker in chain_graph._steps}) == 1
+
+
+def test_fixpoint_kernel_calls_grow_linearly_with_locations(monkeypatch):
+    # EF of the chain's last location gains one location row per round; a
+    # round re-runs only the kernel whose input row changed, so the calls
+    # grow with the rounds, not with rounds x transitions
+    calls = []
+    pre = reach_module._Kernel.pre
+    monkeypatch.setattr(
+        reach_module._Kernel, "pre", lambda ker, target: calls.append(1) or pre(ker, target)
+    )
+    values = universe_table(8, (0,)).values
+    fires = int(np.count_nonzero(values[:, 0] != values[:, 1]))
+    counts = {}
+    for length in (30, 60, 120):
+        graph = quotient_graph(chain(8, length))
+        calls.clear()
+        got = ctl.compute_ctl(graph, ctl.ef(ctl.AtLocation(f"q{length - 1}")))
+        assert len(got) == len(values) + (length - 1) * fires
+        counts[length] = len(calls)
+    assert counts[120] - counts[60] == 2 * (counts[60] - counts[30]), counts
+    assert counts[120] <= 3 * 120, counts
+
+
 def test_quotient_graph_refuses_past_the_node_limit():
     # 300 locations x 678570 classes: refused before the table (tens of MB)
     # or any kernel is built, by ``reach`` as well
