@@ -12,9 +12,10 @@ it exits 3 with the traceback on stderr, so it never reads as an answer.
 
 Listings are deterministic: matrices appear in the enumeration order of
 ``universe`` and locations in declaration order, so outputs can serve as
-golden files.  The global ``--oracle`` flag swaps the optimized universe
-and successor computations for the literal reference scans, which is
-handy when the two need to be diffed.
+golden files.  The global ``--oracle`` flag swaps the optimized
+computations for ``universe`` and ``post`` for the literal reference
+scans, which is handy when the two need to be diffed; ``reach`` and
+``check`` run the engine either way.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--oracle",
         action="store_true",
-        help="use the literal reference scans instead of the optimized engine",
+        help="use the literal reference scans for universe and post",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

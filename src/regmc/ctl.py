@@ -67,7 +67,7 @@ def _ap_masks(graph: QuotientGraph, atom: CtlFormula) -> np.ndarray:
     check_atom(graph.ra, atom)
     if isinstance(atom, AtLocation):
         masks = graph._empty_masks()
-        masks[graph._location_index(atom.location)] = True
+        masks[graph.ra.locations.index(atom.location)] = True
         return masks
     if isinstance(atom, RegEq):
         row = graph.table.values[:, atom.i] == graph.table.values[:, atom.j]
@@ -162,4 +162,4 @@ def model_check(graph: QuotientGraph, f: CtlFormula) -> bool:
     """Whether every initial-location configuration satisfies ``f``."""
     check_depth(f)
     sat = _eval(graph, f)
-    return bool(sat[graph._location_index(graph.ra.initial)].all())
+    return bool(sat[graph.ra.locations.index(graph.ra.initial)].all())

@@ -256,10 +256,10 @@ def doubling_chunks(ks: Sequence[int]) -> Iterator[Sequence[int]]:
         lo, size = lo + size, min(2 * size, _CHUNK)
 
 
-def iter_matrices(values: np.ndarray, ks: np.ndarray | None = None) -> Iterator[RepMatrix]:
-    """The matrices of rows ``ks`` (all by default) of the marker valuations
-    ``values``, in order, built ``doubling_chunks`` at a time."""
-    for chunk in doubling_chunks(np.arange(len(values)) if ks is None else ks):
+def iter_matrices(values: np.ndarray) -> Iterator[RepMatrix]:
+    """The matrices of the marker valuations ``values``, in order, built
+    ``doubling_chunks`` at a time."""
+    for chunk in doubling_chunks(np.arange(len(values))):
         yield from build_matrices(values[chunk])
 
 

@@ -80,7 +80,6 @@ from regmc.matrices import (
     iter_matrices,
     marker_rows,
     matrix_entries,
-    universe,
     universe_table,
     value_dtype,
 )
@@ -272,19 +271,6 @@ def _check_node(ra: RegisterAutomaton, c: object) -> None:
         raise _not_a_node(ra, c)
 
 
-def _classes_of(ra: RegisterAutomaton, table: UniverseTable, configs: list[RepConfig]) -> list[int]:
-    """The universe positions of the configurations' matrices.
-
-    Raises ``ValueError`` for an unknown location or a matrix that is not a
-    class: of the wrong size, with an undeclared constant, or inconsistent.
-    """
-    locs, ks = _node_positions(ra, table, configs)
-    for c, loc in zip(configs, locs.tolist()):
-        if loc < 0:
-            raise _not_a_node(ra, c)
-    return ks.tolist()
-
-
 def _image_classes(images: np.ndarray, dtype: np.dtype, constants: tuple[int, ...]) -> np.ndarray:
     """One marker row per distinct class among ``images``, in ``dtype``.
 
@@ -391,12 +377,6 @@ class _Kernel:
     indices: np.ndarray
     num_targets: int
 
-    def successor_indices(self, u: int) -> np.ndarray:
-        g = self.key_of[u]
-        hit = np.zeros(self.num_targets, dtype=bool)
-        hit[self.indices[self.indptr[g] : self.indptr[g + 1]]] = True
-        return np.nonzero(hit[self.tkey_of])[0]
-
     def pre(self, target: np.ndarray) -> np.ndarray:
         """Classes with at least one successor inside ``target``."""
         hit = np.zeros(self.num_targets, dtype=bool)
@@ -483,12 +463,14 @@ class QuotientGraph:
 
     @property
     def matrices(self) -> tuple[RepMatrix, ...]:
-        return universe(self.ra.num_registers, self.ra.constants)
+        """Every class's matrix, in universe order (``_matrices_of``): a new
+        tuple on each access, so hold it rather than index it in a loop."""
+        return tuple(m for ms in self._matrices_of(np.arange(len(self.table.key))) for m in ms)
 
     def _matrices_of(self, ks: np.ndarray) -> Iterator[list[RepMatrix]]:
         """The matrices of classes ``ks``, in order, ``doubling_chunks`` at
         a time.  A class's matrix is built the first time a view or
-        ``edges`` reads it and is shared from then on."""
+        ``matrices`` reads it and is shared from then on."""
         built = self._built
         for chunk in doubling_chunks(ks.tolist()):
             missing = [k for k in chunk if built[k] is None]
@@ -501,20 +483,12 @@ class QuotientGraph:
         return LabelSet(self, ~self._empty_masks())
 
     def edges(self, node: RepConfig) -> set[RepConfig]:
-        [u] = _classes_of(self.ra, self.table, [node])
-        loc = self.ra.locations.index(node.location)
-        return {
-            RepConfig(self.ra.locations[dst], m)
-            for src, dst, ker in self._steps
-            if src == loc
-            for matrices in self._matrices_of(ker.successor_indices(u))
-            for m in matrices
-        }
-
-    def _location_index(self, location: str) -> int:
-        if location not in self.ra.locations:
-            raise ValueError(f"unknown location: {location}")
-        return self.ra.locations.index(location)
+        source = self._masks_of([node])
+        out = self._empty_masks()
+        for src, dst, ker in self._steps:
+            if source[src].any():
+                out[dst] |= ker.image(source[src])
+        return set(LabelSet(self, out))
 
     # --- (locations × classes) arrays shared with the branching-time operators ---
 
@@ -587,7 +561,7 @@ class QuotientGraph:
 
     def _reachable_masks(self) -> np.ndarray:
         start = self._empty_masks()
-        start[self._location_index(self.ra.initial)] = True
+        start[self.ra.locations.index(self.ra.initial)] = True
         return self._fixpoint(start.copy(), lambda r, x: start[r] | x, forward=True)
 
 
@@ -646,33 +620,17 @@ class LabelSet(Set):
         view = LabelSet(self._graph, masks)
         return set(view).union(foreign) if foreign else view
 
-    def _order(self, other: Set) -> tuple[bool, bool]:
-        """Whether this set is a subset of ``other``, and whether a superset."""
-        masks, foreign = self._graph._split(other)
-        return not (self._masks & ~masks).any(), not foreign and not (masks & ~self._masks).any()
-
+    # ``Set`` derives ``==``, ``<`` and ``>`` from these and the lengths
     def __le__(self, other: object) -> bool:
-        return self._order(other)[0] if isinstance(other, Set) else NotImplemented
+        if not isinstance(other, Set):
+            return NotImplemented
+        return not (self._masks & ~self._graph._split(other)[0]).any()
 
     def __ge__(self, other: object) -> bool:
-        return self._order(other)[1] if isinstance(other, Set) else NotImplemented
-
-    def __eq__(self, other: object) -> bool:
-        return all(self._order(other)) if isinstance(other, Set) else NotImplemented
-
-    def __lt__(self, other: object) -> bool:
         if not isinstance(other, Set):
             return NotImplemented
-        sub, sup = self._order(other)
-        return sub and not sup
-
-    def __gt__(self, other: object) -> bool:
-        if not isinstance(other, Set):
-            return NotImplemented
-        sub, sup = self._order(other)
-        return sup and not sub
-
-    __hash__ = None
+        masks, foreign = self._graph._split(other)
+        return not foreign and not (masks & ~self._masks).any()
 
     def isdisjoint(self, other: Iterable[object]) -> bool:
         return not (self._masks & self._graph._split(other)[0]).any()
@@ -741,9 +699,7 @@ def quotient_graph(ra: RegisterAutomaton) -> QuotientGraph:
 def reach(ra: RegisterAutomaton, target: RepConfig) -> bool:
     """Whether ``target`` is reachable from any initial-location class."""
     _check_node(ra, target)
-    graph = quotient_graph(ra)
-    [u] = _classes_of(ra, graph.table, [target])
-    return bool(graph._reachable_masks()[ra.locations.index(target.location), u])
+    return target in reachable_set(ra)
 
 
 def reachable_set(ra: RegisterAutomaton) -> LabelSet:

@@ -105,11 +105,13 @@ def test_post_no_outgoing_is_empty(fig):
 
 
 def test_post_validation(fig):
-    with pytest.raises(ValueError):
-        post(fig, RepConfig("nowhere", IDENT2))
-    for m in NOT_A_FIGURE_ONE_CLASS:
+    graph = quotient_graph(fig)
+    bad = [RepConfig("nowhere", IDENT2)] + [RepConfig("l0", m) for m in NOT_A_FIGURE_ONE_CLASS]
+    for c in bad:
         with pytest.raises(ValueError):
-            post(fig, RepConfig("l0", m))
+            post(fig, c)
+        with pytest.raises(ValueError):
+            graph.edges(c)
 
 
 def test_figure_one_graph_against_all_oracles(fig):
@@ -573,6 +575,8 @@ def test_label_set_iteration_builds_only_what_it_yields():
     assert len({id(m) for m in whole}) == 21147
     assert all(a is b for a, b in zip(resumed, whole, strict=True))
     assert whole == list(universe(8, byzantine().constants)) * 6
+    # ``matrices`` reads the same objects: one matrix per class and graph
+    assert all(a is b for a, b in zip(graph.matrices, whole[:21147], strict=True))
 
 
 def test_kernels_are_shared_per_step_and_groupings_per_register_set():
