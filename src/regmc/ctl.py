@@ -15,6 +15,17 @@ satisfies a formula exactly when every valuation in it does, so answers
 transfer verbatim to the infinite concrete system; the test suite checks
 this against an explicit-state checker over bounded concrete graphs.
 
+``compute_ctl`` and ``model_check`` label a formula on the graph of the
+registers live for it (``reach.live_registers``): its atoms are checked
+against the full machine, it is renamed onto that smaller graph and
+labelled there, and the answer is lifted to every class by one gather.
+Classes that agree on the live registers are bisimilar (Yorav &
+Grumberg, FMSD 2004), so the answer is the full graph's; a byzantine
+formula over ``D1`` and ``D2`` is labelled on 877 classes per location
+instead of 21147, and the full kernels are never built.  When every
+register is live, that graph is the graph itself.  The ``compute_*``
+operators on sets run on the graph's own kernels.
+
 A set of configurations is one (locations × classes) boolean array, rows
 in declaration order and columns in universe order, so NOT, AND and the
 fixpoint steps are plain array expressions, with results memoized per
@@ -60,7 +71,7 @@ from regmc.formulas import (  # noqa: F401
     or_,
     postorder,
 )
-from regmc.reach import LabelSet, QuotientGraph
+from regmc.reach import LabelSet, QuotientGraph, live_registers
 
 
 def _ap_masks(graph: QuotientGraph, atom: CtlFormula) -> np.ndarray:
@@ -152,14 +163,53 @@ def compute_eg(graph: QuotientGraph, s: LabelSet) -> LabelSet:
     return LabelSet(graph, _eg_masks(graph, graph._masks_of(s)))
 
 
-def compute_ctl(graph: QuotientGraph, f: CtlFormula) -> LabelSet:
-    """All configurations satisfying ``f``, by memoized structural labeling."""
+def _projected(graph: QuotientGraph, f: CtlFormula) -> tuple[QuotientGraph, CtlFormula, np.ndarray]:
+    """The graph ``f`` is labelled on, ``f`` renamed onto it, and each class's
+    position there (``QuotientGraph._projection``).
+
+    ``f``'s depth, and every atom against ``graph``'s own machine, are
+    checked first.  The projection keeps the registers live for the ones
+    ``f`` observes (``reach.live_registers``), or for register 0 when it
+    observes none: an automaton has at least one register.  An atom
+    ``i = i`` observes nothing and becomes ``0 = 0``.
+    """
     check_depth(f)
-    return LabelSet(graph, _eval(graph, f))
+    nodes = postorder(f)
+    observed: set[int] = set()
+    for g in nodes:
+        if isinstance(g, (AtLocation, RegEq, RegEqConst)):
+            check_atom(graph.ra, g)
+        elif not isinstance(g, (Not, And, EX, EU, EG)):
+            raise ValueError(f"not a formula: {g!r}")
+        if isinstance(g, RegEq) and g.i != g.j:
+            observed |= {g.i, g.j}
+        elif isinstance(g, RegEqConst):
+            observed.add(g.i)
+    live = live_registers(graph.ra, observed) or live_registers(graph.ra, (0,))
+    sub, groups = graph._projection(live)
+    new = {r: i for i, r in enumerate(live)}
+    renamed: dict[int, CtlFormula] = {}
+    for g in nodes:
+        if isinstance(g, RegEq):
+            h = RegEq(new[g.i], new[g.j]) if g.i != g.j else RegEq(0, 0)
+        elif isinstance(g, RegEqConst):
+            h = RegEqConst(new[g.i], g.c)
+        elif isinstance(g, AtLocation):
+            h = g
+        else:
+            h = type(g)(*(renamed[id(k)] for k in children(g)))
+        renamed[id(g)] = h
+    return sub, renamed[id(f)], groups
+
+
+def compute_ctl(graph: QuotientGraph, f: CtlFormula) -> LabelSet:
+    """All configurations satisfying ``f``: labelled on the graph of the
+    registers live for ``f`` (``_projected``) and lifted by one gather."""
+    sub, g, groups = _projected(graph, f)
+    return LabelSet(graph, _eval(sub, g)[:, groups])
 
 
 def model_check(graph: QuotientGraph, f: CtlFormula) -> bool:
     """Whether every initial-location configuration satisfies ``f``."""
-    check_depth(f)
-    sat = _eval(graph, f)
-    return bool(sat[graph.ra.locations.index(graph.ra.initial)].all())
+    sub, g, groups = _projected(graph, f)
+    return bool(_eval(sub, g)[graph.ra.locations.index(graph.ra.initial), groups].all())

@@ -27,18 +27,26 @@ Both sides of the relation are positions in smaller universes: a class's
 assigned registers, a position in ``universe_table(q, C)``.  One
 projection code, the tables' own rank key (``matrices.class_keys``), finds
 both, for the rows of the full table and for the images alike.
-``quotient_graph`` runs the join once per distinct step (guard and
+``quotient_graph`` refuses a graph of more than ``MAX_NODES`` nodes and
+builds only the n-register table.  The first question that needs the
+graph's kernels runs the join once per distinct step (guard and
 assignment) over the whole k-register table, a chunk of read groups at a
 time, and stores it as CSR rows from read groups to target groups
 (``_Kernel``); kernels over one register set share one grouping of the
-classes.  ``quotient_graph`` refuses a graph of more than ``MAX_NODES``
-nodes.  ``post`` runs the join from its single class and generates the
+classes.  A question that observes only some registers needs only the
+*live* ones (``live_registers``): those it observes, those a guard
+reads, and every register copied into a live one.  Classes that agree on
+them are bisimilar, so such a question runs on the graph of the machine
+over the live registers alone (``QuotientGraph._projection``), and its
+answer is lifted back through ``UniverseTable.groups``.
+
+``post`` runs the join from its single class and generates the
 successors instead: each distinct image class is extended to all n
 registers by the same column growth, one released register at a time
 (``_extend``), so it needs no n-register table.  It counts the extensions
 first by a closed form (``matrices.extension_count``) and refuses more
-than ``MAX_CLASSES``.  A
-set of nodes is one (locations × classes) boolean array, so reachability
+than ``MAX_CLASSES``.  A set of nodes is one (locations × classes)
+boolean array, so reachability
 and the branching-time operators run as one worklist over its location
 rows (``QuotientGraph._fixpoint``; Clarke, Emerson & Sistla, TOPLAS 1986,
 over the partitioned relation of Burch, Clarke & Long, "Symbolic model
@@ -47,15 +55,17 @@ checking with partitioned transition relations", 1991).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from regmc.core import (
+    Assignment,
     Atom,
     ConstantTerm,
     ParameterTerm,
@@ -438,6 +448,57 @@ def _build_kernel(
     return _Kernel(groups(reads), groups(targets), indptr, found.astype(np.int32), len(target_keys))
 
 
+def live_registers(ra: RegisterAutomaton, observed: Iterable[int]) -> tuple[int, ...]:
+    """The least register set, ascending, that holds ``observed`` and every
+    register a guard reads, and that holds ``y`` whenever an assignment
+    ``x := y`` stores into a member ``x``.
+
+    A step's effect on such a set depends only on the set, so classes that
+    agree on it are bisimilar for every atom over ``observed`` (Yorav &
+    Grumberg, "Static analysis for state-space reductions preserving
+    temporal logics", FMSD 2004).
+    """
+    live = set(observed)
+    live.update(
+        x.index
+        for t in ra.transitions
+        for a in t.guard
+        for x in (a.left, a.right)
+        if isinstance(x, RegisterTerm)
+    )
+    copies = [
+        (i, x.index)
+        for t in ra.transitions
+        for i, x in t.assignment.updates
+        if isinstance(x, RegisterTerm)
+    ]
+    while True:
+        grown = {y for x, y in copies if x in live} - live
+        if not grown:
+            return tuple(sorted(live))
+        live |= grown
+
+
+def _project(ra: RegisterAutomaton, live: tuple[int, ...]) -> RegisterAutomaton:
+    """``ra`` over the registers ``live`` (``live_registers``) alone,
+    renumbered in order, with every store into another register dropped."""
+    new = {r: i for i, r in enumerate(live)}
+
+    def term(x: Term) -> Term:
+        return RegisterTerm(new[x.index]) if isinstance(x, RegisterTerm) else x
+
+    def step(t: Transition) -> Transition:
+        guard = tuple(Atom(term(a.left), term(a.right), a.equal) for a in t.guard)
+        stores = tuple((new[i], term(x)) for i, x in t.assignment.updates if i in new)
+        return dataclasses.replace(t, guard=guard, assignment=Assignment(stores))
+
+    return dataclasses.replace(
+        ra,
+        registers=tuple(ra.registers[r] for r in live),
+        transitions=tuple(map(step, ra.transitions)),
+    )
+
+
 @dataclass
 class QuotientGraph:
     """The full abstract transition system of one automaton.
@@ -446,31 +507,57 @@ class QuotientGraph:
     one-step successor relation, held per transition as a factored
     relation between read groups and target groups (``_Kernel``), tagged
     with the positions of the transition's source and target locations.
-    Transitions with one step (guard and assignment) share one kernel.  A
-    set of nodes is one (locations × classes) boolean array, rows in
-    declaration order and columns in universe order, so a fixpoint round
-    is one vectorized pass per kernel and location row (``_fixpoint``).
+    Transitions with one step (guard and assignment) share one kernel, and
+    the kernels are built on first use (``_steps``).  A set of nodes is
+    one (locations × classes) boolean array, rows in declaration order and
+    columns in universe order, so a fixpoint round is one vectorized pass
+    per kernel and location row (``_fixpoint``).  A question about a few
+    registers runs on the graph of the registers live for it
+    (``_projection``) instead.
     """
 
     ra: RegisterAutomaton
     table: UniverseTable
-    _steps: list[tuple[int, int, _Kernel]]
     # each class's matrix once built, by ``_matrices_of``, else None
     _built: list[RepMatrix | None] = field(init=False, repr=False, compare=False)
+    # per live register set: its graph, None for this one, and the grouping
+    _projections: dict[tuple[int, ...], tuple[QuotientGraph | None, np.ndarray]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         self._built = [None] * len(self.table.key)
 
-    @property
-    def matrices(self) -> tuple[RepMatrix, ...]:
-        """Every class's matrix, in universe order (``_matrices_of``): a new
-        tuple on each access, so hold it rather than index it in a loop."""
-        return tuple(m for ms in self._matrices_of(np.arange(len(self.table.key))) for m in ms)
+    @cached_property
+    def _steps(self) -> list[tuple[int, int, _Kernel]]:
+        """Each transition's source and target location positions and
+        kernel, built on the first read: one kernel per step, whatever its
+        locations and action, and one grouping per register set."""
+        groups, kernels, steps = lru_cache(maxsize=None)(self.table.groups), {}, []
+        loc = self.ra.locations.index
+        for t in self.ra.transitions:
+            step = (t.guard, t.assignment)
+            if step not in kernels:
+                kernels[step] = _build_kernel(self.ra, t, self.table, groups)
+            steps.append((loc(t.source), loc(t.target), kernels[step]))
+        return steps
+
+    def _projection(self, live: tuple[int, ...]) -> tuple[QuotientGraph, np.ndarray]:
+        """The graph of ``ra`` over the registers ``live`` (``live_registers``,
+        ``_project``) and each class's position in it (``table.groups``),
+        made once per set.  Over every register it is this graph, and each
+        class its own group."""
+        if live not in self._projections:
+            whole = len(live) == self.ra.num_registers
+            sub = None if whole else quotient_graph(_project(self.ra, live))
+            self._projections[live] = sub, self.table.groups(live)
+        sub, groups = self._projections[live]
+        return self if sub is None else sub, groups
 
     def _matrices_of(self, ks: np.ndarray) -> Iterator[list[RepMatrix]]:
         """The matrices of classes ``ks``, in order, ``doubling_chunks`` at
-        a time.  A class's matrix is built the first time a view or
-        ``matrices`` reads it and is shared from then on."""
+        a time.  A class's matrix is built the first time a view reads it
+        and is shared from then on."""
         built = self._built
         for chunk in doubling_chunks(ks.tolist()):
             missing = [k for k in chunk if built[k] is None]
@@ -673,9 +760,9 @@ class LabelSet(Set):
 def quotient_graph(ra: RegisterAutomaton) -> QuotientGraph:
     """Build the abstract transition system, once, for shared use.
 
-    Raises ``ValueError`` before the universe table or any kernel is built
-    when there are more than ``MAX_CLASSES`` classes or ``MAX_NODES``
-    nodes.
+    Builds the universe table only; each kernel is built when a question
+    first needs it.  Raises ``ValueError`` before the table is built when
+    there are more than ``MAX_CLASSES`` classes or ``MAX_NODES`` nodes.
     """
     classes = checked_universe_size(ra.num_registers, ra.constants)
     if len(ra.locations) * classes > MAX_NODES:
@@ -683,17 +770,7 @@ def quotient_graph(ra: RegisterAutomaton) -> QuotientGraph:
             f"{len(ra.locations)} locations x {classes} classes exceed "
             f"the {MAX_NODES} node limit"
         )
-    table = universe_table(ra.num_registers, ra.constants)
-    # one kernel per step, whatever its locations and action, and one
-    # grouping per register set
-    groups, kernels, steps = lru_cache(maxsize=None)(table.groups), {}, []
-    loc = ra.locations.index
-    for t in ra.transitions:
-        step = (t.guard, t.assignment)
-        if step not in kernels:
-            kernels[step] = _build_kernel(ra, t, table, groups)
-        steps.append((loc(t.source), loc(t.target), kernels[step]))
-    return QuotientGraph(ra, table, steps)
+    return QuotientGraph(ra, universe_table(ra.num_registers, ra.constants))
 
 
 def reach(ra: RegisterAutomaton, target: RepConfig) -> bool:
