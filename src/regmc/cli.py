@@ -24,7 +24,7 @@ import argparse
 import random
 import sys
 import traceback
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from regmc import dsl
 from regmc.classes import RepConfig, matrix_of_valuation
@@ -40,16 +40,21 @@ def _load_automaton(path: str) -> RegisterAutomaton:
         return dsl.parse_automaton(fh.read())
 
 
-def _ordered(ra: RegisterAutomaton, configs: set[RepConfig]) -> list[RepConfig]:
-    """``configs`` by location, then in listing order: by the rank key of
-    each class, which needs no table."""
-    from regmc.matrices import class_keys, marker_rows, matrix_entries
+def _listing(ra: RegisterAutomaton, configs: Iterable[RepConfig]) -> Iterator[str]:
+    """The ``dsl.serialize`` lines of the classes ``configs``, by location,
+    then in listing order: by the rank key of each class, which needs no
+    table.  Each line is written from its class's marker row
+    (``matrices.classes_lines``)."""
+    import numpy as np
+
+    from regmc.matrices import class_keys, classes_lines, marker_rows, matrix_entries
 
     configs = list(configs)
-    entries = matrix_entries([c.matrix for c in configs], ra.num_registers)
-    keys = class_keys(marker_rows(entries), ra.constants)
-    rank = dict(zip(configs, keys.tolist()))
-    return sorted(configs, key=lambda c: (ra.locations.index(c.location), rank[c]))
+    values = marker_rows(matrix_entries([c.matrix for c in configs], ra.num_registers))
+    locs = [ra.locations.index(c.location) for c in configs]
+    order = np.lexsort((class_keys(values, ra.constants), locs)).tolist()
+    for i, line in zip(order, classes_lines(values[order], ra.registers)):
+        yield dsl.configuration_text(configs[i].location, line)
 
 
 def _cmd_universe(args: argparse.Namespace) -> int:
@@ -86,8 +91,8 @@ def _cmd_post(args: argparse.Namespace) -> int:
         from regmc.reach import post
 
         successors = post(ra, config)
-    for succ in _ordered(ra, successors):
-        print(dsl.serialize(succ, ra))
+    for line in _listing(ra, successors):
+        print(line)
     return 0
 
 

@@ -637,13 +637,19 @@ def serialize(
             value.matrix, ra.num_registers, ra.constants
         ):
             raise ValueError(f"not a class of the automaton: {value}")
-        return f"{value.location} | {classes_text(value.matrix, ra.registers)}"
+        return configuration_text(value.location, classes_text(value.matrix, ra.registers))
     if isinstance(value, (AtLocation, RegEq, RegEqConst, Not, And, EX, EU, EG)):
         if ra is None:
             raise ValueError("serializing a formula needs the automaton")
         formulas.check_depth(value)
         return _formula_text(value, ra)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def configuration_text(location: str, classes: str) -> str:
+    """The text of a configuration from its location and the text of its
+    classes (``classes_text``, or ``matrices.classes_lines`` for many)."""
+    return f"{location} | {classes}"
 
 
 def _term_text(t: Term, registers: tuple[str, ...]) -> str:

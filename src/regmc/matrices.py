@@ -56,9 +56,17 @@ from regmc.classes import (  # noqa: F401
     universe_size,
 )
 
-_CHUNK = 8192  # classes built or keyed at once
-_FIRST_CHUNK = 64  # ``doubling_chunks`` starts here and doubles up to ``_CHUNK``
-_GATHER = 1 << 16  # classes whose columns ``universe_table`` gathers at once
+# The bytes of the widest temporary of one chunk of a pass over rows: each
+# pass takes as many rows at once as keep it within this (``_chunk_rows``),
+# so its scratch memory is fixed whatever the row count.
+_BUDGET = 1 << 16
+_FIRST_CHUNK = 64  # ``doubling_chunks`` starts here and doubles up to a build chunk
+
+
+def _chunk_rows(entries: int) -> int:
+    """Rows per chunk of a pass whose widest temporary holds ``entries``
+    8-byte entries per row."""
+    return max(1, _BUDGET // (8 * entries))
 
 
 def value_dtype(n_registers: int, constants: Sequence[int]) -> np.dtype:
@@ -129,10 +137,11 @@ class _RowCodes:
     def of(self, cols: np.ndarray) -> np.ndarray:
         """The (n, rows) codes of value columns ``cols``.  The columns are
         compared with all columns a group at a time, sized so that no
-        temporary holds more than n × ``_CHUNK`` entries."""
+        temporary holds more than ``_BUDGET`` bytes."""
         n, rows = cols.shape
         masks = np.empty(cols.shape)
-        step = max(1, _CHUNK // rows)  # registers compared at once: n * _CHUNK entries at most
+        # registers compared at once: the product casts their compares to float64
+        step = _chunk_rows(n * rows)
         for lo in range(0, n, step):
             masks[lo : lo + step] = self._fbits @ (cols[lo : lo + step, None] == cols)
         lab = cols.astype(np.int64) + 1 if self.labels is None else self.labels.searchsorted(cols)
@@ -211,13 +220,13 @@ _set_hash = RepMatrix._hash.__set__  # type: ignore[attr-defined]
 
 def build_matrices(values: np.ndarray) -> list[RepMatrix]:
     """The matrices of marker valuations ``values`` (``UniverseTable.values``,
-    ``marker_rows``), built unchecked ``_CHUNK`` rows at a time.
+    ``marker_rows``), built unchecked a chunk of rows at a time.
 
     Each register's row is read from its code (``_RowCodes``), computed
-    from compares of value columns, so no temporary holds more than
-    n × ``_CHUNK`` entries.  Equal rows are one tuple for the whole call
-    (``_Interned``), and a class's tuple of rows is zipped from
-    per-register columns of them.  The hash (``_matrix_hash``) sums each
+    from compares of value columns, so no temporary holds more than n
+    entries per row of a chunk (``_chunk_rows``).  Equal rows are one tuple
+    for the whole call (``_Interned``), and a class's tuple of rows is
+    zipped from per-register columns of them.  The hash (``_matrix_hash``) sums each
     row's term, its first member plus ``n + 1`` times its label plus 3,
     weighted by powers of ``_HASH_MUL`` in uint64.
     """
@@ -234,9 +243,10 @@ def build_matrices(values: np.ndarray) -> list[RepMatrix]:
     rows = _Interned(make)
     start, weights = _hash_weights(n)
     out: list[RepMatrix] = []
+    step = _chunk_rows(n)
     with _collector_paused():
-        for lo in range(0, len(values), _CHUNK):
-            cols = np.ascontiguousarray(values[lo : lo + _CHUNK].T)
+        for lo in range(0, len(values), step):
+            cols = np.ascontiguousarray(values[lo : lo + step].T)
             pos = rows.positions(codes.of(cols))
             h = (rows.terms[pos] * weights).sum(axis=0, dtype=np.uint64) + start
             # the slots are set through their descriptors, past the frozen __setattr__
@@ -247,19 +257,21 @@ def build_matrices(values: np.ndarray) -> list[RepMatrix]:
     return out
 
 
-def doubling_chunks(ks: Sequence[int]) -> Iterator[Sequence[int]]:
+def doubling_chunks(ks: Sequence[int], registers: int) -> Iterator[Sequence[int]]:
     """``ks`` in order, a chunk at a time.  The chunks double from
-    ``_FIRST_CHUNK`` to ``_CHUNK``, so that the first few cost little."""
-    lo, size = 0, _FIRST_CHUNK
+    ``_FIRST_CHUNK`` to one ``build_matrices`` chunk over ``registers``, so
+    that the first few cost little."""
+    lo, most = 0, _chunk_rows(registers)
+    size = min(_FIRST_CHUNK, most)
     while lo < len(ks):
         yield ks[lo : lo + size]
-        lo, size = lo + size, min(2 * size, _CHUNK)
+        lo, size = lo + size, min(2 * size, most)
 
 
 def iter_matrices(values: np.ndarray) -> Iterator[RepMatrix]:
     """The matrices of the marker valuations ``values``, in order, built
     ``doubling_chunks`` at a time."""
-    for chunk in doubling_chunks(np.arange(len(values))):
+    for chunk in doubling_chunks(np.arange(len(values)), values.shape[1]):
         yield from build_matrices(values[chunk])
 
 
@@ -269,7 +281,8 @@ def classes_lines(values: np.ndarray, registers: tuple[str, ...]) -> Iterator[st
     Each block is one piece, coded by its members and label (``_RowCodes``)
     and kept at its first register; the other registers get the empty piece
     (code 0).  Each distinct piece is written once per call (``_Interned``),
-    and a line joins its row's pieces, ``_CHUNK`` rows at a time.
+    and a line joins its row's pieces, a chunk of rows (``_chunk_rows``) at
+    a time.
     """
     n = values.shape[1]
     codes = _RowCodes(values)
@@ -284,8 +297,9 @@ def classes_lines(values: np.ndarray, registers: tuple[str, ...]) -> Iterator[st
 
     pieces = _Interned(make)
     bits = _bits(n)[0][:, None]
-    for lo in range(0, len(values), _CHUNK):
-        c = codes.of(np.ascontiguousarray(values[lo : lo + _CHUNK].T))
+    step = _chunk_rows(n)
+    for lo in range(0, len(values), step):
+        c = codes.of(np.ascontiguousarray(values[lo : lo + step].T))
         c[(c & -c) != bits] = 0  # the lowest mask bit is the block's first member
         pos = pieces.positions(c)
         for line in map("".join, zip(*pieces.objects[pos].tolist())):
@@ -315,13 +329,15 @@ class UniverseTable(NamedTuple):
         A matrix is read as its marker row (``marker_rows``); one sorted
         search finds that row's key, and the hit stands only if the matrix
         equals the table row it names, entry for entry.  The matrices are
-        read ``_CHUNK`` at a time, so no entry array grows with the batch.
+        read a chunk at a time, n × n entries per matrix (``_chunk_rows``),
+        so no entry array grows with the batch.
         """
         n = self.values.shape[1]
         found = dict.fromkeys(matrices, -1)
         square = [m for m in found if m.n == n]
-        for lo in range(0, len(square), _CHUNK):
-            chunk = square[lo : lo + _CHUNK]
+        step = _chunk_rows(n * n)
+        for lo in range(0, len(square), step):
+            chunk = square[lo : lo + step]
             given = matrix_entries(chunk, n)
             keys = class_keys(marker_rows(given), self.constants)
             pos = np.minimum(np.searchsorted(self.key, keys), len(self.key) - 1)
@@ -342,9 +358,12 @@ class UniverseTable(NamedTuple):
         out = np.zeros(len(self.key), dtype=np.int32)
         if registers:
             keys = universe_table(len(registers), self.constants).key
-            for lo in range(0, len(out), _CHUNK):
-                sub = class_keys(self.values[lo : lo + _CHUNK, registers], self.constants)
-                out[lo : lo + _CHUNK] = np.searchsorted(keys, sub)
+            # ``class_keys`` holds one int64 key and a few register columns
+            # of the values' type and of bytes per row
+            step = _chunk_rows(max(1, len(registers) * self.values.itemsize // 8))
+            for lo in range(0, len(out), step):
+                sub = class_keys(self.values[lo : lo + step, registers], self.constants)
+                out[lo : lo + step] = np.searchsorted(keys, sub)
         return out
 
 
@@ -387,7 +406,9 @@ def class_keys(values: np.ndarray, constants: Sequence[int]) -> np.ndarray:
     for p, c in enumerate(constants):
         codes[cols == c] = p + 1
     by_growth, by_pin = _key_weights(n, len(constants))
-    return by_growth @ growth + by_pin @ codes
+    # einsum casts the digits to int64 a buffer at a time, where ``@`` would
+    # first copy all of them: the temporaries stay at bytes per register
+    return np.einsum("i,ij->j", by_growth, growth) + np.einsum("i,ij->j", by_pin, codes)
 
 
 @lru_cache(maxsize=None)
@@ -399,10 +420,10 @@ def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTabl
     appended (Knuth, TAOCP 4A §7.2.1.5), each expanded by the injective
     partial pinnings of its blocks (code 0 for none, then the constants as
     declared, in lexicographic order).  The value and key columns are
-    gathered ``_GATHER`` classes and one register at a time, so no index or
-    temporary is longer than such a chunk.  Raises ``ValueError`` before
-    any work for a negative, repeated or too large constant, or past
-    ``MAX_CLASSES``.
+    gathered a chunk of classes (``_chunk_rows``) and one register at a
+    time, so no index or temporary is longer than such a chunk.  Raises
+    ``ValueError`` before any work for a negative, repeated or too large
+    constant, or past ``MAX_CLASSES``.
     """
     checked_universe_size(n_registers, constants)
     m = len(constants)
@@ -436,15 +457,16 @@ def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTabl
     growth_key = rgs @ by_growth
     values = np.empty((ends[-1], n_registers), dtype=dtype)
     key = np.empty(ends[-1], dtype=np.int64)
-    for lo in range(0, len(key), _GATHER):
-        k = np.arange(lo, min(lo + _GATHER, len(key)))
+    step = _chunk_rows(1)  # the temporaries are index columns
+    for lo in range(0, len(key), step):
+        k = np.arange(lo, min(lo + step, len(key)))
         g = ends.searchsorted(k, side="right")
         at = (k + offset[g]) * n_registers  # the pinning row, flat
-        key[lo : lo + _GATHER] = growth_key[g]
+        key[lo : lo + step] = growth_key[g]
         for i in range(n_registers):
             cell = at + rgs[g, i]
-            values[lo : lo + _GATHER, i] = marks.take(cell)
-            key[lo : lo + _GATHER] += by_pin[i] * padded.take(cell)
+            values[lo : lo + step, i] = marks.take(cell)
+            key[lo : lo + step] += by_pin[i] * padded.take(cell)
     return UniverseTable(values, key, constants)
 
 

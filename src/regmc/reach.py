@@ -14,12 +14,20 @@ from the guard (``_stored_guard``).  The join starts from value rows over
 the declared constants and the k registers the transition reads, and
 extends them by one column per stored parameter: a new column takes a
 value already in the row (a declared constant included) or one fresh
-value, below every value in the row (``_grow``).  A row is dropped as
-soon as every column of some guard atom exists and the atom fails.  Each
-surviving row's *image* is the values of the assigned terms.  Registers
-outside the assignment are released and may take any value, so the
-successors of a class are exactly the classes whose sub-matrix over the q
-assigned registers is the class of one of its images.
+value, below every value in the row (``_grow``); a column that a guard
+atom equates with one before it copies that one.  A row is dropped as
+soon as every column of some guard atom exists and the atom fails, and a
+column as soon as no later atom and no assigned term reads it; rows of
+one start row that then agree on the live columns, up to renaming of
+non-constant values, have the same futures and are kept once.  So the
+rows a stage holds per start row are bounded by the classes over its
+live columns, not by the product of the column counts (``_plan``), and a
+join whose bound times its start rows passes ``MAX_JOIN_ROWS`` is
+refused before it runs.  Each surviving row's *image* is the values of
+the assigned terms.  Registers outside the assignment are released and
+may take any value, so the successors of a class are exactly the classes
+whose sub-matrix over the q assigned registers is the class of one of
+its images.
 
 Both sides of the relation are positions in smaller universes: a class's
 *read group* is its sub-matrix over the read registers, a position in
@@ -56,7 +64,7 @@ checking with partitioned transition relations", 1991).
 from __future__ import annotations
 
 import dataclasses
-import math
+import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -90,6 +98,7 @@ from regmc.matrices import (
     iter_matrices,
     marker_rows,
     matrix_entries,
+    universe_size,
     universe_table,
     value_dtype,
 )
@@ -98,6 +107,13 @@ from regmc.matrices import (
 # rows under half the table's class count, or under this floor on small
 # tables, so they stay within the per-class arrays the kernel stores.
 _JOIN_ROWS = 1 << 13
+
+# The most rows one transition's join may hold in all, over every start
+# row, counted before it runs (``_Plan.rows``): a kernel build joins every
+# read group, ``post`` one class.  Admits ``load(6)``'s kernel (877 read
+# groups x 7016 rows) and ``load(9)``'s post (1275725 rows); refuses
+# ``load(7)``'s kernel (4140 x 37260).
+MAX_JOIN_ROWS = 1 << 25
 
 # The most (location, class) nodes ``quotient_graph`` admits: one node set
 # is a 32 MB mask at the limit.  Admits byzantine (126882 nodes) and ten
@@ -142,19 +158,40 @@ def _stored_guard(t: Transition) -> list[Atom] | None:
     return [a for a in atoms if a.left != a.right and not (local(a.left) or local(a.right))]
 
 
-class _Plan(NamedTuple):
-    """A transition's join, stage by stage.
+class _Stage(NamedTuple):
+    """One stage of a transition's join.
 
-    ``reads`` are the registers it reads, ascending; ``stages[s]`` the
-    atoms checked once stage ``s`` has added its column, as column pairs
-    that must match or differ; ``image`` the columns of the assigned terms;
-    ``fan_out`` the most rows it holds per start row.
+    ``copies`` is the column whose value the stage's new column takes when
+    an atom equates the two, or None when the new column takes every value
+    (``_grow``); ``atoms`` are the guard atoms checked once the stage has
+    added its column, as column pairs that must match or differ; ``live``
+    the columns kept after them, or None for all; with ``dedupe`` rows of
+    one origin that agree on those columns, up to renaming of non-constant
+    values, are kept once; ``rows`` is the most rows the stage holds per
+    start row.
+    """
+
+    copies: int | None
+    atoms: tuple[tuple[int, int, bool], ...]
+    live: tuple[int, ...] | None
+    dedupe: bool
+    rows: int
+
+
+class _Plan(NamedTuple):
+    """A transition's join, stage by stage (``_Stage``).
+
+    ``reads`` are the registers it reads, ascending; ``image`` the columns
+    of the assigned terms after the last stage; ``rows`` the most rows the
+    join holds per start row, bounded by the classes over the columns each
+    stage keeps live.  Start rows times ``rows`` is checked against
+    ``MAX_JOIN_ROWS`` before a join runs (``_check_join``).
     """
 
     reads: tuple[int, ...]
-    stages: tuple[tuple[tuple[int, int, bool], ...], ...]
+    stages: tuple[_Stage, ...]
     image: tuple[int, ...]
-    fan_out: int
+    rows: int
 
 
 @lru_cache(maxsize=1024)
@@ -164,8 +201,17 @@ def _plan(t: Transition, constants: tuple[int, ...]) -> _Plan | None:
     The columns are the declared constants, then the registers that the
     assignment and ``_stored_guard(t)`` read, then one column per stored
     parameter, added in index order by every stage but the first.  Each
-    atom is checked at the first stage that has both its columns.  A new
-    column multiplies the rows by at most one plus the columns before it.
+    atom is checked at the first stage that has both its columns.  After
+    that, a column that no later atom and no assigned term reads is dead
+    and is dropped (early quantification: Burch, Clarke & Long 1991;
+    Ranjan, Aziz, Brayton, Plessier & Pixley, IWLS 1995).  Rows of one
+    origin that then agree on the live columns have the same futures, so
+    they are kept once wherever that tightens the bound: a new column
+    multiplies the rows by at most one plus the columns before it, or not
+    at all when an atom equates it with an earlier column, which it then
+    copies; and the rows of one origin, once distinct, are at most the
+    classes over the live columns that are not constants
+    (``universe_size``).
     """
     guard = _stored_guard(t)
     if guard is None:
@@ -174,37 +220,72 @@ def _plan(t: Transition, constants: tuple[int, ...]) -> _Plan | None:
     terms = [x for a in guard for x in (a.left, a.right)] + image
     reads = sorted({x.index for x in terms if isinstance(x, RegisterTerm)})
     params = sorted({x.index for x in terms if isinstance(x, ParameterTerm)})
-    cols: list[Term] = [ConstantTerm(c) for c in constants]
-    cols += [RegisterTerm(r) for r in reads] + [ParameterTerm(p) for p in params]
-    fixed = len(cols) - len(params)
-    stages: list[list[tuple[int, int, bool]]] = [[] for _ in range(len(params) + 1)]
+    m = len(constants)
+    cols: list[Term] = [ConstantTerm(c) for c in constants] + [RegisterTerm(r) for r in reads]
+    checks: list[list[Atom]] = [[] for _ in range(len(params) + 1)]
     for a in guard:
-        i, j = cols.index(a.left), cols.index(a.right)
-        stages[max(0, max(i, j) + 1 - fixed)].append((i, j, a.equal))
-    fan_out = math.prod(range(fixed + 1, len(cols) + 1))
+        at = [params.index(x.index) + 1 for x in (a.left, a.right) if isinstance(x, ParameterTerm)]
+        checks[max(at, default=0)].append(a)
+    stages, kept, distinct_rows = [], 1, True
+    for s, atoms in enumerate(checks):
+        grown, copies = kept, None
+        if s:
+            new = ParameterTerm(params[s - 1])
+            pins = [a.left if a.right == new else a.right for a in atoms if a.equal]
+            if pins:
+                copies = cols.index(pins[0])
+            cols.append(new)
+            grown = kept if pins else kept * len(cols)
+        pairs = tuple((cols.index(a.left), cols.index(a.right), a.equal) for a in atoms)
+        later = itertools.chain.from_iterable(checks[s + 1 :])
+        needed = set(image).union(x for a in later for x in (a.left, a.right))
+        live = [i for i, x in enumerate(cols) if i < m or x in needed]
+        dropped = len(live) < len(cols)
+        if dropped:
+            cols = [cols[i] for i in live]
+            distinct_rows = distinct_rows and grown == 1
+        # the universe over w columns has at least 2^(w - 1) classes, so a
+        # wide one bounds nothing that a join is let hold
+        width = len(cols) - m
+        classes = universe_size(width, m) if width <= min(grown.bit_length(), 32) else grown
+        dedupe = not distinct_rows and classes < grown
+        distinct_rows = distinct_rows or dedupe
+        kept = min(grown, classes) if distinct_rows else grown
+        stages.append(_Stage(copies, pairs, tuple(live) if dropped else None, dedupe, grown))
     image_cols = tuple(cols.index(x) for x in image)
-    return _Plan(tuple(reads), tuple(map(tuple, stages)), image_cols, fan_out)
+    return _Plan(tuple(reads), tuple(stages), image_cols, max(s.rows for s in stages))
 
 
 def _grow(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every way to add one column to ``rows``: the value of any column that
     is the first in its row to hold it, or one fresh value, below every value
-    in ``rows``.  Returns the row each new row extends, and the new rows."""
+    in ``rows``.  Returns how many new rows each row makes, and the new rows
+    in order."""
     width = rows.shape[1]
     first = np.ones((len(rows), width + 1), dtype=bool)  # the fresh value is last
     for c in range(1, width):
         first[:, c] = ~(rows[:, :c] == rows[:, c : c + 1]).any(axis=1)
     cand = np.column_stack((rows, np.full(len(rows), rows.min(initial=-1) - 1, dtype=rows.dtype)))
-    r, c = np.nonzero(first)
-    grown = cand[r]
-    grown[:, width] = cand[r, c]
-    return r, grown
+    counts = first.sum(axis=1)
+    grown = np.repeat(cand, counts, axis=0)
+    grown[:, width] = cand[first]
+    return counts, grown
 
 
 def _with_constants(constants: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     """``rows`` behind one leading column per declared constant."""
     fixed = np.broadcast_to(np.array(constants, dtype=rows.dtype), (len(rows), len(constants)))
     return np.column_stack((fixed, rows))
+
+
+def _check_join(t: Transition, plan: _Plan, starts: int) -> None:
+    """Raise ``ValueError`` when joining ``t`` from ``starts`` rows could
+    hold more than ``MAX_JOIN_ROWS`` rows in all."""
+    if starts * plan.rows > MAX_JOIN_ROWS:
+        raise ValueError(
+            f"the step {t.source} -> {t.target} on {t.action} joins up to "
+            f"{starts * plan.rows} rows, past the {MAX_JOIN_ROWS} row limit"
+        )
 
 
 def _join(
@@ -214,23 +295,42 @@ def _join(
     images.
 
     ``start`` holds one valuation per class over ``plan.reads``.  Each
-    stored parameter adds a column (``_grow``).  Returns, for every row that
-    satisfies the guard, the index of the ``start`` row it extends and the
-    values of the assigned terms, in target order; and the most rows the
-    join held at once.
+    stored parameter adds a column (``_grow``, or a copy of the column an
+    atom equates it with), dead columns are dropped,
+    and where the plan says so, rows are kept once per origin and class of
+    the live columns: one int64 code per row, the rank of its class key
+    (``class_keys``) among the stage's combined with its origin.  Returns,
+    for every kept row that satisfies the guard, the index of the ``start``
+    row it extends and the values of the assigned terms, in target order;
+    and the most rows the join held at once.  The rows are held in the
+    smallest integer type that holds every value they can take.
     """
-    rows = _with_constants(ra.constants, start.astype(np.int64, copy=False))
+    m = len(ra.constants)
+    # each stage's fresh value is one below the least value before it
+    dtype = value_dtype(len(plan.stages) - int(start.min(initial=0)), ra.constants)
+    rows = _with_constants(ra.constants, start.astype(dtype, copy=False))
     origin = np.arange(len(start))
     peak = len(rows)
-    for s, atoms in enumerate(plan.stages):
-        if s:
-            r, rows = _grow(rows)
-            origin = origin[r]
+    for s, stage in enumerate(plan.stages):
+        if s and stage.copies is not None:
+            rows = np.column_stack((rows, rows[:, stage.copies]))
+        elif s:
+            counts, rows = _grow(rows)
+            origin = np.repeat(origin, counts)
             peak = max(peak, len(rows))
         keep = np.ones(len(rows), dtype=bool)
-        for a, b, equal in atoms:
+        for a, b, equal in stage.atoms:
             keep &= (rows[:, a] == rows[:, b]) == equal
         rows, origin = rows[keep], origin[keep]
+        if stage.live is not None:
+            rows = rows[:, stage.live]
+        if stage.dedupe:
+            keys = class_keys(rows[:, m:], ra.constants)
+            ranks = distinct(keys)
+            code = origin * len(ranks) + ranks.searchsorted(keys)
+            order = np.argsort(code, kind="stable")
+            once = order[np.diff(code[order], prepend=-1) != 0]
+            rows, origin = rows[once], origin[once]
     return origin, rows[:, plan.image], peak
 
 
@@ -334,20 +434,20 @@ def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
     row; each distinct image class is then extended to every register
     (``_extend``), and only those rows become matrices.  Raises
     ``ValueError`` for an unknown location, a matrix of the wrong size, an
-    undeclared constant or an inconsistent matrix, and, before any matrix is
-    built, when there would be more than ``MAX_CLASSES`` successors.
+    undeclared constant or an inconsistent matrix, before any join past
+    ``MAX_JOIN_ROWS`` (``_check_join``), and, before any matrix is built,
+    when there would be more than ``MAX_CLASSES`` successors.
     """
     n, constants = ra.num_registers, ra.constants
     _check_node(ra, c)
+    plans = [(t, _plan(t, constants)) for t in ra.transitions if t.source == c.location]
+    plans = [(t, plan) for t, plan in plans if plan is not None]
+    for t, plan in plans:
+        _check_join(t, plan, 1)
     valuation = marker_rows(matrix_entries([c.matrix], n))
     dtype = value_dtype(n, constants)
     steps = []
-    for t in ra.transitions:
-        if t.source != c.location:
-            continue
-        plan = _plan(t, constants)
-        if plan is None:
-            continue
+    for t, plan in plans:
         _, images, _ = _join(ra, plan, valuation[:, plan.reads])
         if len(images):
             steps.append((t, _image_classes(images, dtype, constants)))
@@ -421,10 +521,11 @@ def _build_kernel(
     """``t``'s relation over ``table``, by one join per chunk of read groups;
     ``groups`` (``table.groups`` by default) gives the groupings.
 
-    The first chunk is sized by the worst-case fan-out (``_Plan.fan_out``)
-    and each next one by the rows the last one held, to half the budget and
-    at most twice as many groups, so rows far below the worst case take few
-    chunks.
+    Raises ``ValueError`` before any join past ``MAX_JOIN_ROWS``
+    (``_check_join``).  The first chunk is sized by the most rows the join
+    holds per read group (``_Plan.rows``) and each next one by the rows the
+    last one held, to half the budget and at most twice as many groups, so
+    rows far below the worst case take few chunks.
     """
     plan = _plan(t, ra.constants)
     reads = () if plan is None else plan.reads
@@ -434,8 +535,9 @@ def _build_kernel(
     num_groups = len(read_table.key)
     pairs = [np.zeros(0, dtype=np.int64)]
     if plan is not None:
+        _check_join(t, plan, num_groups)
         budget = max(len(table.key) // 2, _JOIN_ROWS)
-        lo, step = 0, max(1, budget // plan.fan_out)
+        lo, step = 0, max(1, budget // plan.rows)
         while lo < num_groups:
             origin, images, peak = _join(ra, plan, read_table.values[lo : lo + step])
             found = np.searchsorted(target_keys, class_keys(images, ra.constants))
@@ -559,7 +661,7 @@ class QuotientGraph:
         a time.  A class's matrix is built the first time a view reads it
         and is shared from then on."""
         built = self._built
-        for chunk in doubling_chunks(ks.tolist()):
+        for chunk in doubling_chunks(ks.tolist(), self.table.values.shape[1]):
             missing = [k for k in chunk if built[k] is None]
             for k, m in zip(missing, build_matrices(self.table.values[missing])):
                 built[k] = m
@@ -774,12 +876,23 @@ def quotient_graph(ra: RegisterAutomaton) -> QuotientGraph:
 
 
 def reach(ra: RegisterAutomaton, target: RepConfig) -> bool:
-    """Whether ``target`` is reachable from any initial-location class."""
+    """Whether ``target`` is reachable from any initial-location class.
+
+    The reachable nodes of the last automaton asked about are kept, one
+    flag per node and not its graph or kernels, so many questions about one
+    machine build its kernels and run the fixpoint once.
+    """
     _check_node(ra, target)
-    return target in reachable_set(ra)
+    return target in LabelSet(quotient_graph(ra), _reachable_masks_of(ra))
+
+
+@lru_cache(maxsize=1)
+def _reachable_masks_of(ra: RegisterAutomaton) -> np.ndarray:
+    return quotient_graph(ra)._reachable_masks()
 
 
 def reachable_set(ra: RegisterAutomaton) -> LabelSet:
     """Least set of classes containing every initial one and closed under post."""
     graph = quotient_graph(ra)
     return LabelSet(graph, graph._reachable_masks())
+

@@ -176,7 +176,10 @@ def random_automaton(
     max_transitions: int = 5,
     max_arity: int = 2,
     max_constants: int = 1,
+    max_atoms: int = 2,
 ) -> RegisterAutomaton:
+    """A seeded machine; each transition's guard has up to ``max_atoms``
+    atoms (the default keeps the machines earlier seeds drew)."""
     num_registers = rng.randint(1, max_registers)
     constants = tuple(sorted(rng.sample(range(4), rng.randint(0, max_constants))))
     actions = tuple(
@@ -192,7 +195,7 @@ def random_automaton(
                 random_term(rng, num_registers, action.arity, constants),
                 rng.random() < 0.6,
             )
-            for _ in range(rng.randrange(3))
+            for _ in range(rng.randrange(max_atoms + 1))
         )
         updates = tuple(
             (i, random_term(rng, num_registers, action.arity, constants))
@@ -311,12 +314,23 @@ def _registers(n: int) -> tuple[str, ...]:
     return tuple(f"r{i + 1}" for i in range(n))
 
 
-def load(n: int) -> RegisterAutomaton:
-    """One step loads n parameters, each distinct from the register it replaces."""
+def load(n: int, equal: bool = False) -> RegisterAutomaton:
+    """One step loads n parameters, each distinct from (or, with ``equal``,
+    equal to) the register it replaces."""
     params = [ParameterTerm(i + 1) for i in range(n)]
-    guard = tuple(Atom(RegisterTerm(i), p, False) for i, p in enumerate(params))
+    guard = tuple(Atom(RegisterTerm(i), p, equal) for i, p in enumerate(params))
     step = Transition("q", "ld", guard, Assignment(tuple(enumerate(params))), "q")
     return RegisterAutomaton((0,), _registers(n), (Action("ld", n),), ("q",), "q", (step,))
+
+
+def pinned(n: int) -> RegisterAutomaton:
+    """One step stores n parameters, every one equal to the first, which
+    differs from the first register."""
+    params = [ParameterTerm(i + 1) for i in range(n)]
+    guard = (Atom(params[0], RegisterTerm(0), False),)
+    guard += tuple(Atom(p, params[0], True) for p in params[1:])
+    step = Transition("q", "st", guard, Assignment(tuple(enumerate(params))), "q")
+    return RegisterAutomaton((0,), _registers(n), (Action("st", n),), ("q",), "q", (step,))
 
 
 def chain(n: int, length: int) -> RegisterAutomaton:

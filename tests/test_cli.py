@@ -5,19 +5,24 @@ from __future__ import annotations
 import importlib
 import os
 import pathlib
+import random
 import re
+import resource
 import subprocess
 import sys
 import time
 
 import pytest
 
-from gens import byzantine, chain, figure_one, havoc, load, shift_machine, wide
-from regmc import dsl
-from regmc.cli import main
+from gens import (
+    byzantine, chain, figure_one, havoc, load, pinned, random_automaton, shift_machine, wide,
+)
+from regmc import ctl, dsl
+from regmc.classes import RepConfig
+from regmc.cli import _listing, main
 from regmc.core import Configuration, check_run
 from regmc.matrices import matrix_of_valuation, universe
-from regmc.reach import post
+from regmc.reach import post, quotient_graph
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FIG = str(FIXTURES / "figure1.ra")
@@ -116,6 +121,20 @@ def test_post_listing(capsys):
     assert again == out  # deterministic order
 
 
+def test_post_listing_matches_serialize_in_universe_order():
+    # every class at every location, handed over shuffled, comes back one
+    # ``serialize`` line each, by location and then in universe order
+    rng = random.Random(44)
+    for _ in range(12):
+        ra = random_automaton(rng, max_registers=4, max_constants=2)
+        classes = universe(ra.num_registers, ra.constants)
+        configs = [RepConfig(loc, m) for loc in ra.locations for m in classes]
+        want = [dsl.serialize(c, ra) for c in configs]
+        rng.shuffle(configs)
+        assert list(_listing(ra, configs)) == want
+    assert list(_listing(figure_one(), [])) == []
+
+
 def test_post_shift_example(capsys, tmp_path):
     ra = shift_machine()
     path = tmp_path / "shift.ra"
@@ -159,6 +178,75 @@ def test_graph_over_the_node_limit_exits_2(capsys, tmp_path):
     path = tmp_path / "chain.ra"
     path.write_text(dsl.serialize(chain(10, 300)))
     assert run(capsys, "check", str(path), "EF @q299") == (2, "")
+
+
+def test_joins_past_the_row_limit_exit_2(capsys, tmp_path):
+    # load7's kernel joins 4140 read groups of up to 37260 rows each
+    path = tmp_path / "load7.ra"
+    path.write_text(dsl.serialize(load(7)))
+    assert run(capsys, "check", str(path), "AG (r1 = r2)") == (2, "")
+    assert run(capsys, "reach", str(path), "q | {r1 r2} {r3} {r4} {r5} {r6} {r7}") == (2, "")
+    # stores pinned by equalities add no rows, and are answered
+    path.write_text(dsl.serialize(load(7, True)))
+    assert run(capsys, "check", str(path), "AG (r1 = r2)") == (1, "result: fails\n")
+    path.write_text(dsl.serialize(pinned(12)))
+    rc, out = run(capsys, "post", str(path), _all_distinct(pinned(12)))
+    assert (rc, len(out.splitlines())) == (0, 2)
+
+
+def _all_distinct(ra) -> str:
+    return f"{ra.initial} | " + " ".join("{" + r + "}" for r in ra.registers)
+
+
+# The robustness contract, one question per shape at or past a size limit:
+# the parameter-storing joins of ``load``, stores pinned by equalities
+# (``load(7, equal=True)``, ``pinned(12)``), the node limit (``wide(11)``,
+# ``chain(10, 300)``).  A shape that a later limit or CLI path touches
+# joins this list.
+BOUNDED_QUESTIONS = [
+    *((f"load{n}-post", load(n), "post", _all_distinct(load(n))) for n in range(6, 10)),
+    *((f"load{n}-check", load(n), "check", "AG (r1 = r2)") for n in range(6, 10)),
+    ("load7eq-post", load(7, True), "post", _all_distinct(load(7))),
+    ("load7eq-check", load(7, True), "check", "AG (r1 = r2)"),
+    ("pinned12-post", pinned(12), "post", _all_distinct(pinned(12))),
+    ("wide11-check", wide(11), "check", "AG (r1 = r2)"),
+    ("chain10_300-check", chain(10, 300), "check", "EF @q299"),
+]
+
+
+def _cap_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "name, ra, command, arg", BOUNDED_QUESTIONS, ids=[q[0] for q in BOUNDED_QUESTIONS]
+)
+def test_every_question_gets_bounded_work(tmp_path, name, ra, command, arg):
+    """A fresh process under a 1 GB address-space cap and a 10 s limit
+    answers as the engine does in-process (0 or 1), or refuses up front (2,
+    printing nothing but its one-line error); it never crashes or runs
+    away."""
+    path = tmp_path / f"{name}.ra"
+    path.write_text(dsl.serialize(ra))
+    done = subprocess.run(
+        [sys.executable, "-m", "regmc.cli", command, str(path), arg],
+        capture_output=True, text=True, timeout=10, env=SUBPROCESS_ENV,
+        preexec_fn=_cap_address_space,
+    )
+    assert done.returncode in (0, 1, 2), done.stderr
+    if done.returncode == 2:
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+        return
+    assert done.stderr == ""
+    if command == "post":
+        successors = post(ra, dsl.parse_repconfig(arg, ra))
+        assert done.returncode == 0
+        assert done.stdout.splitlines() == list(_listing(ra, successors))
+    else:
+        holds = ctl.model_check(quotient_graph(ra), dsl.parse_formula(arg, ra))
+        want = (0, "result: holds\n") if holds else (1, "result: fails\n")
+        assert (done.returncode, done.stdout) == want
 
 
 def test_post_oracle_flag_agrees(capsys):

@@ -456,6 +456,28 @@ def test_build_matrices_memory_is_bounded_by_its_columns():
     assert peak - kept < 4 * column_set, (peak, kept, column_set)
 
 
+def test_build_matrices_scratch_does_not_grow_with_the_rows():
+    # the working memory beyond the built matrices (peak minus kept) is one
+    # chunk's, whether the call builds a tenth of the 8-register table or
+    # all of it
+    values = universe_table(8, (0,)).values
+    build_matrices(values[:8])  # caches, outside the measurement
+
+    def scratch(rows: int) -> int:
+        tracemalloc.start()
+        try:
+            built = build_matrices(values[:rows])
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(built) == rows
+        return peak - kept
+
+    few, every = scratch(2048), scratch(len(values))
+    assert every < 1.5 * few, (few, every)
+    assert every < 1 << 18, every
+
+
 def test_lookup_memory_is_bounded_by_a_chunk():
     # five 8192-matrix chunks of the 9-register table: read whole, the
     # batch's (matrices, n, n) int64 entries alone would be five times one

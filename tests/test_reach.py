@@ -20,6 +20,7 @@ from gens import (
     chain,
     havoc,
     load,
+    pinned,
     random_automaton,
     random_term,
     shift_machine,
@@ -264,6 +265,24 @@ def test_reach_agrees_with_reachable_set():
             assert reach(ra, node) == (node in everything)
 
 
+def test_reach_builds_each_kernel_once_per_machine(monkeypatch):
+    # many membership questions about one machine share its reachable set;
+    # no other test asks about this machine, so the first question builds
+    ra = dataclasses.replace(byzantine(), initial="L1")
+    built = []
+    build = reach_module._build_kernel
+    monkeypatch.setattr(
+        reach_module, "_build_kernel", lambda *args: built.append(args[1]) or build(*args)
+    )
+    rng = random.Random(25)
+    answers = [
+        reach(ra, RepConfig(rng.choice(ra.locations), m))
+        for m in rng.sample(universe(8, ra.constants), 4)
+    ]
+    assert True in answers
+    assert len(built) == len({(t.guard, t.assignment) for t in ra.transitions}) == 12
+
+
 def test_oracle_pool_validation(fig):
     with pytest.raises(ValueError):
         oracles.check_pool(fig, (1, 3, 4, 5, 6, 7))  # constant 2 missing
@@ -430,6 +449,36 @@ def _join_shapes(rng: random.Random, n: int, constants: tuple[int, ...]) -> tupl
     )
 
 
+def _many_parameter_shapes(
+    rng: random.Random, n: int, constants: tuple[int, ...]
+) -> tuple[Transition, ...]:
+    """Transitions on ``b(p1, p2, p3)`` that store as many parameters as
+    there are registers, the shapes whose joins drop dead columns, keep one
+    row per origin and class of the live ones, or copy a column."""
+    params = [ParameterTerm(i) for i in (1, 2, 3)]
+    stored = params[len(params) - n :] if n < len(params) else params
+    stores = tuple(enumerate(stored))
+    atom = lambda left, right: Atom(left, right, rng.random() < 0.5)
+    first, last = RegisterTerm(0), RegisterTerm(n - 1)
+    pins = [stored[0], last] + [ConstantTerm(c) for c in constants]
+    shapes = [
+        # every parameter stored, each compared with the register it
+        # replaces (``load``)
+        tuple(atom(RegisterTerm(i), p) for i, p in stores),
+        # parameters compared only with each other
+        tuple(atom(a, b) for a, b in itertools.combinations(params, 2) if rng.random() < 0.7),
+        # one register read by the first stage only, and another by the
+        # last stage only: it must outlive the stages before
+        (atom(stored[0], first), atom(stored[-1], last), atom(params[0], stored[-1])),
+        # each later parameter equal to the first, a register or a constant
+        (atom(stored[0], first),) + tuple(Atom(p, rng.choice(pins), True) for p in stored[1:]),
+    ]
+    return tuple(
+        Transition(rng.choice("lm"), "b", guard, Assignment(stores), rng.choice("lm"))
+        for guard in shapes
+    )
+
+
 @pytest.mark.parametrize("constants", [(), (0,), (0, 5)])
 def test_kernels_match_literal_post(constants):
     rng = random.Random(30)
@@ -440,7 +489,8 @@ def test_kernels_match_literal_post(constants):
             actions=(Action("a", 2), Action("b", 3)),
             locations=("l", "m"),
             initial="l",
-            transitions=_join_shapes(rng, n, constants),
+            transitions=_join_shapes(rng, n, constants)
+            + _many_parameter_shapes(rng, n, constants),
         )
         g = quotient_graph(ra)
         for node in g.nodes:
@@ -538,6 +588,95 @@ def test_post_on_wide11_restricts_to_post_on_wide_post():
         }
         source = RepConfig(node.location, matrix_of_valuation(valuation[:9], (0,)))
         assert restricted == post(small, source), node
+
+
+def test_many_atom_machines_match_literal_scan():
+    # guards of up to six atoms over four parameters: the joins drop dead
+    # columns and keep one row per origin and live class
+    rng = random.Random(34)
+    for _ in range(12):
+        ra = random_automaton(rng, max_registers=3, max_arity=3, max_atoms=6, max_transitions=3)
+        g = quotient_graph(ra)
+        for node in rng.sample(sorted(g.nodes, key=repr), min(6, len(g.nodes))):
+            want = literal_post(ra, node)
+            assert post(ra, node) == want, (ra, node)
+            assert g.edges(node) == want, (ra, node)
+
+
+def test_join_rows_stay_within_the_plan_bound():
+    # the bound the limit and the chunk sizes rest on: no stage of a join
+    # holds more than ``_Plan.rows`` rows per start row
+    rng = random.Random(35)
+    stages = 0
+    for _ in range(40):
+        ra = random_automaton(rng, max_registers=4, max_arity=4, max_atoms=6, max_constants=2)
+        for t in ra.transitions:
+            plan = reach_module._plan(t, ra.constants)
+            if plan is None:
+                continue
+            start = reach_module._sub_universe(len(plan.reads), ra.constants).values
+            _, _, peak = reach_module._join(ra, plan, start)
+            assert peak <= len(start) * plan.rows, (t, peak, plan)
+            stages += sum(stage.dedupe for stage in plan.stages)
+    assert stages > 0  # some stage keeps one row per origin and live class
+
+
+def test_post_join_memory_is_bounded():
+    # loadN stores N parameters, each compared with the register it
+    # replaces: a join that keeps every row holds up to (N + 2)! / 2 rows
+    # per class; dropping each register after its atom and keeping one row
+    # per class of the live columns bounds them by the universe over N
+    for n in (7, 8):
+        ra = load(n)
+        node = RepConfig("q", matrix_of_valuation(range(1, n + 1), ra.constants))
+        post(load(2), RepConfig("q", matrix_of_valuation((1, 2), ra.constants)))  # caches
+        tracemalloc.start()
+        try:
+            got = post(ra, node)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the parameters may take any class, apart from the registers' values
+        assert len(got) == universe_size(n, 1)
+        # the join's scratch stays below the answer's own size
+        assert peak - kept < kept, (n, peak, kept)
+
+
+def test_equality_pinned_stores_add_no_rows():
+    # a stored parameter that an atom equates with an earlier column copies
+    # it: load(7, equal=True) holds one row per read group, and each of
+    # pinned(12)'s stores after the first as many rows as the one before
+    assert reach_module._plan(load(7, True).transitions[0], (0,)).rows == 1
+    assert reach_module._plan(pinned(12).transitions[0], (0,)).rows == 3
+    same = RepConfig("q", matrix_of_valuation(range(1, 8), (0,)))
+    assert post(load(7, True), same) == {same}
+    node = RepConfig("q", matrix_of_valuation(range(1, 13), (0,)))
+    assert post(pinned(12), node) == {
+        RepConfig("q", matrix_of_valuation((v,) * 12, (0,))) for v in (0, 1)
+    }
+    for n in (2, 3, 4):
+        for ra in (load(n, True), pinned(n)):
+            g = quotient_graph(ra)
+            for node in g.nodes:
+                want = literal_post(ra, node)
+                assert post(ra, node) == want, node
+                assert g.edges(node) == want, node
+
+
+def test_joins_past_the_row_limit_are_refused_before_joining(monkeypatch):
+    # load7's kernel would join 4140 read groups of up to 37260 rows each
+    graph = quotient_graph(load(7))
+    plan = reach_module._plan(load(7).transitions[0], (0,))
+    assert plan.rows == 37260
+    monkeypatch.setattr(reach_module, "_join", None)
+    with pytest.raises(ValueError, match="row limit"):
+        ctl.model_check(graph, ctl.ag(ctl.RegEq(0, 1)))
+    with pytest.raises(ValueError, match="row limit"):
+        reach(load(7), RepConfig("q", matrix_of_valuation(range(1, 8), (0,))))
+    # post checks one class against the same limit
+    monkeypatch.setattr(reach_module, "MAX_JOIN_ROWS", plan.rows - 1)
+    with pytest.raises(ValueError, match="row limit"):
+        post(load(7), RepConfig("q", matrix_of_valuation(range(1, 8), (0,))))
 
 
 def test_load_post_matches_literal_scan_and_graph():
