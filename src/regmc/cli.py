@@ -25,10 +25,14 @@ import random
 import sys
 import traceback
 from collections.abc import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING
 
 from regmc import dsl
 from regmc.classes import RepConfig, matrix_of_valuation
 from regmc.core import Configuration, RegisterAutomaton, ValuePool, sample_step, sufficient_pool
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Each subcommand imports the engine it runs when it runs: ``simulate``
 # needs no quotient and never loads numpy, and only ``--oracle`` loads the
@@ -40,21 +44,21 @@ def _load_automaton(path: str) -> RegisterAutomaton:
         return dsl.parse_automaton(fh.read())
 
 
-def _listing(ra: RegisterAutomaton, configs: Iterable[RepConfig]) -> Iterator[str]:
-    """The ``dsl.serialize`` lines of the classes ``configs``, by location,
-    then in listing order: by the rank key of each class, which needs no
-    table.  Each line is written from its class's marker row
-    (``matrices.classes_lines``)."""
+def _listing(ra: RegisterAutomaton, steps: Sequence[tuple[str, np.ndarray]]) -> Iterator[str]:
+    """The ``dsl.serialize`` lines of the classes of the marker valuations
+    that ``steps`` gives per location, once each: by location, then in
+    listing order, by the rank key of each class, which needs no table."""
     import numpy as np
 
-    from regmc.matrices import class_keys, classes_lines, marker_rows, matrix_entries
+    from regmc.matrices import class_keys, classes_lines, first_of_each
 
-    configs = list(configs)
-    values = marker_rows(matrix_entries([c.matrix for c in configs], ra.num_registers))
-    locs = [ra.locations.index(c.location) for c in configs]
-    order = np.lexsort((class_keys(values, ra.constants), locs)).tolist()
-    for i, line in zip(order, classes_lines(values[order], ra.registers)):
-        yield dsl.configuration_text(configs[i].location, line)
+    for loc in ra.locations:
+        parts = [rows for target, rows in steps if target == loc]
+        if parts:
+            rows = np.concatenate(parts)
+            rows = rows[first_of_each(class_keys(rows, ra.constants))]
+            for line in classes_lines(rows, ra.registers):
+                yield dsl.configuration_text(loc, line)
 
 
 def _cmd_universe(args: argparse.Namespace) -> int:
@@ -84,14 +88,17 @@ def _cmd_post(args: argparse.Namespace) -> int:
     ra = _load_automaton(args.file)
     config = dsl.parse_repconfig(args.config, ra)
     if args.oracle:
+        from regmc.matrices import marker_rows, matrix_entries
         from regmc.reference import literal_post
 
-        successors = literal_post(ra, config)
+        successors = list(literal_post(ra, config))
+        rows = marker_rows(matrix_entries([c.matrix for c in successors], ra.num_registers))
+        steps = [(c.location, rows[i : i + 1]) for i, c in enumerate(successors)]
     else:
-        from regmc.reach import post
+        from regmc.reach import successor_rows
 
-        successors = post(ra, config)
-    for line in _listing(ra, successors):
+        steps = successor_rows(ra, config)
+    for line in _listing(ra, steps):
         print(line)
     return 0
 

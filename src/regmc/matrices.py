@@ -99,6 +99,14 @@ def distinct(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
 
 
+def first_of_each(keys: np.ndarray) -> np.ndarray:
+    """Where each distinct value of ``keys`` first occurs, by value."""
+    order = np.argsort(keys, kind="stable")
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[order[1:]] != keys[order[:-1]]
+    return order[first]
+
+
 def diagonal_entries(values: np.ndarray) -> np.ndarray:
     """The matrix diagonal of marker valuations (``UniverseTable.values``):
     a value that is a constant, else ``ONE`` for a block marker."""

@@ -8,18 +8,18 @@ its own negative marker, distinct from every other block and every
 declared constant.  Only the action's parameters are unknown, and a guard
 atom over such rows is a compare of two value columns.
 
-A transition's step is one relational join (``_join``).  A parameter the
-assignment does not store only has to exist, so it is first eliminated
-from the guard (``_stored_guard``).  The join starts from value rows over
-the declared constants and the k registers the transition reads, and
-extends them by one column per stored parameter: a new column takes a
-value already in the row (a declared constant included) or one fresh
-value, below every value in the row (``_grow``); a column that a guard
-atom equates with one before it copies that one.  A row is dropped as
-soon as every column of some guard atom exists and the atom fails, and a
-column as soon as no later atom and no assigned term reads it; rows of
-one start row that then agree on the live columns, up to renaming of
-non-constant values, have the same futures and are kept once.  So the
+A transition's step is one relational join (``_join``).  Each guard
+equality naming a parameter is first solved for it by substitution, and
+a parameter no assigned term then names is eliminated (``_solved``).  The
+join starts from value rows over the declared constants and the k
+registers the transition reads, and extends them by one column per
+parameter left: a new column takes a value already in the row (a
+declared constant included) or one fresh value, below every value in the
+row (``_grow``).  A row is dropped as soon as every column of some guard
+atom exists and the atom fails, and a column as soon as no later atom
+and no assigned term reads it; rows of one start row that then agree on
+the live columns, up to renaming of non-constant values, have the same
+futures and are kept once.  So the
 rows a stage holds per start row are bounded by the classes over its
 live columns, not by the product of the column counts (``_plan``), and a
 join whose bound times its start rows passes ``MAX_JOIN_ROWS`` is
@@ -48,17 +48,18 @@ them are bisimilar, so such a question runs on the graph of the machine
 over the live registers alone (``QuotientGraph._projection``), and its
 answer is lifted back through ``UniverseTable.groups``.
 
-``post`` runs the join from its single class and generates the
-successors instead: each distinct image class is extended to all n
-registers by the same column growth, one released register at a time
-(``_extend``), so it needs no n-register table.  It counts the extensions
+``successor_rows`` runs the join from a single class and generates the
+successors' marker valuations instead (``post`` builds their matrices):
+each distinct image class is extended to all n registers by the same
+column growth, one released register at a time (``_extend``), so it
+needs no n-register table.  It counts the extensions
 first by a closed form (``matrices.extension_count``) and refuses more
 than ``MAX_CLASSES``.  A set of nodes is one (locations × classes)
-boolean array, so reachability
-and the branching-time operators run as one worklist over its location
-rows (``QuotientGraph._fixpoint``; Clarke, Emerson & Sistla, TOPLAS 1986,
-over the partitioned relation of Burch, Clarke & Long, "Symbolic model
-checking with partitioned transition relations", 1991).
+boolean array, so reachability and the branching-time operators run as
+one worklist over its location rows (``QuotientGraph._fixpoint``; Clarke,
+Emerson & Sistla, TOPLAS 1986, over the partitioned relation of Burch,
+Clarke & Long, "Symbolic model checking with partitioned transition
+relations", 1991).
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ from regmc.matrices import (
     distinct,
     doubling_chunks,
     extension_count,
+    first_of_each,
     is_class,
     iter_matrices,
     marker_rows,
@@ -121,57 +123,47 @@ MAX_JOIN_ROWS = 1 << 25
 MAX_NODES = 1 << 25
 
 
-def _stored_guard(t: Transition) -> list[Atom] | None:
-    """``t``'s guard with every parameter the assignment does not store
-    eliminated, or None when no valuation satisfies it.
-
-    Such a parameter only has to exist, and the alphabet is infinite: an
-    equality naming it is solved for it by substitution, and once it occurs
-    in disequalities alone, one fresh value per parameter meets them all,
-    so they are dropped.  An atom comparing a term with itself is decided
-    outright.
-    """
-    stored = {x for _, x in t.assignment.updates}
-
-    def local(x: Term) -> bool:
-        return isinstance(x, ParameterTerm) and x not in stored
-
-    atoms = list(t.guard)
-    while True:
-        solved = [
-            (k, x, y)
-            for k, a in enumerate(atoms)
-            if a.equal
-            for x, y in ((a.left, a.right), (a.right, a.left))
-            if local(x) and x != y
-        ]
-        if not solved:
-            break
+def _solved(t: Transition) -> tuple[list[Atom], list[Term]] | None:
+    """``t``'s guard and assigned terms with every equality that names a
+    parameter (the later one, of two) solved for it by substitution, or
+    None when no valuation satisfies the guard.  A parameter no assigned
+    term then names only has to exist, in disequalities alone: one fresh
+    value per parameter meets them all, so they are dropped.  An atom
+    comparing a term with itself is decided outright."""
+    atoms, image = list(t.guard), [x for _, x in t.assignment.updates]
+    while solved := [
+        (k, x, y)
+        for k, a in enumerate(atoms)
+        if a.equal
+        for x, y in ((a.left, a.right), (a.right, a.left))
+        if isinstance(x, ParameterTerm)
+        and not (isinstance(y, ParameterTerm) and y.index >= x.index)
+    ]:
         k, x, y = solved[0]
         atoms = [
             Atom(y if a.left == x else a.left, y if a.right == x else a.right, a.equal)
             for j, a in enumerate(atoms)
             if j != k
         ]
+        image = [y if z == x else z for z in image]
     if any(a.left == a.right and not a.equal for a in atoms):
         return None
-    return [a for a in atoms if a.left != a.right and not (local(a.left) or local(a.right))]
+    unstored = {x for a in atoms for x in (a.left, a.right) if isinstance(x, ParameterTerm)}
+    unstored -= set(image)
+    return [a for a in atoms if a.left != a.right and not {a.left, a.right} & unstored], image
 
 
 class _Stage(NamedTuple):
     """One stage of a transition's join.
 
-    ``copies`` is the column whose value the stage's new column takes when
-    an atom equates the two, or None when the new column takes every value
-    (``_grow``); ``atoms`` are the guard atoms checked once the stage has
-    added its column, as column pairs that must match or differ; ``live``
+    ``atoms`` are the guard atoms checked once the stage has added its
+    column (``_grow``), as column pairs that must match or differ; ``live``
     the columns kept after them, or None for all; with ``dedupe`` rows of
     one origin that agree on those columns, up to renaming of non-constant
     values, are kept once; ``rows`` is the most rows the stage holds per
     start row.
     """
 
-    copies: int | None
     atoms: tuple[tuple[int, int, bool], ...]
     live: tuple[int, ...] | None
     dedupe: bool
@@ -199,24 +191,22 @@ def _plan(t: Transition, constants: tuple[int, ...]) -> _Plan | None:
     """The join of ``t``, or None when its guard is unsatisfiable.
 
     The columns are the declared constants, then the registers that the
-    assignment and ``_stored_guard(t)`` read, then one column per stored
-    parameter, added in index order by every stage but the first.  Each
-    atom is checked at the first stage that has both its columns.  After
+    solved guard and assigned terms read (``_solved``), then one column per
+    parameter they name, added in index order by every stage but the first.
+    Each atom is checked at the first stage that has both its columns.  After
     that, a column that no later atom and no assigned term reads is dead
     and is dropped (early quantification: Burch, Clarke & Long 1991;
     Ranjan, Aziz, Brayton, Plessier & Pixley, IWLS 1995).  Rows of one
     origin that then agree on the live columns have the same futures, so
     they are kept once wherever that tightens the bound: a new column
-    multiplies the rows by at most one plus the columns before it, or not
-    at all when an atom equates it with an earlier column, which it then
-    copies; and the rows of one origin, once distinct, are at most the
-    classes over the live columns that are not constants
-    (``universe_size``).
+    multiplies the rows by at most one plus the columns before it, and the
+    rows of one origin, once distinct, are at most the classes over the
+    live columns that are not constants (``universe_size``).
     """
-    guard = _stored_guard(t)
-    if guard is None:
+    solved = _solved(t)
+    if solved is None:
         return None
-    image = [x for _, x in t.assignment.updates]
+    guard, image = solved
     terms = [x for a in guard for x in (a.left, a.right)] + image
     reads = sorted({x.index for x in terms if isinstance(x, RegisterTerm)})
     params = sorted({x.index for x in terms if isinstance(x, ParameterTerm)})
@@ -228,14 +218,10 @@ def _plan(t: Transition, constants: tuple[int, ...]) -> _Plan | None:
         checks[max(at, default=0)].append(a)
     stages, kept, distinct_rows = [], 1, True
     for s, atoms in enumerate(checks):
-        grown, copies = kept, None
+        grown = kept
         if s:
-            new = ParameterTerm(params[s - 1])
-            pins = [a.left if a.right == new else a.right for a in atoms if a.equal]
-            if pins:
-                copies = cols.index(pins[0])
-            cols.append(new)
-            grown = kept if pins else kept * len(cols)
+            cols.append(ParameterTerm(params[s - 1]))
+            grown *= len(cols)
         pairs = tuple((cols.index(a.left), cols.index(a.right), a.equal) for a in atoms)
         later = itertools.chain.from_iterable(checks[s + 1 :])
         needed = set(image).union(x for a in later for x in (a.left, a.right))
@@ -251,7 +237,7 @@ def _plan(t: Transition, constants: tuple[int, ...]) -> _Plan | None:
         dedupe = not distinct_rows and classes < grown
         distinct_rows = distinct_rows or dedupe
         kept = min(grown, classes) if distinct_rows else grown
-        stages.append(_Stage(copies, pairs, tuple(live) if dropped else None, dedupe, grown))
+        stages.append(_Stage(pairs, tuple(live) if dropped else None, dedupe, grown))
     image_cols = tuple(cols.index(x) for x in image)
     return _Plan(tuple(reads), tuple(stages), image_cols, max(s.rows for s in stages))
 
@@ -295,10 +281,9 @@ def _join(
     images.
 
     ``start`` holds one valuation per class over ``plan.reads``.  Each
-    stored parameter adds a column (``_grow``, or a copy of the column an
-    atom equates it with), dead columns are dropped,
-    and where the plan says so, rows are kept once per origin and class of
-    the live columns: one int64 code per row, the rank of its class key
+    parameter adds a column (``_grow``), dead columns are dropped, and
+    where the plan says so, rows are kept once per origin and class of the
+    live columns: one int64 code per row, the rank of its class key
     (``class_keys``) among the stage's combined with its origin.  Returns,
     for every kept row that satisfies the guard, the index of the ``start``
     row it extends and the values of the assigned terms, in target order;
@@ -312,9 +297,7 @@ def _join(
     origin = np.arange(len(start))
     peak = len(rows)
     for s, stage in enumerate(plan.stages):
-        if s and stage.copies is not None:
-            rows = np.column_stack((rows, rows[:, stage.copies]))
-        elif s:
+        if s:
             counts, rows = _grow(rows)
             origin = np.repeat(origin, counts)
             peak = max(peak, len(rows))
@@ -327,9 +310,7 @@ def _join(
         if stage.dedupe:
             keys = class_keys(rows[:, m:], ra.constants)
             ranks = distinct(keys)
-            code = origin * len(ranks) + ranks.searchsorted(keys)
-            order = np.argsort(code, kind="stable")
-            once = order[np.diff(code[order], prepend=-1) != 0]
+            once = first_of_each(origin * len(ranks) + ranks.searchsorted(keys))
             rows, origin = rows[once], origin[once]
     return origin, rows[:, plan.image], peak
 
@@ -387,10 +368,7 @@ def _image_classes(images: np.ndarray, dtype: np.dtype, constants: tuple[int, ..
     A value that is no constant is negative, so it becomes ``-1`` minus the
     first column that holds it; rows of one class then coincide.
     """
-    keys = class_keys(images, constants)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    images = images[order[np.concatenate(([True], keys[1:] != keys[:-1]))]]
+    images = images[first_of_each(class_keys(images, constants))]
     same = images[:, :, None] == images[:, None, :]
     holder = same.argmax(axis=1) if images.size else images  # no argmax over no columns
     return np.where(images >= 0, images, -1 - holder).astype(dtype)
@@ -427,15 +405,16 @@ def _extend(
     return out
 
 
-def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
-    """All one-step successor classes of ``c``.
+def successor_rows(ra: RegisterAutomaton, c: RepConfig) -> list[tuple[str, np.ndarray]]:
+    """The one-step successor classes of ``c``, as each firing transition's
+    target location and the marker valuations of its successors.
 
     Every transition from ``c``'s location is joined from ``c``'s marker
-    row; each distinct image class is then extended to every register
-    (``_extend``), and only those rows become matrices.  Raises
+    row, and each distinct image class is extended to every register
+    (``_extend``).  Two transitions may reach one class.  Raises
     ``ValueError`` for an unknown location, a matrix of the wrong size, an
     undeclared constant or an inconsistent matrix, before any join past
-    ``MAX_JOIN_ROWS`` (``_check_join``), and, before any matrix is built,
+    ``MAX_JOIN_ROWS`` (``_check_join``), and, before any row is extended,
     when there would be more than ``MAX_CLASSES`` successors.
     """
     n, constants = ra.num_registers, ra.constants
@@ -445,12 +424,11 @@ def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
     for t, plan in plans:
         _check_join(t, plan, 1)
     valuation = marker_rows(matrix_entries([c.matrix], n))
-    dtype = value_dtype(n, constants)
     steps = []
     for t, plan in plans:
         _, images, _ = _join(ra, plan, valuation[:, plan.reads])
         if len(images):
-            steps.append((t, _image_classes(images, dtype, constants)))
+            steps.append((t, _image_classes(images, value_dtype(n, constants), constants)))
     count = sum(
         _extension_count(images, n - images.shape[1], constants) for _, images in steps
     )
@@ -458,11 +436,15 @@ def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
         raise ValueError(
             f"{c.location} has more than {MAX_CLASSES} successor classes over {n} registers"
         )
-    out: set[RepConfig] = set()
-    for t, images in steps:
-        rows = _extend(images, [i for i, _ in t.assignment.updates], n, constants)
-        out.update(RepConfig(t.target, m) for m in iter_matrices(rows))
-    return out
+    return [
+        (t.target, _extend(images, [i for i, _ in t.assignment.updates], n, constants))
+        for t, images in steps
+    ]
+
+
+def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
+    """All one-step successor classes of ``c`` (``successor_rows``)."""
+    return {RepConfig(loc, m) for loc, rows in successor_rows(ra, c) for m in iter_matrices(rows)}
 
 
 @dataclass

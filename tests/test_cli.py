@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from gens import (
@@ -21,8 +22,10 @@ from regmc import ctl, dsl
 from regmc.classes import RepConfig
 from regmc.cli import _listing, main
 from regmc.core import Configuration, check_run
-from regmc.matrices import matrix_of_valuation, universe
-from regmc.reach import post, quotient_graph
+from regmc.matrices import (
+    class_keys, marker_rows, matrix_entries, matrix_of_valuation, universe, universe_table,
+)
+from regmc.reach import post, quotient_graph, reach, successor_rows
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FIG = str(FIXTURES / "figure1.ra")
@@ -122,17 +125,39 @@ def test_post_listing(capsys):
 
 
 def test_post_listing_matches_serialize_in_universe_order():
-    # every class at every location, handed over shuffled, comes back one
-    # ``serialize`` line each, by location and then in universe order
+    # every class at every location, handed over as shuffled marker rows
+    # with renamed markers, split over two steps per location that overlap,
+    # comes back one ``serialize`` line each, by location and then in
+    # universe order
     rng = random.Random(44)
     for _ in range(12):
         ra = random_automaton(rng, max_registers=4, max_constants=2)
         classes = universe(ra.num_registers, ra.constants)
-        configs = [RepConfig(loc, m) for loc in ra.locations for m in classes]
-        want = [dsl.serialize(c, ra) for c in configs]
-        rng.shuffle(configs)
-        assert list(_listing(ra, configs)) == want
+        want = [dsl.serialize(RepConfig(loc, m), ra) for loc in ra.locations for m in classes]
+        values = universe_table(ra.num_registers, ra.constants).values.astype(np.int64)
+        steps = []
+        for loc in ra.locations:
+            rows = values[rng.sample(range(len(values)), len(values))]
+            rows = np.where(rows < 0, 3 * rows - rng.randrange(5), rows)
+            cut = rng.randrange(len(rows) + 1)
+            steps += [(loc, rows[: cut + len(rows) // 3]), (loc, rows[cut:])]
+        rng.shuffle(steps)
+        assert list(_listing(ra, steps)) == want
     assert list(_listing(figure_one(), [])) == []
+
+
+def test_post_listing_prints_a_class_reached_twice_once(capsys):
+    # from l1, the two probes ``x1 = p1`` and ``x2 = p1`` both keep both
+    # registers: two steps reach the same classes at l1
+    fig = figure_one()
+    config = dsl.parse_repconfig("l1 | {x1} {x2}", fig)
+    steps = [rows for loc, rows in successor_rows(fig, config) if loc == "l1"]
+    keys = [set(class_keys(rows, fig.constants).tolist()) for rows in steps]
+    assert len(steps) == 3 and keys[0] & keys[1]
+    rc, out = run(capsys, "post", FIG, "l1 | {x1} {x2}")
+    assert rc == 0
+    assert out.splitlines() == _listed(fig, post(fig, config))
+    assert out.count("l1 | {x1} {x2}\n") == 1
 
 
 def test_post_shift_example(capsys, tmp_path):
@@ -198,20 +223,61 @@ def _all_distinct(ra) -> str:
     return f"{ra.initial} | " + " ".join("{" + r + "}" for r in ra.registers)
 
 
+def _listed(ra, configs) -> list[str]:
+    """The ``dsl.serialize`` lines of ``configs``, by location and then by
+    universe position, the order of the classes' rank keys."""
+    configs = list(configs)
+    values = marker_rows(matrix_entries([c.matrix for c in configs], ra.num_registers))
+    keys = class_keys(values, ra.constants).tolist()
+    locs = [ra.locations.index(c.location) for c in configs]
+    order = sorted(range(len(configs)), key=lambda i: (locs[i], keys[i]))
+    return [dsl.serialize(configs[i], ra) for i in order]
+
+
 # The robustness contract, one question per shape at or past a size limit:
 # the parameter-storing joins of ``load``, stores pinned by equalities
-# (``load(7, equal=True)``, ``pinned(12)``), the node limit (``wide(11)``,
-# ``chain(10, 300)``).  A shape that a later limit or CLI path touches
-# joins this list.
+# (``load(7, equal=True)``, ``pinned(12)``), a step that releases every
+# register (``havoc(8)``), the node limit (``wide(11)``, ``chain(10,
+# 300)``).  A shape that a later limit or CLI path touches joins this list.
+_AG = "AG (r1 = r2)"
 BOUNDED_QUESTIONS = [
-    *((f"load{n}-post", load(n), "post", _all_distinct(load(n))) for n in range(6, 10)),
-    *((f"load{n}-check", load(n), "check", "AG (r1 = r2)") for n in range(6, 10)),
-    ("load7eq-post", load(7, True), "post", _all_distinct(load(7))),
-    ("load7eq-check", load(7, True), "check", "AG (r1 = r2)"),
-    ("pinned12-post", pinned(12), "post", _all_distinct(pinned(12))),
-    ("wide11-check", wide(11), "check", "AG (r1 = r2)"),
-    ("chain10_300-check", chain(10, 300), "check", "EF @q299"),
+    *((f"load{n}-post", load(n), "post", (_all_distinct(load(n)),)) for n in range(6, 10)),
+    *((f"load{n}-check", load(n), "check", (_AG,)) for n in range(6, 10)),
+    ("load7eq-post", load(7, True), "post", (_all_distinct(load(7)),)),
+    ("load7eq-check", load(7, True), "check", (_AG,)),
+    ("pinned12-post", pinned(12), "post", (_all_distinct(pinned(12)),)),
+    *(
+        question
+        for name, ra in (("load6", load(6)), ("load7eq", load(7, True)), ("pinned12", pinned(12)))
+        for question in (
+            (f"{name}-reach", ra, "reach", (_all_distinct(ra),)),
+            (f"{name}-check-config", ra, "check", (_AG, "--config", _all_distinct(ra))),
+        )
+    ),
+    ("havoc8-check", havoc(8), "check", (_AG,)),
+    ("wide11-check", wide(11), "check", (_AG,)),
+    ("chain10_300-check", chain(10, 300), "check", ("EF @q299",)),
 ]
+
+
+def _in_process(ra, command: str, args: tuple[str, ...]) -> tuple[int, str]:
+    """The exit status and stdout the engine gives ``command`` in-process:
+    (2, "") where it refuses."""
+    try:
+        if command == "post":
+            successors = post(ra, dsl.parse_repconfig(args[0], ra))
+            return 0, "".join(line + "\n" for line in _listed(ra, successors))
+        if command == "reach":
+            found = reach(ra, dsl.parse_repconfig(args[0], ra))
+            return (0, "result: reachable\n") if found else (1, "result: unreachable\n")
+        graph, formula = quotient_graph(ra), dsl.parse_formula(args[0], ra)
+        if args[1:]:
+            member = dsl.parse_repconfig(args[2], ra) in ctl.compute_ctl(graph, formula)
+            return (0, "result: member\n") if member else (1, "result: non-member\n")
+        holds = ctl.model_check(graph, formula)
+        return (0, "result: holds\n") if holds else (1, "result: fails\n")
+    except ValueError:
+        return 2, ""
 
 
 def _cap_address_space() -> None:
@@ -219,34 +285,26 @@ def _cap_address_space() -> None:
 
 
 @pytest.mark.parametrize(
-    "name, ra, command, arg", BOUNDED_QUESTIONS, ids=[q[0] for q in BOUNDED_QUESTIONS]
+    "name, ra, command, args", BOUNDED_QUESTIONS, ids=[q[0] for q in BOUNDED_QUESTIONS]
 )
-def test_every_question_gets_bounded_work(tmp_path, name, ra, command, arg):
+def test_every_question_gets_bounded_work(tmp_path, name, ra, command, args):
     """A fresh process under a 1 GB address-space cap and a 10 s limit
-    answers as the engine does in-process (0 or 1), or refuses up front (2,
-    printing nothing but its one-line error); it never crashes or runs
-    away."""
+    answers as the engine does in-process (0 or 1, with nothing on stderr),
+    or refuses up front as the engine does (2, printing nothing but its
+    one-line error); it never crashes or runs away."""
     path = tmp_path / f"{name}.ra"
     path.write_text(dsl.serialize(ra))
     done = subprocess.run(
-        [sys.executable, "-m", "regmc.cli", command, str(path), arg],
+        [sys.executable, "-m", "regmc.cli", command, str(path), *args],
         capture_output=True, text=True, timeout=10, env=SUBPROCESS_ENV,
         preexec_fn=_cap_address_space,
     )
     assert done.returncode in (0, 1, 2), done.stderr
     if done.returncode == 2:
-        assert done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
-        return
-    assert done.stderr == ""
-    if command == "post":
-        successors = post(ra, dsl.parse_repconfig(arg, ra))
-        assert done.returncode == 0
-        assert done.stdout.splitlines() == list(_listing(ra, successors))
     else:
-        holds = ctl.model_check(quotient_graph(ra), dsl.parse_formula(arg, ra))
-        want = (0, "result: holds\n") if holds else (1, "result: fails\n")
-        assert (done.returncode, done.stdout) == want
+        assert done.stderr == ""
+    assert (done.returncode, done.stdout) == _in_process(ra, command, args)
 
 
 def test_post_oracle_flag_agrees(capsys):

@@ -453,15 +453,16 @@ def _many_parameter_shapes(
     rng: random.Random, n: int, constants: tuple[int, ...]
 ) -> tuple[Transition, ...]:
     """Transitions on ``b(p1, p2, p3)`` that store as many parameters as
-    there are registers, the shapes whose joins drop dead columns, keep one
-    row per origin and class of the live ones, or copy a column."""
+    there are registers, the shapes whose joins drop dead columns or keep
+    one row per origin and class of the live ones, and the shapes whose
+    parameter equalities are solved by substitution."""
     params = [ParameterTerm(i) for i in (1, 2, 3)]
     stored = params[len(params) - n :] if n < len(params) else params
     stores = tuple(enumerate(stored))
     atom = lambda left, right: Atom(left, right, rng.random() < 0.5)
     first, last = RegisterTerm(0), RegisterTerm(n - 1)
     pins = [stored[0], last] + [ConstantTerm(c) for c in constants]
-    shapes = [
+    guards = [
         # every parameter stored, each compared with the register it
         # replaces (``load``)
         tuple(atom(RegisterTerm(i), p) for i, p in stores),
@@ -472,10 +473,16 @@ def _many_parameter_shapes(
         (atom(stored[0], first), atom(stored[-1], last), atom(params[0], stored[-1])),
         # each later parameter equal to the first, a register or a constant
         (atom(stored[0], first),) + tuple(Atom(p, rng.choice(pins), True) for p in stored[1:]),
+        # a stored parameter equal to a later one, which is then compared
+        (Atom(stored[0], params[-1], True), atom(params[-1], rng.choice(pins[1:]))),
     ]
+    shapes = [(guard, stores) for guard in guards]
+    # p1, which no register stores, equal to the stored p3, then compared
+    unstored = (atom(params[0], first), Atom(params[0], params[-1], True))
+    shapes.append((unstored, stores if n < len(params) else stores[1:]))
     return tuple(
-        Transition(rng.choice("lm"), "b", guard, Assignment(stores), rng.choice("lm"))
-        for guard in shapes
+        Transition(rng.choice("lm"), "b", guard, Assignment(updates), rng.choice("lm"))
+        for guard, updates in shapes
     )
 
 
@@ -643,9 +650,9 @@ def test_post_join_memory_is_bounded():
 
 
 def test_equality_pinned_stores_add_no_rows():
-    # a stored parameter that an atom equates with an earlier column copies
-    # it: load(7, equal=True) holds one row per read group, and each of
-    # pinned(12)'s stores after the first as many rows as the one before
+    # a stored parameter that an atom equates with another term is
+    # substituted by it: load(7, equal=True) grows no column and holds one
+    # row per read group, and pinned(12) grows one column, for p1
     assert reach_module._plan(load(7, True).transitions[0], (0,)).rows == 1
     assert reach_module._plan(pinned(12).transitions[0], (0,)).rows == 3
     same = RepConfig("q", matrix_of_valuation(range(1, 8), (0,)))
@@ -661,6 +668,41 @@ def test_equality_pinned_stores_add_no_rows():
                 want = literal_post(ra, node)
                 assert post(ra, node) == want, node
                 assert g.edges(node) == want, node
+
+
+def test_no_plan_stage_checks_an_equality_on_a_parameter():
+    # every equality naming a parameter is solved by substitution: each
+    # stage after the first adds a parameter column and checks only atoms
+    # on it, and none of them is an equality
+    rng = random.Random(36)
+    machines = [
+        random_automaton(rng, max_registers=4, max_arity=4, max_atoms=6, max_constants=2)
+        for _ in range(60)
+    ]
+    machines += [ra for n in (2, 5, 12) for ra in (load(n, True), pinned(n))]
+    checked = 0
+    for ra in machines:
+        for t in ra.transitions:
+            plan = reach_module._plan(t, ra.constants)
+            for stage in plan.stages[1:] if plan else ():
+                checked += len(stage.atoms)
+                assert all(not equal for _, _, equal in stage.atoms), (t, plan)
+    assert checked > 0
+
+
+def test_contradictory_parameter_equalities_plan_to_nothing():
+    # p1 = 0 & p1 != 0 substitutes to 0 != 0: no join, and no successors
+    p1, zero = ParameterTerm(1), ConstantTerm(0)
+    for stored in ((), ((0, p1),)):
+        guard = (Atom(p1, zero, True), Atom(p1, zero, False))
+        t = Transition("l", "a", guard, Assignment(stored), "l")
+        ra = RegisterAutomaton((0,), ("x1",), (Action("a", 1),), ("l",), "l", (t,))
+        assert reach_module._plan(t, ra.constants) is None
+        g = quotient_graph(ra)
+        assert not g._steps[0][2].indices.size
+        for node in g.nodes:
+            assert post(ra, node) == literal_post(ra, node) == set()
+            assert g.edges(node) == set()
 
 
 def test_joins_past_the_row_limit_are_refused_before_joining(monkeypatch):
