@@ -12,10 +12,9 @@ it exits 3 with the traceback on stderr, so it never reads as an answer.
 
 Listings are deterministic: matrices appear in the enumeration order of
 ``universe`` and locations in declaration order, so outputs can serve as
-golden files.  The global ``--oracle`` flag swaps the optimized
-computations for ``universe`` and ``post`` for the literal reference
-scans, which is handy when the two need to be diffed; ``reach`` and
-``check`` run the engine either way.
+golden files.  Every subcommand runs the engine; the literal reference
+scans (``reference``) are judges for the tests, and nothing here loads
+them.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import argparse
 import random
 import sys
 import traceback
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
 from regmc import dsl
@@ -35,8 +34,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Each subcommand imports the engine it runs when it runs: ``simulate``
-# needs no quotient and never loads numpy, and only ``--oracle`` loads the
-# reference scans.
+# needs no quotient and never loads numpy.
 
 
 def _load_automaton(path: str) -> RegisterAutomaton:
@@ -67,38 +65,18 @@ def _cmd_universe(args: argparse.Namespace) -> int:
     constants = tuple(dict.fromkeys(args.constants))
     names = tuple(f"x{i + 1}" for i in range(args.registers))
     table = universe_table(args.registers, constants)
-    count = len(table.key)
-    lines: Iterable[str] = classes_lines(table.values, names)
-    if args.oracle:
-        from regmc import reference
-
-        # same canonical presentation order; only the computation differs
-        scanned = reference.literal_universe(args.registers, constants)
-        ks = [k if k >= 0 else count for k in table.positions(scanned).tolist()]
-        ordered = sorted(zip(ks, scanned), key=lambda km: km[0])
-        lines = [dsl.classes_text(m, names) for _, m in ordered]
-        count = len(scanned)
-    for line in lines:
+    for line in classes_lines(table.values, names):
         print(line)
-    print(f"count: {count}")
+    print(f"count: {len(table.key)}")
     return 0
 
 
 def _cmd_post(args: argparse.Namespace) -> int:
+    from regmc.reach import successor_rows
+
     ra = _load_automaton(args.file)
     config = dsl.parse_repconfig(args.config, ra)
-    if args.oracle:
-        from regmc.matrices import marker_rows, matrix_entries
-        from regmc.reference import literal_post
-
-        successors = list(literal_post(ra, config))
-        rows = marker_rows(matrix_entries([c.matrix for c in successors], ra.num_registers))
-        steps = [(c.location, rows[i : i + 1]) for i, c in enumerate(successors)]
-    else:
-        from regmc.reach import successor_rows
-
-        steps = successor_rows(ra, config)
-    for line in _listing(ra, steps):
+    for line in _listing(ra, successor_rows(ra, config)):
         print(line)
     return 0
 
@@ -179,11 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regmc",
         description="Reachability and branching-time analysis of register automata.",
-    )
-    parser.add_argument(
-        "--oracle",
-        action="store_true",
-        help="use the literal reference scans for universe and post",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

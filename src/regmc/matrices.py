@@ -57,13 +57,12 @@ from regmc.classes import (  # noqa: F401
 )
 
 # The bytes of the widest temporary of one chunk of a pass over rows: each
-# pass takes as many rows at once as keep it within this (``_chunk_rows``),
+# pass takes as many rows at once as keep it within this (``chunk_rows``),
 # so its scratch memory is fixed whatever the row count.
 _BUDGET = 1 << 16
-_FIRST_CHUNK = 64  # ``doubling_chunks`` starts here and doubles up to a build chunk
 
 
-def _chunk_rows(entries: int) -> int:
+def chunk_rows(entries: int) -> int:
     """Rows per chunk of a pass whose widest temporary holds ``entries``
     8-byte entries per row."""
     return max(1, _BUDGET // (8 * entries))
@@ -149,7 +148,7 @@ class _RowCodes:
         n, rows = cols.shape
         masks = np.empty(cols.shape)
         # registers compared at once: the product casts their compares to float64
-        step = _chunk_rows(n * rows)
+        step = chunk_rows(n * rows)
         for lo in range(0, n, step):
             masks[lo : lo + step] = self._fbits @ (cols[lo : lo + step, None] == cols)
         lab = cols.astype(np.int64) + 1 if self.labels is None else self.labels.searchsorted(cols)
@@ -232,7 +231,7 @@ def build_matrices(values: np.ndarray) -> list[RepMatrix]:
 
     Each register's row is read from its code (``_RowCodes``), computed
     from compares of value columns, so no temporary holds more than n
-    entries per row of a chunk (``_chunk_rows``).  Equal rows are one tuple
+    entries per row of a chunk (``chunk_rows``).  Equal rows are one tuple
     for the whole call (``_Interned``), and a class's tuple of rows is
     zipped from per-register columns of them.  The hash (``_matrix_hash``) sums each
     row's term, its first member plus ``n + 1`` times its label plus 3,
@@ -251,7 +250,7 @@ def build_matrices(values: np.ndarray) -> list[RepMatrix]:
     rows = _Interned(make)
     start, weights = _hash_weights(n)
     out: list[RepMatrix] = []
-    step = _chunk_rows(n)
+    step = chunk_rows(n)
     with _collector_paused():
         for lo in range(0, len(values), step):
             cols = np.ascontiguousarray(values[lo : lo + step].T)
@@ -265,31 +264,13 @@ def build_matrices(values: np.ndarray) -> list[RepMatrix]:
     return out
 
 
-def doubling_chunks(ks: Sequence[int], registers: int) -> Iterator[Sequence[int]]:
-    """``ks`` in order, a chunk at a time.  The chunks double from
-    ``_FIRST_CHUNK`` to one ``build_matrices`` chunk over ``registers``, so
-    that the first few cost little."""
-    lo, most = 0, _chunk_rows(registers)
-    size = min(_FIRST_CHUNK, most)
-    while lo < len(ks):
-        yield ks[lo : lo + size]
-        lo, size = lo + size, min(2 * size, most)
-
-
-def iter_matrices(values: np.ndarray) -> Iterator[RepMatrix]:
-    """The matrices of the marker valuations ``values``, in order, built
-    ``doubling_chunks`` at a time."""
-    for chunk in doubling_chunks(np.arange(len(values)), values.shape[1]):
-        yield from build_matrices(values[chunk])
-
-
 def classes_lines(values: np.ndarray, registers: tuple[str, ...]) -> Iterator[str]:
     """``dsl.classes_text`` of each row of ``values`` (``UniverseTable.values``), in order.
 
     Each block is one piece, coded by its members and label (``_RowCodes``)
     and kept at its first register; the other registers get the empty piece
     (code 0).  Each distinct piece is written once per call (``_Interned``),
-    and a line joins its row's pieces, a chunk of rows (``_chunk_rows``) at
+    and a line joins its row's pieces, a chunk of rows (``chunk_rows``) at
     a time.
     """
     n = values.shape[1]
@@ -305,7 +286,7 @@ def classes_lines(values: np.ndarray, registers: tuple[str, ...]) -> Iterator[st
 
     pieces = _Interned(make)
     bits = _bits(n)[0][:, None]
-    step = _chunk_rows(n)
+    step = chunk_rows(n)
     for lo in range(0, len(values), step):
         c = codes.of(np.ascontiguousarray(values[lo : lo + step].T))
         c[(c & -c) != bits] = 0  # the lowest mask bit is the block's first member
@@ -337,13 +318,13 @@ class UniverseTable(NamedTuple):
         A matrix is read as its marker row (``marker_rows``); one sorted
         search finds that row's key, and the hit stands only if the matrix
         equals the table row it names, entry for entry.  The matrices are
-        read a chunk at a time, n × n entries per matrix (``_chunk_rows``),
+        read a chunk at a time, n × n entries per matrix (``chunk_rows``),
         so no entry array grows with the batch.
         """
         n = self.values.shape[1]
         found = dict.fromkeys(matrices, -1)
         square = [m for m in found if m.n == n]
-        step = _chunk_rows(n * n)
+        step = chunk_rows(n * n)
         for lo in range(0, len(square), step):
             chunk = square[lo : lo + step]
             given = matrix_entries(chunk, n)
@@ -368,7 +349,7 @@ class UniverseTable(NamedTuple):
             keys = universe_table(len(registers), self.constants).key
             # ``class_keys`` holds one int64 key and a few register columns
             # of the values' type and of bytes per row
-            step = _chunk_rows(max(1, len(registers) * self.values.itemsize // 8))
+            step = chunk_rows(max(1, len(registers) * self.values.itemsize // 8))
             for lo in range(0, len(out), step):
                 sub = class_keys(self.values[lo : lo + step, registers], self.constants)
                 out[lo : lo + step] = np.searchsorted(keys, sub)
@@ -428,7 +409,7 @@ def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTabl
     appended (Knuth, TAOCP 4A §7.2.1.5), each expanded by the injective
     partial pinnings of its blocks (code 0 for none, then the constants as
     declared, in lexicographic order).  The value and key columns are
-    gathered a chunk of classes (``_chunk_rows``) and one register at a
+    gathered a chunk of classes (``chunk_rows``) and one register at a
     time, so no index or temporary is longer than such a chunk.  Raises
     ``ValueError`` before any work for a negative, repeated or too large
     constant, or past ``MAX_CLASSES``.
@@ -465,7 +446,7 @@ def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTabl
     growth_key = rgs @ by_growth
     values = np.empty((ends[-1], n_registers), dtype=dtype)
     key = np.empty(ends[-1], dtype=np.int64)
-    step = _chunk_rows(1)  # the temporaries are index columns
+    step = chunk_rows(1)  # the temporaries are index columns
     for lo in range(0, len(key), step):
         k = np.arange(lo, min(lo + step, len(key)))
         g = ends.searchsorted(k, side="right")

@@ -11,11 +11,11 @@ atom over such rows is a compare of two value columns.
 A transition's step is one relational join (``_join``).  Each guard
 equality naming a parameter is first solved for it by substitution, and
 a parameter no assigned term then names is eliminated (``_solved``).  The
-join starts from value rows over the declared constants and the k
-registers the transition reads, and extends them by one column per
-parameter left: a new column takes a value already in the row (a
-declared constant included) or one fresh value, below every value in the
-row (``_grow``).  A row is dropped as soon as every column of some guard
+join starts from value rows over the constants the step names and the k
+registers it reads, and extends them by one column per parameter left: a
+new column takes a value already in the row, a declared constant the row
+does not hold, or one fresh value, below every value in the row
+(``_grow``).  A row is dropped as soon as every column of some guard
 atom exists and the atom fails, and a column as soon as no later atom
 and no assigned term reads it; rows of one start row that then agree on
 the live columns, up to renaming of non-constant values, have the same
@@ -91,13 +91,12 @@ from regmc.matrices import (
     build_matrices,
     check_universe_args,
     checked_universe_size,
+    chunk_rows,
     class_keys,
     distinct,
-    doubling_chunks,
     extension_count,
     first_of_each,
     is_class,
-    iter_matrices,
     marker_rows,
     matrix_entries,
     universe_size,
@@ -173,14 +172,16 @@ class _Stage(NamedTuple):
 class _Plan(NamedTuple):
     """A transition's join, stage by stage (``_Stage``).
 
-    ``reads`` are the registers it reads, ascending; ``image`` the columns
-    of the assigned terms after the last stage; ``rows`` the most rows the
-    join holds per start row, bounded by the classes over the columns each
-    stage keeps live.  Start rows times ``rows`` is checked against
+    ``reads`` are the registers it reads, ascending; ``constants`` the
+    declared constants its solved guard and assigned terms name, one
+    leading column each; ``image`` the columns of the assigned terms after
+    the last stage; ``rows`` the most rows the join holds per start row,
+    bounded by the classes over the columns each stage keeps live.  Start rows times ``rows`` is checked against
     ``MAX_JOIN_ROWS`` before a join runs (``_check_join``).
     """
 
     reads: tuple[int, ...]
+    constants: tuple[int, ...]
     stages: tuple[_Stage, ...]
     image: tuple[int, ...]
     rows: int
@@ -190,18 +191,21 @@ class _Plan(NamedTuple):
 def _plan(t: Transition, constants: tuple[int, ...]) -> _Plan | None:
     """The join of ``t``, or None when its guard is unsatisfiable.
 
-    The columns are the declared constants, then the registers that the
-    solved guard and assigned terms read (``_solved``), then one column per
-    parameter they name, added in index order by every stage but the first.
-    Each atom is checked at the first stage that has both its columns.  After
-    that, a column that no later atom and no assigned term reads is dead
-    and is dropped (early quantification: Burch, Clarke & Long 1991;
-    Ranjan, Aziz, Brayton, Plessier & Pixley, IWLS 1995).  Rows of one
-    origin that then agree on the live columns have the same futures, so
-    they are kept once wherever that tightens the bound: a new column
-    multiplies the rows by at most one plus the columns before it, and the
-    rows of one origin, once distinct, are at most the classes over the
-    live columns that are not constants (``universe_size``).
+    The columns are the declared constants that the solved guard and
+    assigned terms name (``_solved``), then the registers they read, then
+    one column per parameter they name, added in index order by every
+    stage but the first.  Each atom is checked at the first stage that has
+    both its columns.  After that, a column that no later atom and no
+    assigned term reads is dead and is dropped (early quantification:
+    Burch, Clarke & Long 1991; Ranjan, Aziz, Brayton, Plessier & Pixley,
+    IWLS 1995).  Rows of one origin that then agree on the live columns
+    have the same futures, so they are kept once wherever that tightens
+    the bound: a new column
+    multiplies the rows by at most one plus the columns before it plus the
+    declared constants no column holds (``_grow``), and the rows of one
+    origin, once distinct, are at most the classes over the live columns
+    that are not constants, with every declared constant
+    (``universe_size``).
     """
     solved = _solved(t)
     if solved is None:
@@ -210,8 +214,9 @@ def _plan(t: Transition, constants: tuple[int, ...]) -> _Plan | None:
     terms = [x for a in guard for x in (a.left, a.right)] + image
     reads = sorted({x.index for x in terms if isinstance(x, RegisterTerm)})
     params = sorted({x.index for x in terms if isinstance(x, ParameterTerm)})
-    m = len(constants)
-    cols: list[Term] = [ConstantTerm(c) for c in constants] + [RegisterTerm(r) for r in reads]
+    named = tuple(c for c in constants if ConstantTerm(c) in terms)
+    m, k = len(constants), len(named)
+    cols: list[Term] = [ConstantTerm(c) for c in named] + [RegisterTerm(r) for r in reads]
     checks: list[list[Atom]] = [[] for _ in range(len(params) + 1)]
     for a in guard:
         at = [params.index(x.index) + 1 for x in (a.left, a.right) if isinstance(x, ParameterTerm)]
@@ -221,47 +226,44 @@ def _plan(t: Transition, constants: tuple[int, ...]) -> _Plan | None:
         grown = kept
         if s:
             cols.append(ParameterTerm(params[s - 1]))
-            grown *= len(cols)
+            grown *= len(cols) + m - k
         pairs = tuple((cols.index(a.left), cols.index(a.right), a.equal) for a in atoms)
         later = itertools.chain.from_iterable(checks[s + 1 :])
         needed = set(image).union(x for a in later for x in (a.left, a.right))
-        live = [i for i, x in enumerate(cols) if i < m or x in needed]
+        live = [i for i, x in enumerate(cols) if i < k or x in needed]
         dropped = len(live) < len(cols)
         if dropped:
             cols = [cols[i] for i in live]
             distinct_rows = distinct_rows and grown == 1
         # the universe over w columns has at least 2^(w - 1) classes, so a
         # wide one bounds nothing that a join is let hold
-        width = len(cols) - m
+        width = len(cols) - k
         classes = universe_size(width, m) if width <= min(grown.bit_length(), 32) else grown
         dedupe = not distinct_rows and classes < grown
         distinct_rows = distinct_rows or dedupe
         kept = min(grown, classes) if distinct_rows else grown
         stages.append(_Stage(pairs, tuple(live) if dropped else None, dedupe, grown))
     image_cols = tuple(cols.index(x) for x in image)
-    return _Plan(tuple(reads), tuple(stages), image_cols, max(s.rows for s in stages))
+    return _Plan(tuple(reads), named, tuple(stages), image_cols, max(s.rows for s in stages))
 
 
-def _grow(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every way to add one column to ``rows``: the value of any column that
-    is the first in its row to hold it, or one fresh value, below every value
-    in ``rows``.  Returns how many new rows each row makes, and the new rows
-    in order."""
+def _grow(rows: np.ndarray, constants: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Every way to add one column to ``rows``: a value the row holds, once
+    each; one fresh value, below every value in ``rows``; or a declared
+    constant the row does not hold.  Returns how many new rows each row
+    makes, and the new rows in order."""
     width = rows.shape[1]
-    first = np.ones((len(rows), width + 1), dtype=bool)  # the fresh value is last
-    for c in range(1, width):
+    pins = np.array(constants, dtype=rows.dtype)
+    fresh = np.full((len(rows), 1), rows.min(initial=-1) - 1, dtype=rows.dtype)
+    cand = np.concatenate((rows, fresh, np.broadcast_to(pins, (len(rows), len(pins)))), axis=1)
+    first = np.ones(cand.shape, dtype=bool)
+    for c in range(width):
         first[:, c] = ~(rows[:, :c] == rows[:, c : c + 1]).any(axis=1)
-    cand = np.column_stack((rows, np.full(len(rows), rows.min(initial=-1) - 1, dtype=rows.dtype)))
+        first[:, width + 1 :] &= rows[:, c : c + 1] != pins
     counts = first.sum(axis=1)
-    grown = np.repeat(cand, counts, axis=0)
+    grown = np.repeat(cand[:, : width + 1], counts, axis=0)
     grown[:, width] = cand[first]
     return counts, grown
-
-
-def _with_constants(constants: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
-    """``rows`` behind one leading column per declared constant."""
-    fixed = np.broadcast_to(np.array(constants, dtype=rows.dtype), (len(rows), len(constants)))
-    return np.column_stack((fixed, rows))
 
 
 def _check_join(t: Transition, plan: _Plan, starts: int) -> None:
@@ -280,25 +282,27 @@ def _join(
     """The firing rows of a transition over the classes ``start``, and their
     images.
 
-    ``start`` holds one valuation per class over ``plan.reads``.  Each
-    parameter adds a column (``_grow``), dead columns are dropped, and
-    where the plan says so, rows are kept once per origin and class of the
-    live columns: one int64 code per row, the rank of its class key
+    ``start`` holds one valuation per class over ``plan.reads``; the join
+    puts the columns of ``plan.constants`` before them.  Each parameter
+    adds a column (``_grow``), dead columns are dropped, and where the
+    plan says so, rows are kept once per origin and class of the live
+    columns: one int64 code per row, the rank of its class key
     (``class_keys``) among the stage's combined with its origin.  Returns,
     for every kept row that satisfies the guard, the index of the ``start``
     row it extends and the values of the assigned terms, in target order;
     and the most rows the join held at once.  The rows are held in the
     smallest integer type that holds every value they can take.
     """
-    m = len(ra.constants)
+    m = len(plan.constants)
     # each stage's fresh value is one below the least value before it
     dtype = value_dtype(len(plan.stages) - int(start.min(initial=0)), ra.constants)
-    rows = _with_constants(ra.constants, start.astype(dtype, copy=False))
+    fixed = np.broadcast_to(np.array(plan.constants, dtype=dtype), (len(start), m))
+    rows = np.column_stack((fixed, start.astype(dtype, copy=False)))
     origin = np.arange(len(start))
     peak = len(rows)
     for s, stage in enumerate(plan.stages):
         if s:
-            counts, rows = _grow(rows)
+            counts, rows = _grow(rows, ra.constants)
             origin = np.repeat(origin, counts)
             peak = max(peak, len(rows))
         keep = np.ones(len(rows), dtype=bool)
@@ -392,16 +396,16 @@ def _extend(
     """The marker valuations over ``n`` registers whose sub-matrix over
     ``targets`` is the class of one of ``images``.
 
-    Each released register in turn joins a block of the row, takes a
-    constant no register holds yet, or opens a new block: it is one more
-    column (``_grow``) behind the declared constants and the images.
+    Each released register in turn joins a block of the row, opens a new
+    block, or takes a constant no register holds yet: it is one more
+    column (``_grow``) behind the images.
     """
-    rows = _with_constants(constants, images)
+    rows = images
     released = [i for i in range(n) if i not in targets]
     for _ in released:
-        rows = _grow(rows)[1]
+        rows = _grow(rows, constants)[1]
     out = np.empty((len(rows), n), dtype=rows.dtype)
-    out[:, targets + released] = rows[:, len(constants) :]
+    out[:, targets + released] = rows
     return out
 
 
@@ -444,7 +448,7 @@ def successor_rows(ra: RegisterAutomaton, c: RepConfig) -> list[tuple[str, np.nd
 
 def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
     """All one-step successor classes of ``c`` (``successor_rows``)."""
-    return {RepConfig(loc, m) for loc, rows in successor_rows(ra, c) for m in iter_matrices(rows)}
+    return {RepConfig(loc, m) for loc, rows in successor_rows(ra, c) for m in build_matrices(rows)}
 
 
 @dataclass
@@ -639,11 +643,13 @@ class QuotientGraph:
         return self if sub is None else sub, groups
 
     def _matrices_of(self, ks: np.ndarray) -> Iterator[list[RepMatrix]]:
-        """The matrices of classes ``ks``, in order, ``doubling_chunks`` at
-        a time.  A class's matrix is built the first time a view reads it
-        and is shared from then on."""
-        built = self._built
-        for chunk in doubling_chunks(ks.tolist(), self.table.values.shape[1]):
+        """The matrices of classes ``ks``, in order, one ``build_matrices``
+        chunk (``chunk_rows``) at a time.  A class's matrix is built the
+        first time a view reads it and is shared from then on."""
+        built, ks = self._built, ks.tolist()
+        step = chunk_rows(self.table.values.shape[1])
+        for lo in range(0, len(ks), step):
+            chunk = ks[lo : lo + step]
             missing = [k for k in chunk if built[k] is None]
             for k, m in zip(missing, build_matrices(self.table.values[missing])):
                 built[k] = m

@@ -1,13 +1,13 @@
-"""Literal-scan reference implementations behind the CLI ``--oracle`` flag.
+"""Literal-scan reference implementations that judge the engine.
 
 These answer the universe and one-step successor questions the expensive,
 transparent way: each class is read as the (dis)equality constraints its
 matrix imposes (``formula_E_of_matrix``), every candidate is enumerated,
 and each is tested against the defining formula with ``eqlogic``.  They
 cross-check the structural enumeration in ``matrices`` and the successor
-search in ``reach``, both from the test suite and from the command line;
-neither of those writes a class as a formula, so the two sides share no
-reasoning.  Scans are refused once the candidate count passes a fixed
+search in ``reach`` from the test suite, and no module of the package
+imports them; neither of those writes a class as a formula, so the two
+sides share no reasoning.  Scans are refused once the candidate count passes a fixed
 limit; performance is explicitly a non-goal here.
 """
 

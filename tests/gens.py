@@ -4,8 +4,8 @@
 programmatically; the DSL tests check that parsing ``fixtures/*.ra`` yields
 exactly these objects.  The ``random_*`` helpers generate seeded instances
 for differential testing against the brute-force oracles.  ``wide``,
-``load``, ``chain`` and ``havoc`` build the scaling machines the ROADMAP
-measures, at any size.
+``load``, ``chain``, ``havoc`` and ``many_constants`` build the scaling
+machines the ROADMAP measures, at any size.
 """
 
 from __future__ import annotations
@@ -350,3 +350,15 @@ def havoc(n: int, kept: int = 0) -> RegisterAutomaton:
     releases the rest."""
     step = Transition("q", "go", (), Assignment.identity(range(kept)), "q")
     return RegisterAutomaton((0,), _registers(n), (Action("go", 0),), ("q",), "q", (step,))
+
+
+def many_constants(m: int, release_all: bool = False) -> RegisterAutomaton:
+    """Two registers ``x1 x2`` over the constants ``0 … m - 1`` at one
+    location: one step guarded by ``x1 != x2`` keeps ``x1`` and releases
+    ``x2``, or, with ``release_all``, one unguarded step releases both."""
+    if release_all:
+        step = Transition("q", "go", (), Assignment(), "q")
+    else:
+        guard = (Atom(RegisterTerm(0), RegisterTerm(1), False),)
+        step = Transition("q", "go", guard, Assignment.identity((0,)), "q")
+    return RegisterAutomaton(tuple(range(m)), ("x1", "x2"), (Action("go", 0),), ("q",), "q", (step,))

@@ -16,14 +16,16 @@ import numpy as np
 import pytest
 
 from gens import (
-    byzantine, chain, figure_one, havoc, load, pinned, random_automaton, shift_machine, wide,
+    byzantine, chain, figure_one, havoc, load, many_constants, pinned, random_automaton,
+    shift_machine, wide,
 )
-from regmc import ctl, dsl
+from regmc import ctl, dsl, reference
 from regmc.classes import RepConfig
 from regmc.cli import _listing, main
 from regmc.core import Configuration, check_run
 from regmc.matrices import (
-    class_keys, marker_rows, matrix_entries, matrix_of_valuation, universe, universe_table,
+    class_keys, classes_lines, marker_rows, matrix_entries, matrix_of_valuation, universe,
+    universe_table,
 )
 from regmc.reach import post, quotient_graph, reach, successor_rows
 
@@ -64,10 +66,13 @@ def test_universe_eight_registers(capsys):
 
 
 def test_universe_oracle_flag_agrees(capsys):
-    rc, plain = run(capsys, "universe", "-n", "3", "-c", "0")
-    rc2, via_oracle = run(capsys, "--oracle", "universe", "-n", "3", "-c", "0")
-    assert (rc, rc2) == (0, 0)
-    assert plain == via_oracle
+    # the literal scan finds the listed classes, written in listing order
+    rc, out = run(capsys, "universe", "-n", "3", "-c", "0")
+    scanned = reference.literal_universe(3, (0,))
+    keys = class_keys(marker_rows(matrix_entries(scanned, 3)), (0,)).tolist()
+    names = ("x1", "x2", "x3")
+    lines = [dsl.classes_text(m, names) for _, m in sorted(zip(keys, scanned), key=lambda km: km[0])]
+    assert (rc, out) == (0, "".join(line + "\n" for line in lines) + f"count: {len(scanned)}\n")
 
 
 def test_universe_over_the_class_limit_exits_2(capsys):
@@ -82,24 +87,21 @@ def test_universe_over_the_class_limit_exits_2(capsys):
 def test_universe_negative_constants_exit_2(capsys):
     # -1 and -2 would collide with the matrix alphabet's ZERO and ONE
     for c in ("-1", "-2"):
-        for oracle in ([], ["--oracle"]):
-            rc, out = run(capsys, *oracle, "universe", "-n", "2", "-c", c)
-            assert (rc, out) == (2, "")
+        rc, out = run(capsys, "universe", "-n", "2", "-c", c)
+        assert (rc, out) == (2, "")
 
 
 def test_constants_past_64_bits_exit_2(capsys, tmp_path):
-    for oracle in ([], ["--oracle"]):
-        rc, out = run(capsys, *oracle, "universe", "-n", "1", "-c", str(2**63))
-        assert (rc, out) == (2, "")
+    rc, out = run(capsys, "universe", "-n", "1", "-c", str(2**63))
+    assert (rc, out) == (2, "")
     path = tmp_path / "huge.ra"
     path.write_text(
         "format 1\nconstants 99999999999999999999\nregisters x1\nactions a/1\n"
         "locations l0*\ntrans l0 -> l0 on a(p1) when p1 != 99999999999999999999 do x1 := p1\n"
     )
-    for oracle in ([], ["--oracle"]):
-        for argv in (["post", str(path), "l0 | {x1}"], ["reach", str(path), "l0 | {x1}"]):
-            assert run(capsys, *oracle, *argv) == (2, "")
-        assert run(capsys, *oracle, "check", str(path), "EF @l0") == (2, "")
+    for argv in (["post", str(path), "l0 | {x1}"], ["reach", str(path), "l0 | {x1}"]):
+        assert run(capsys, *argv) == (2, "")
+    assert run(capsys, "check", str(path), "EF @l0") == (2, "")
     # the concrete semantics is plain Python and takes any natural
     rc, out = run(capsys, "simulate", str(path), "--steps", "2")
     assert rc == 0 and out.count("config:") == 3
@@ -224,21 +226,26 @@ def _all_distinct(ra) -> str:
 
 
 def _listed(ra, configs) -> list[str]:
-    """The ``dsl.serialize`` lines of ``configs``, by location and then by
-    universe position, the order of the classes' rank keys."""
+    """The listing lines of ``configs``, by location and then by universe
+    position, the order of the classes' rank keys, written from their
+    marker rows (``classes_lines``, which ``test_dsl`` judges against
+    ``dsl.classes_text``)."""
     configs = list(configs)
     values = marker_rows(matrix_entries([c.matrix for c in configs], ra.num_registers))
     keys = class_keys(values, ra.constants).tolist()
     locs = [ra.locations.index(c.location) for c in configs]
     order = sorted(range(len(configs)), key=lambda i: (locs[i], keys[i]))
-    return [dsl.serialize(configs[i], ra) for i in order]
+    lines = classes_lines(values[order], ra.registers)
+    return [dsl.configuration_text(configs[i].location, line) for i, line in zip(order, lines)]
 
 
 # The robustness contract, one question per shape at or past a size limit:
 # the parameter-storing joins of ``load``, stores pinned by equalities
 # (``load(7, equal=True)``, ``pinned(12)``), a step that releases every
 # register (``havoc(8)``), the node limit (``wide(11)``, ``chain(10,
-# 300)``).  A shape that a later limit or CLI path touches joins this list.
+# 300)``), and 990 declared constants, whose 982082 classes every limit
+# admits (``many_constants``).  A shape that a later limit or CLI path
+# touches joins this list.
 _AG = "AG (r1 = r2)"
 BOUNDED_QUESTIONS = [
     *((f"load{n}-post", load(n), "post", (_all_distinct(load(n)),)) for n in range(6, 10)),
@@ -257,6 +264,8 @@ BOUNDED_QUESTIONS = [
     ("havoc8-check", havoc(8), "check", (_AG,)),
     ("wide11-check", wide(11), "check", (_AG,)),
     ("chain10_300-check", chain(10, 300), "check", ("EF @q299",)),
+    ("consts990-check", many_constants(990), "check", ("AG (x1 = x2)",)),
+    ("consts990-reach", many_constants(990), "reach", ("q | {x1} {x2}",)),
 ]
 
 
@@ -308,10 +317,11 @@ def test_every_question_gets_bounded_work(tmp_path, name, ra, command, args):
 
 
 def test_post_oracle_flag_agrees(capsys):
-    rc, plain = run(capsys, "post", FIG, "l1 | {x1=2} {x2}")
-    rc2, via_oracle = run(capsys, "--oracle", "post", FIG, "l1 | {x1=2} {x2}")
-    assert (rc, rc2) == (0, 0)
-    assert plain == via_oracle
+    # the literal scan finds the listed successors, written in listing order
+    fig = figure_one()
+    rc, out = run(capsys, "post", FIG, "l1 | {x1=2} {x2}")
+    want = _listed(fig, reference.literal_post(fig, dsl.parse_repconfig("l1 | {x1=2} {x2}", fig)))
+    assert (rc, out.splitlines()) == (0, want)
 
 
 def test_reach_examples(capsys, tmp_path):

@@ -14,7 +14,9 @@ from regmc import ctl, dsl
 from regmc.core import Action, RegisterAutomaton
 from regmc.ctl import EG, EU, EX, And, AtLocation, Not, RegEq, RegEqConst
 from regmc.dsl import ParseError
-from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, classes_lines, universe, universe_table
+from regmc.matrices import (
+    ONE, ZERO, RepConfig, RepMatrix, classes_lines, matrix_of_valuation, universe, universe_table,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -363,6 +365,16 @@ def test_listing_writer_matches_classes_text(constants):
         names = tuple(f"x{i + 1}" for i in range(n))
         lines = list(classes_lines(universe_table(n, constants).values, names))
         assert lines == [dsl.classes_text(m, names) for m in universe(n, constants)]
+    if constants == (0,):
+        # a sample at the width of ``load(9)``, whose listings the CLI
+        # tests expect in this writer's text
+        names = tuple(f"r{i + 1}" for i in range(9))
+        values = universe_table(9, constants).values
+        rows = values[random.Random(9).sample(range(len(values)), 3000)]
+        lines = list(classes_lines(rows, names))
+        assert lines == [
+            dsl.classes_text(matrix_of_valuation(row, constants), names) for row in rows.tolist()
+        ]
 
 
 # --- fuzzing ---

@@ -1,11 +1,11 @@
 """Import rules between the package's modules, read from the source with ``ast``.
 
 ``matrices`` is the class layout and knows nothing of constraints, and the
-literal reference scans stay independent of the engine they judge: only the
-command-line front end may import ``reference``, and only ``reference``
-reasons with constraints (``eqlogic``).  ``regmc simulate`` runs on the
-numpy-free modules alone, which fresh processes confirm with
-``-X importtime``.
+literal reference scans stay independent of the engine they judge: no
+module of the package imports ``reference``, only ``reference`` reasons
+with constraints (``eqlogic``), and the tests alone load them.  ``regmc
+simulate`` runs on the numpy-free modules alone, which fresh processes
+confirm with ``-X importtime``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,10 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
+
+from regmc.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "regmc"
 
@@ -54,9 +58,9 @@ def test_matrices_imports_no_constraint_reasoning():
     assert not regmc_imports(SRC / "matrices.py") & {"eqlogic", "reference", "core"}
 
 
-def test_only_the_cli_imports_reference():
+def test_no_module_imports_reference():
     importers = {p.stem for p in SRC.glob("*.py") if "reference" in regmc_imports(p)}
-    assert importers == {"cli"}
+    assert importers == set()
 
 
 def test_only_the_reference_imports_eqlogic():
@@ -100,6 +104,16 @@ def test_simulate_loads_no_numpy():
     assert not {f"regmc.{m}" for m in ENGINE | {"reference", "eqlogic"}} & loaded
 
 
-def test_only_the_oracle_loads_the_reference_scans():
-    assert not {"regmc.reference", "regmc.eqlogic"} & loaded_modules("post", "fixtures/figure1.ra", "l0 | {x1 x2}")
-    assert "regmc.reference" in loaded_modules("--oracle", "post", "fixtures/figure1.ra", "l0 | {x1 x2}")
+def test_no_subcommand_loads_the_reference_scans():
+    fig = "fixtures/figure1.ra"
+    for argv in (
+        ("universe", "-n", "2", "-c", "0"),
+        ("post", fig, "l0 | {x1 x2}"),
+        ("reach", fig, "l1 | {x1} {x2}"),
+        ("check", fig, "EF @l1", "--config", "l0 | {x1 x2}"),
+    ):
+        assert not {"regmc.reference", "regmc.eqlogic"} & loaded_modules(*argv), argv
+    # and no option swaps them in
+    with pytest.raises(SystemExit) as info:
+        main(["--oracle", "post", fig, "l0 | {x1 x2}"])
+    assert info.value.code == 2

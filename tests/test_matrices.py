@@ -34,7 +34,6 @@ from regmc.matrices import (
     extension_count,
     fresh_symbols,
     has_valid_structure,
-    iter_matrices,
     marker_rows,
     matrix_entries,
     matrix_of_valuation,
@@ -369,7 +368,7 @@ def test_universe_table_matches_recursive_enumerator(constants):
         assert len({hash(m) for m in built}) == len(built)
         assert table.positions(want).tolist() == list(range(len(want)))
         ks = np.array(sorted(rng.sample(range(len(want)), min(len(want), 40))))
-        assert list(iter_matrices(table.values[ks])) == [built[k] for k in ks]
+        assert build_matrices(table.values[ks]) == [built[k] for k in ks]
 
 
 @pytest.mark.parametrize(
@@ -383,7 +382,7 @@ def test_value_dtype_holds_the_constants(constants, dtype):
         assert np.array_equal(class_keys(table.values, constants), table.key)
         matrices = universe(n, constants)
         assert table.positions(matrices).tolist() == list(range(len(matrices)))
-        assert list(iter_matrices(table.values)) == list(matrices)
+        assert build_matrices(table.values[::-1]) == list(matrices[::-1])
 
 
 def assert_built_as_checked(values: np.ndarray, constants: tuple[int, ...]) -> None:
@@ -415,9 +414,8 @@ def test_build_matrices_on_post_rows(monkeypatch):
     reach_module = importlib.import_module("regmc.reach")
     ra = havoc(12, kept=9)
     rows = []
-    real = reach_module.iter_matrices
     monkeypatch.setattr(
-        reach_module, "iter_matrices", lambda values: rows.append(values) or real(values)
+        reach_module, "build_matrices", lambda values: rows.append(values) or build_matrices(values)
     )
     distinct = RepConfig("q", matrix_of_valuation(tuple(range(1, 13)), ra.constants))
     successors = reach_module.post(ra, distinct)

@@ -20,6 +20,7 @@ from gens import (
     chain,
     havoc,
     load,
+    many_constants,
     pinned,
     random_automaton,
     random_term,
@@ -58,6 +59,7 @@ from regmc.reach import (
     quotient_graph,
     reach,
     reachable_set,
+    successor_rows,
 )
 from regmc.reference import literal_post
 
@@ -647,6 +649,25 @@ def test_post_join_memory_is_bounded():
         assert len(got) == universe_size(n, 1)
         # the join's scratch stays below the answer's own size
         assert peak - kept < kept, (n, peak, kept)
+
+
+def test_declared_constants_cost_no_column_each():
+    # a step that releases both registers over 300 declared constants
+    # reaches every one of the 90602 classes; rows hold no column per
+    # constant, so the scratch stays within a few times the answer
+    ra = many_constants(300, release_all=True)
+    node = RepConfig("q", matrix_of_valuation((300, 301), ra.constants))
+    small = many_constants(3, release_all=True)
+    successor_rows(small, RepConfig("q", matrix_of_valuation((3, 4), small.constants)))  # caches
+    tracemalloc.start()
+    try:
+        ((location, rows),) = successor_rows(ra, node)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert location == "q" and len(rows) == universe_size(2, 300) == 90602
+    assert np.array_equal(np.sort(class_keys(rows, ra.constants)), universe_table(2, ra.constants).key)
+    assert peak < 4 * rows.nbytes, (peak, rows.nbytes)
 
 
 def test_equality_pinned_stores_add_no_rows():
