@@ -10,10 +10,8 @@ computation (one relational join over table columns per transition),
 reachability over the quotient and the ``LabelSet`` views that answer node
 sets; and ``ctl`` the branching-time checker.  ``cli`` is the command-line
 front end, and imports each engine module only in the subcommands that run
-it.  ``reference`` holds the literal scan implementations that the tests
-judge the engine by; it alone writes a class as a constraint system, and
-no module of the package imports it.  ``eqlogic``, the (dis)equality
-reasoning, serves those reference scans only.
+it.  The literal constraint scans that judge the engine live with the
+tests (``tests/reference.py`` and ``tests/eqlogic.py``), not here.
 
 The numpy-backed names below (``post``, ``quotient_graph``, ``universe``,
 ``compute_ctl`` and the rest) are imported on first access, so importing

@@ -96,8 +96,9 @@ def has_valid_structure(m: RepMatrix, constants: Sequence[int]) -> bool:
     the registers related to it and ``ZERO`` elsewhere; related registers
     have identical rows, which makes relatedness an equivalence; and no two
     classes claim the same constant.  Agrees with
-    ``reference.is_consistent_matrix`` (tested exhaustively); implemented
-    independently of the constraint engine.
+    ``is_consistent_matrix`` of the tests' constraint scans
+    (``tests/reference.py``, tested exhaustively); implemented
+    independently of constraint reasoning.
     """
     cset = set(constants)
     rows, n = m.rows, m.n

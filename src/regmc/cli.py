@@ -12,9 +12,7 @@ it exits 3 with the traceback on stderr, so it never reads as an answer.
 
 Listings are deterministic: matrices appear in the enumeration order of
 ``universe`` and locations in declaration order, so outputs can serve as
-golden files.  Every subcommand runs the engine; the literal reference
-scans (``reference``) are judges for the tests, and nothing here loads
-them.
+golden files.  Every subcommand runs the engine.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ def _listing(ra: RegisterAutomaton, steps: Sequence[tuple[str, np.ndarray]]) -> 
         if parts:
             rows = np.concatenate(parts)
             rows = rows[first_of_each(class_keys(rows, ra.constants))]
-            for line in classes_lines(rows, ra.registers):
+            for line in classes_lines(rows, ra.constants, ra.registers):
                 yield dsl.configuration_text(loc, line)
 
 
@@ -65,7 +63,7 @@ def _cmd_universe(args: argparse.Namespace) -> int:
     constants = tuple(dict.fromkeys(args.constants))
     names = tuple(f"x{i + 1}" for i in range(args.registers))
     table = universe_table(args.registers, constants)
-    for line in classes_lines(table.values, names):
+    for line in classes_lines(table.values, constants, names):
         print(line)
     print(f"count: {len(table.key)}")
     return 0

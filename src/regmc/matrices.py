@@ -19,8 +19,8 @@ class over some of its registers is found the same way in the smaller
 table.  Universes over ``MAX_CLASSES`` classes are refused.
 
 Reading a class as a system of (dis)equality constraints is left to the
-literal reference scans (``reference``): nothing here imports the
-constraint engine or the automaton model.
+tests' literal scans (``tests/reference.py``): nothing here imports
+constraint reasoning or the automaton model.
 """
 
 from __future__ import annotations
@@ -124,21 +124,16 @@ class _RowCodes:
     """Each register's matrix row in marker valuations as one int64 code.
 
     A row is fixed by the registers sharing the register's value and by its
-    label, the diagonal entry: the code is the label's code shifted past
-    ``n`` bits, or'ed with the members' bitmask.  A label's code is 0 for
-    ``ONE`` and otherwise the constant plus one, or, when some constant of
-    ``values`` is too large to sit above the mask, its position in
-    ``labels``: ``ONE``, then those constants in ascending order.  Up to 31
-    registers.
+    label, the diagonal entry: the code is the label's rank in ``labels``
+    (``ONE``, then the declared constants in ascending order) shifted past
+    ``n`` bits, or'ed with the members' bitmask.  Up to 31 registers.
     """
 
-    def __init__(self, values: np.ndarray):
-        self.n = n = values.shape[1]
+    def __init__(self, n: int, constants: Sequence[int]):
         if n > 31:
             raise ValueError(f"rows over {n} registers are not coded")
-        self.labels = None
-        if len(values) and values.max() >= 2 ** (62 - n):
-            self.labels = np.concatenate(([ONE], distinct(values[values >= 0])))
+        self.n = n
+        self.labels = np.array([ONE, *sorted(constants)], dtype=np.int64)
         self._bits, self._fbits = _bits(n)
 
     def of(self, cols: np.ndarray) -> np.ndarray:
@@ -151,16 +146,13 @@ class _RowCodes:
         step = chunk_rows(n * rows)
         for lo in range(0, n, step):
             masks[lo : lo + step] = self._fbits @ (cols[lo : lo + step, None] == cols)
-        lab = cols.astype(np.int64) + 1 if self.labels is None else self.labels.searchsorted(cols)
-        codes = np.where(cols >= 0, lab, 0) << self.n
+        codes = np.where(cols >= 0, self.labels.searchsorted(cols), 0) << self.n
         codes |= masks.astype(np.int64)
         return codes
 
     def decode(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (codes, n) members and the labels of ``codes``."""
-        lab = codes >> self.n
-        labels = np.where(lab > 0, lab - 1, ONE) if self.labels is None else self.labels[lab]
-        return (codes[:, None] & self._bits) != 0, labels
+        return (codes[:, None] & self._bits) != 0, self.labels[codes >> self.n]
 
 
 _SENTINEL = np.iinfo(np.int64).max  # above every row code
@@ -225,9 +217,10 @@ _set_rows = RepMatrix.rows.__set__  # type: ignore[attr-defined]
 _set_hash = RepMatrix._hash.__set__  # type: ignore[attr-defined]
 
 
-def build_matrices(values: np.ndarray) -> list[RepMatrix]:
+def build_matrices(values: np.ndarray, constants: Sequence[int]) -> list[RepMatrix]:
     """The matrices of marker valuations ``values`` (``UniverseTable.values``,
-    ``marker_rows``), built unchecked a chunk of rows at a time.
+    ``marker_rows``) over declared ``constants``, built unchecked a chunk
+    of rows at a time.
 
     Each register's row is read from its code (``_RowCodes``), computed
     from compares of value columns, so no temporary holds more than n
@@ -238,7 +231,7 @@ def build_matrices(values: np.ndarray) -> list[RepMatrix]:
     weighted by powers of ``_HASH_MUL`` in uint64.
     """
     n = values.shape[1]
-    codes = _RowCodes(values)
+    codes = _RowCodes(n, constants)
 
     def make(new: np.ndarray) -> tuple[Iterable[tuple[int, ...]], np.ndarray]:
         members, labels = codes.decode(new)
@@ -264,8 +257,11 @@ def build_matrices(values: np.ndarray) -> list[RepMatrix]:
     return out
 
 
-def classes_lines(values: np.ndarray, registers: tuple[str, ...]) -> Iterator[str]:
-    """``dsl.classes_text`` of each row of ``values`` (``UniverseTable.values``), in order.
+def classes_lines(
+    values: np.ndarray, constants: Sequence[int], registers: tuple[str, ...]
+) -> Iterator[str]:
+    """``dsl.classes_text`` of each row of ``values`` (``UniverseTable.values``
+    over declared ``constants``), in order.
 
     Each block is one piece, coded by its members and label (``_RowCodes``)
     and kept at its first register; the other registers get the empty piece
@@ -274,7 +270,7 @@ def classes_lines(values: np.ndarray, registers: tuple[str, ...]) -> Iterator[st
     a time.
     """
     n = values.shape[1]
-    codes = _RowCodes(values)
+    codes = _RowCodes(n, constants)
 
     def make(new: np.ndarray) -> tuple[Iterable[str], np.ndarray]:
         members, labels = codes.decode(new)
@@ -462,4 +458,4 @@ def universe_table(n_registers: int, constants: tuple[int, ...]) -> UniverseTabl
 @lru_cache(maxsize=None)
 def universe(n_registers: int, constants: tuple[int, ...]) -> tuple[RepMatrix, ...]:
     """The matrices of ``universe_table``, in its listing order."""
-    return tuple(build_matrices(universe_table(n_registers, constants).values))
+    return tuple(build_matrices(universe_table(n_registers, constants).values, constants))

@@ -448,7 +448,8 @@ def successor_rows(ra: RegisterAutomaton, c: RepConfig) -> list[tuple[str, np.nd
 
 def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
     """All one-step successor classes of ``c`` (``successor_rows``)."""
-    return {RepConfig(loc, m) for loc, rows in successor_rows(ra, c) for m in build_matrices(rows)}
+    steps = successor_rows(ra, c)
+    return {RepConfig(loc, m) for loc, rows in steps for m in build_matrices(rows, ra.constants)}
 
 
 @dataclass
@@ -651,7 +652,8 @@ class QuotientGraph:
         for lo in range(0, len(ks), step):
             chunk = ks[lo : lo + step]
             missing = [k for k in chunk if built[k] is None]
-            for k, m in zip(missing, build_matrices(self.table.values[missing])):
+            new = build_matrices(self.table.values[missing], self.table.constants)
+            for k, m in zip(missing, new):
                 built[k] = m
             yield [built[k] for k in chunk]
 
@@ -864,23 +866,25 @@ def quotient_graph(ra: RegisterAutomaton) -> QuotientGraph:
 
 
 def reach(ra: RegisterAutomaton, target: RepConfig) -> bool:
-    """Whether ``target`` is reachable from any initial-location class.
-
-    The reachable nodes of the last automaton asked about are kept, one
-    flag per node and not its graph or kernels, so many questions about one
-    machine build its kernels and run the fixpoint once.
-    """
+    """Whether ``target`` is reachable from any initial-location class."""
     _check_node(ra, target)
-    return target in LabelSet(quotient_graph(ra), _reachable_masks_of(ra))
+    return target in reachable_set(ra)
 
 
-@lru_cache(maxsize=1)
-def _reachable_masks_of(ra: RegisterAutomaton) -> np.ndarray:
-    return quotient_graph(ra)._reachable_masks()
+# the last automaton asked about and its reachable nodes' masks
+_reached: list[object] = [None, None]
 
 
 def reachable_set(ra: RegisterAutomaton) -> LabelSet:
-    """Least set of classes containing every initial one and closed under post."""
+    """Least set of classes containing every initial one and closed under post.
+
+    The reachable nodes of the last automaton asked about are kept, one
+    flag per node and not its graph or kernels, so many questions about one
+    machine build its kernels and run the fixpoint once, on the graph of
+    the first answer.
+    """
     graph = quotient_graph(ra)
-    return LabelSet(graph, graph._reachable_masks())
+    if _reached[0] != ra:
+        _reached[:] = ra, graph._reachable_masks()
+    return LabelSet(graph, _reached[1])
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from regmc import eqlogic
+import eqlogic
+from eqlogic import ConstraintSystem, Var, const, eq, ne, par, primed, reg
 from regmc.core import Assignment, ParameterTerm, RegisterAutomaton, RegisterTerm, Term
 from regmc.core import Atom as CoreAtom
-from regmc.eqlogic import ConstraintSystem, Var, const, eq, ne, par, primed, reg
 from regmc.matrices import (
     ONE,
     ZERO,

@@ -45,7 +45,7 @@ from regmc.matrices import (
     universe,
 )
 from regmc.reach import post, quotient_graph
-from regmc.reference import universe_size
+from reference import universe_size
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -19,7 +19,8 @@ from gens import (
     byzantine, chain, figure_one, havoc, load, many_constants, pinned, random_automaton,
     shift_machine, wide,
 )
-from regmc import ctl, dsl, reference
+import reference
+from regmc import ctl, dsl
 from regmc.classes import RepConfig
 from regmc.cli import _listing, main
 from regmc.core import Configuration, check_run
@@ -235,7 +236,7 @@ def _listed(ra, configs) -> list[str]:
     keys = class_keys(values, ra.constants).tolist()
     locs = [ra.locations.index(c.location) for c in configs]
     order = sorted(range(len(configs)), key=lambda i: (locs[i], keys[i]))
-    lines = classes_lines(values[order], ra.registers)
+    lines = classes_lines(values[order], ra.constants, ra.registers)
     return [dsl.configuration_text(configs[i].location, line) for i, line in zip(order, lines)]
 
 

@@ -363,7 +363,7 @@ def test_bare_class_lists_round_trip():
 def test_listing_writer_matches_classes_text(constants):
     for n in range(1, 7):
         names = tuple(f"x{i + 1}" for i in range(n))
-        lines = list(classes_lines(universe_table(n, constants).values, names))
+        lines = list(classes_lines(universe_table(n, constants).values, constants, names))
         assert lines == [dsl.classes_text(m, names) for m in universe(n, constants)]
     if constants == (0,):
         # a sample at the width of ``load(9)``, whose listings the CLI
@@ -371,7 +371,7 @@ def test_listing_writer_matches_classes_text(constants):
         names = tuple(f"r{i + 1}" for i in range(9))
         values = universe_table(9, constants).values
         rows = values[random.Random(9).sample(range(len(values)), 3000)]
-        lines = list(classes_lines(rows, names))
+        lines = list(classes_lines(rows, constants, names))
         assert lines == [
             dsl.classes_text(matrix_of_valuation(row, constants), names) for row in rows.tolist()
         ]

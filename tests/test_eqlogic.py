@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from regmc.eqlogic import (
+from eqlogic import (
     Atom,
     ConstraintSystem,
     closure,

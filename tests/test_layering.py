@@ -1,11 +1,11 @@
 """Import rules between the package's modules, read from the source with ``ast``.
 
-``matrices`` is the class layout and knows nothing of constraints, and the
-literal reference scans stay independent of the engine they judge: no
-module of the package imports ``reference``, only ``reference`` reasons
-with constraints (``eqlogic``), and the tests alone load them.  ``regmc
-simulate`` runs on the numpy-free modules alone, which fresh processes
-confirm with ``-X importtime``.
+The package holds the engine and nothing else: the literal reference
+scans (``reference``) and the constraint reasoning they use (``eqlogic``)
+live in the test tree, and use no engine internals, so they stay
+independent of what they judge.  ``matrices`` is the class layout and
+knows nothing of constraints.  ``regmc simulate`` runs on the numpy-free
+modules alone, which fresh processes confirm with ``-X importtime``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import pytest
 
 from regmc.cli import main
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "regmc"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "regmc"
 
 
 def imported_modules(path: pathlib.Path, module_level: bool = False) -> set[str]:
@@ -58,14 +59,21 @@ def test_matrices_imports_no_constraint_reasoning():
     assert not regmc_imports(SRC / "matrices.py") & {"eqlogic", "reference", "core"}
 
 
-def test_no_module_imports_reference():
-    importers = {p.stem for p in SRC.glob("*.py") if "reference" in regmc_imports(p)}
-    assert importers == set()
+def test_the_package_holds_the_engine_modules():
+    stems = {p.stem for p in SRC.glob("*.py")}
+    assert stems == {
+        "__init__", "classes", "cli", "core", "ctl", "dsl", "formulas", "matrices", "reach"
+    }
 
 
-def test_only_the_reference_imports_eqlogic():
-    importers = {p.stem for p in SRC.glob("*.py") if "eqlogic" in regmc_imports(p)}
-    assert importers == {"reference"}
+def test_the_judges_use_no_engine_internals():
+    # the reference scans judge ``reach`` and ``ctl`` and read nothing of
+    # them, nor any private name of the modules they do use
+    for stem in ("reference", "eqlogic"):
+        names = imported_modules(TESTS / f"{stem}.py")
+        assert not regmc_imports(TESTS / f"{stem}.py") & {"reach", "ctl"}, stem
+        private = [n for n in names if n.split(".")[0] != "__future__" and "._" in f".{n}"]
+        assert not private, (stem, private)
 
 
 # What ``regmc simulate`` runs: the concrete semantics and its sampler, the
@@ -112,7 +120,7 @@ def test_no_subcommand_loads_the_reference_scans():
         ("reach", fig, "l1 | {x1} {x2}"),
         ("check", fig, "EF @l1", "--config", "l0 | {x1 x2}"),
     ):
-        assert not {"regmc.reference", "regmc.eqlogic"} & loaded_modules(*argv), argv
+        assert not {"reference", "eqlogic"} & loaded_modules(*argv), argv
     # and no option swaps them in
     with pytest.raises(SystemExit) as info:
         main(["--oracle", "post", fig, "l0 | {x1 x2}"])

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 from gens import NOT_A_FIGURE_ONE_CLASS, havoc
 from oracles import enumerate_universe, equivalent
+from regmc import dsl
 from regmc.core import Assignment, ConstantTerm, ParameterTerm, RegisterTerm
-from regmc.eqlogic import Atom, const, par, primed, reg
+from eqlogic import Atom, const, par, primed, reg
 from regmc.matrices import (
     MAX_CLASSES,
     ONE,
@@ -31,6 +32,7 @@ from regmc.matrices import (
     build_matrices,
     canonical_valuation,
     class_keys,
+    classes_lines,
     extension_count,
     fresh_symbols,
     has_valid_structure,
@@ -41,7 +43,7 @@ from regmc.matrices import (
     universe_size,
     universe_table,
 )
-from regmc.reference import formula_E_of_assignment, formula_E_of_matrix, is_consistent_matrix
+from reference import formula_E_of_assignment, formula_E_of_matrix, is_consistent_matrix
 
 
 def mat(*rows: tuple[int, ...]) -> RepMatrix:
@@ -368,7 +370,7 @@ def test_universe_table_matches_recursive_enumerator(constants):
         assert len({hash(m) for m in built}) == len(built)
         assert table.positions(want).tolist() == list(range(len(want)))
         ks = np.array(sorted(rng.sample(range(len(want)), min(len(want), 40))))
-        assert build_matrices(table.values[ks]) == [built[k] for k in ks]
+        assert build_matrices(table.values[ks], constants) == [built[k] for k in ks]
 
 
 @pytest.mark.parametrize(
@@ -382,13 +384,13 @@ def test_value_dtype_holds_the_constants(constants, dtype):
         assert np.array_equal(class_keys(table.values, constants), table.key)
         matrices = universe(n, constants)
         assert table.positions(matrices).tolist() == list(range(len(matrices)))
-        assert build_matrices(table.values[::-1]) == list(matrices[::-1])
+        assert build_matrices(table.values[::-1], constants) == list(matrices[::-1])
 
 
 def assert_built_as_checked(values: np.ndarray, constants: tuple[int, ...]) -> None:
     """``build_matrices`` of marker valuations gives, row for row, the
     matrices the checked constructor builds from the same valuations."""
-    built = build_matrices(values)
+    built = build_matrices(values, constants)
     want = [matrix_of_valuation(row, constants) for row in values.tolist()]
     assert [m.rows for m in built] == [m.rows for m in want]
     assert built == want
@@ -405,7 +407,7 @@ def test_build_matrices_reads_first_register_markers():
         matrices = [matrix_of_valuation(v, constants) for v in valuations]
         values = marker_rows(matrix_entries(matrices, n))
         assert_built_as_checked(values, constants)
-        assert build_matrices(values) == matrices
+        assert build_matrices(values, constants) == matrices
 
 
 def test_build_matrices_on_post_rows(monkeypatch):
@@ -415,7 +417,7 @@ def test_build_matrices_on_post_rows(monkeypatch):
     ra = havoc(12, kept=9)
     rows = []
     monkeypatch.setattr(
-        reach_module, "build_matrices", lambda values: rows.append(values) or build_matrices(values)
+        reach_module, "build_matrices", lambda v, c: rows.append(v) or build_matrices(v, c)
     )
     distinct = RepConfig("q", matrix_of_valuation(tuple(range(1, 13)), ra.constants))
     successors = reach_module.post(ra, distinct)
@@ -438,15 +440,30 @@ def test_build_matrices_at_the_dtype_edges(constants):
         assert_built_as_checked(picked, constants)
 
 
+@pytest.mark.parametrize("n", range(2, 6))
+def test_label_codes_rank_constants_of_any_size(n):
+    # a label is coded by its rank among ``ONE`` and the declared
+    # constants, so codes stay small whatever the constants: 3 and 2**62,
+    # which as values would not fit above the n mask bits of an int64
+    # code, are told apart within one call
+    constants = (3, 2**62)
+    table = universe_table(n, constants)
+    assert_built_as_checked(table.values, constants)
+    names = tuple(f"x{i + 1}" for i in range(n))
+    lines = list(classes_lines(table.values, constants, names))
+    want = [matrix_of_valuation(row, constants) for row in table.values.tolist()]
+    assert lines == [dsl.classes_text(m, names) for m in want]
+
+
 def test_build_matrices_memory_is_bounded_by_its_columns():
     # an 8192-row chunk of the 9-register table: a (rows, n, n) int64
     # product alone is n times an (n, rows) int64 column set
     values = universe_table(9, (0,)).values[:8192]
     column_set = values.size * 8
-    build_matrices(values[:8])  # caches, outside the measurement
+    build_matrices(values[:8], (0,))  # caches, outside the measurement
     tracemalloc.start()
     try:
-        built = build_matrices(values)
+        built = build_matrices(values, (0,))
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -459,12 +476,12 @@ def test_build_matrices_scratch_does_not_grow_with_the_rows():
     # chunk's, whether the call builds a tenth of the 8-register table or
     # all of it
     values = universe_table(8, (0,)).values
-    build_matrices(values[:8])  # caches, outside the measurement
+    build_matrices(values[:8], (0,))  # caches, outside the measurement
 
     def scratch(rows: int) -> int:
         tracemalloc.start()
         try:
-            built = build_matrices(values[:rows])
+            built = build_matrices(values[:rows], (0,))
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -482,7 +499,7 @@ def test_lookup_memory_is_bounded_by_a_chunk():
     # chunk's, and the lookup then builds a second such array to compare
     table = universe_table(9, (0,))
     chunk_entries = 8192 * 9 * 9 * 8
-    matrices = build_matrices(table.values[: 5 * 8192])
+    matrices = build_matrices(table.values[: 5 * 8192], (0,))
     table.positions(matrices[:8])  # caches, outside the measurement
     tracemalloc.start()
     try:

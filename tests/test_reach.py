@@ -61,7 +61,7 @@ from regmc.reach import (
     reachable_set,
     successor_rows,
 )
-from regmc.reference import literal_post
+from reference import literal_post
 
 # the package re-exports the function ``reach`` under the module's name
 reach_module = importlib.import_module("regmc.reach")
@@ -283,6 +283,25 @@ def test_reach_builds_each_kernel_once_per_machine(monkeypatch):
     ]
     assert True in answers
     assert len(built) == len({(t.guard, t.assignment) for t in ra.transitions}) == 12
+
+
+def test_reachable_set_reuses_the_reach_fixpoint(monkeypatch, fig):
+    # ``reach`` keeps the last machine's reachable nodes, and
+    # ``reachable_set`` answers from them with no fixpoint of its own; no
+    # other test asks about this machine, so the first question runs one
+    ra = dataclasses.replace(fig, initial="l1")
+    runs = []
+    run = reach_module.QuotientGraph._reachable_masks
+    monkeypatch.setattr(
+        reach_module.QuotientGraph, "_reachable_masks", lambda g: runs.append(g) or run(g)
+    )
+    node = RepConfig("l0", universe(2, ra.constants)[0])
+    answer = reach(ra, node)
+    assert len(runs) == 1
+    everything = reachable_set(ra)
+    assert len(runs) == 1
+    assert (node in everything) == answer
+    assert everything == LabelSet(runs[0], run(runs[0]))
 
 
 def test_oracle_pool_validation(fig):

@@ -8,7 +8,7 @@ import pytest
 
 from gens import NOT_A_FIGURE_ONE_CLASS, random_automaton
 from regmc.matrices import ONE, RepConfig, RepMatrix, universe
-from regmc.reference import literal_post, literal_universe, universe_size
+from reference import literal_post, literal_universe, universe_size
 
 
 def test_literal_universe_single_register():
