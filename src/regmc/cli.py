@@ -3,21 +3,22 @@
 Five subcommands cover the library: ``universe`` lists the consistent
 matrices over a register count, ``post`` and ``reach`` answer successor
 and reachability queries for a configuration, ``check`` model-checks a
-formula, and ``simulate`` walks a random concrete run, one sampled step
-at a time (``core.sample_step``).  Exit status 0 means the property holds
-(or the configuration is a member / reachable), 1 means it does not, and
-2 flags a usage or parse problem or an input over a size limit — in which
-case nothing is written to stdout.  Any other failure is a bug in regmc:
-it exits 3 with the traceback on stderr, so it never reads as an answer.
+formula on the graph of the registers live for it alone (``ctl.check``),
+and ``simulate`` walks a random concrete run (``core.sample_step``).
+Exit status 0 means the property holds (or the configuration is a member
+/ reachable), 1 means it does not, and 2 flags a usage or parse problem
+or an input over a size limit — in which case nothing is written to
+stdout.  Any other failure is a bug in regmc: it exits 3 with the
+traceback on stderr, so it never reads as an answer.
 
-Listings are deterministic: matrices appear in the enumeration order of
-``universe`` and locations in declaration order, so outputs can serve as
-golden files.  Every subcommand runs the engine.
+Listings are deterministic (``universe`` order, locations in declaration
+order), so they can serve as golden files; they are written in blocks.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
 import sys
 import traceback
@@ -57,14 +58,19 @@ def _listing(ra: RegisterAutomaton, steps: Sequence[tuple[str, np.ndarray]]) -> 
                 yield dsl.configuration_text(loc, line)
 
 
+def _write_lines(lines: Iterator[str]) -> None:
+    """Write ``lines`` to stdout, one ``write`` per block of 4096 lines."""
+    while block := list(itertools.islice(lines, 4096)):
+        sys.stdout.write("\n".join(block) + "\n")
+
+
 def _cmd_universe(args: argparse.Namespace) -> int:
     from regmc.matrices import classes_lines, universe_table
 
     constants = tuple(dict.fromkeys(args.constants))
     names = tuple(f"x{i + 1}" for i in range(args.registers))
     table = universe_table(args.registers, constants)
-    for line in classes_lines(table.values, constants, names):
-        print(line)
+    _write_lines(classes_lines(table.values, constants, names))
     print(f"count: {len(table.key)}")
     return 0
 
@@ -74,8 +80,7 @@ def _cmd_post(args: argparse.Namespace) -> int:
 
     ra = _load_automaton(args.file)
     config = dsl.parse_repconfig(args.config, ra)
-    for line in _listing(ra, successor_rows(ra, config)):
-        print(line)
+    _write_lines(_listing(ra, successor_rows(ra, config)))
     return 0
 
 
@@ -92,24 +97,15 @@ def _cmd_reach(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from regmc.ctl import compute_ctl, model_check
-    from regmc.reach import quotient_graph
+    from regmc.ctl import check
 
     ra = _load_automaton(args.file)
     formula = dsl.parse_formula(args.formula, ra)
     config = dsl.parse_repconfig(args.config, ra) if args.config else None
-    graph = quotient_graph(ra)
-    if config is None:
-        if model_check(graph, formula):
-            print("result: holds")
-            return 0
-        print("result: fails")
-        return 1
-    if config in compute_ctl(graph, formula):
-        print("result: member")
-        return 0
-    print("result: non-member")
-    return 1
+    holds = check(ra, formula, config)
+    answers = ("holds", "fails") if config is None else ("member", "non-member")
+    print(f"result: {answers[not holds]}")
+    return 0 if holds else 1
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

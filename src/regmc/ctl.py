@@ -15,16 +15,17 @@ satisfies a formula exactly when every valuation in it does, so answers
 transfer verbatim to the infinite concrete system; the test suite checks
 this against an explicit-state checker over bounded concrete graphs.
 
-``compute_ctl`` and ``model_check`` label a formula on the graph of the
-registers live for it (``reach.live_registers``): its atoms are checked
-against the full machine, it is renamed onto that smaller graph and
-labelled there, and the answer is lifted to every class by one gather.
+Every question labels a formula on the graph of the registers live for it
+(``reach.live_registers``): its atoms are checked against the full
+machine, and it is renamed onto that smaller graph and labelled there.
 Classes that agree on the live registers are bisimilar (Yorav &
 Grumberg, FMSD 2004), so the answer is the full graph's; a byzantine
 formula over ``D1`` and ``D2`` is labelled on 877 classes per location
-instead of 21147, and the full kernels are never built.  When every
-register is live, that graph is the graph itself.  The ``compute_*``
-operators on sets run on the graph's own kernels.
+instead of 21147.  ``check`` builds that graph alone: every full class
+extends a projected one, so all initial classes satisfy the formula when
+all projected ones do, and a class is a member when its sub-matrix over
+the live registers is.  ``compute_ctl`` lifts to full classes by one
+gather; the ``compute_*`` set operators run on the graph's own kernels.
 
 A set of configurations is one (locations × classes) boolean array, rows
 in declaration order and columns in universe order, so NOT, AND and the
@@ -35,8 +36,8 @@ membership and combines with other sets without building a configuration;
 they take a view of the same graph as it is, and any other collection of
 configurations by one batched lookup.  Evaluation walks each distinct node
 once (``formulas.postorder``), so a formula that shares its subterms costs
-time in its size, not in its unfolded tree.  ``model_check`` and
-``compute_ctl`` still refuse formulas nested deeper than
+time in its size, not in its unfolded tree.  Each entry still refuses
+formulas nested deeper than
 ``MAX_FORMULA_DEPTH`` with ``ValueError``, the limit the parser and the
 serializer keep.
 """
@@ -45,6 +46,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from regmc.classes import RepConfig, RepMatrix
+from regmc.core import RegisterAutomaton
 # the formula syntax is re-exported, so callers keep one import
 from regmc.formulas import (  # noqa: F401
     EG,
@@ -71,7 +74,7 @@ from regmc.formulas import (  # noqa: F401
     or_,
     postorder,
 )
-from regmc.reach import LabelSet, QuotientGraph, live_registers
+from regmc.reach import LabelSet, QuotientGraph, _check_node, _project, live_registers
 
 
 def _ap_masks(graph: QuotientGraph, atom: CtlFormula) -> np.ndarray:
@@ -163,30 +166,29 @@ def compute_eg(graph: QuotientGraph, s: LabelSet) -> LabelSet:
     return LabelSet(graph, _eg_masks(graph, graph._masks_of(s)))
 
 
-def _projected(graph: QuotientGraph, f: CtlFormula) -> tuple[QuotientGraph, CtlFormula, np.ndarray]:
-    """The graph ``f`` is labelled on, ``f`` renamed onto it, and each class's
-    position there (``QuotientGraph._projection``).
+def _projected(ra: RegisterAutomaton, f: CtlFormula) -> tuple[tuple[int, ...], CtlFormula]:
+    """The registers ``f`` is labelled over, and ``f`` renamed onto the
+    machine over them (``reach._project``).
 
-    ``f``'s depth, and every atom against ``graph``'s own machine, are
-    checked first.  The projection keeps the registers live for the ones
-    ``f`` observes (``reach.live_registers``), or for register 0 when it
-    observes none: an automaton has at least one register.  An atom
-    ``i = i`` observes nothing and becomes ``0 = 0``.
+    ``f``'s depth, and every atom against ``ra`` itself, are checked first.
+    The projection keeps the registers live for the ones ``f`` observes
+    (``reach.live_registers``), or for register 0 when it observes none:
+    an automaton has at least one register.  An atom ``i = i`` observes
+    nothing and becomes ``0 = 0``.
     """
     check_depth(f)
     nodes = postorder(f)
     observed: set[int] = set()
     for g in nodes:
         if isinstance(g, (AtLocation, RegEq, RegEqConst)):
-            check_atom(graph.ra, g)
+            check_atom(ra, g)
         elif not isinstance(g, (Not, And, EX, EU, EG)):
             raise ValueError(f"not a formula: {g!r}")
         if isinstance(g, RegEq) and g.i != g.j:
             observed |= {g.i, g.j}
         elif isinstance(g, RegEqConst):
             observed.add(g.i)
-    live = live_registers(graph.ra, observed) or live_registers(graph.ra, (0,))
-    sub, groups = graph._projection(live)
+    live = live_registers(ra, observed) or live_registers(ra, (0,))
     new = {r: i for i, r in enumerate(live)}
     renamed: dict[int, CtlFormula] = {}
     for g in nodes:
@@ -199,17 +201,39 @@ def _projected(graph: QuotientGraph, f: CtlFormula) -> tuple[QuotientGraph, CtlF
         else:
             h = type(g)(*(renamed[id(k)] for k in children(g)))
         renamed[id(g)] = h
-    return sub, renamed[id(f)], groups
+    return live, renamed[id(f)]
+
+
+def _holds(sub: QuotientGraph, g: CtlFormula) -> bool:
+    """Whether every initial-location class of ``sub`` satisfies ``g``."""
+    return bool(_eval(sub, g)[sub.ra.locations.index(sub.ra.initial)].all())
 
 
 def compute_ctl(graph: QuotientGraph, f: CtlFormula) -> LabelSet:
     """All configurations satisfying ``f``: labelled on the graph of the
     registers live for ``f`` (``_projected``) and lifted by one gather."""
-    sub, g, groups = _projected(graph, f)
+    live, g = _projected(graph.ra, f)
+    sub, groups = graph._projection(live)
     return LabelSet(graph, _eval(sub, g)[:, groups])
 
 
 def model_check(graph: QuotientGraph, f: CtlFormula) -> bool:
     """Whether every initial-location configuration satisfies ``f``."""
-    sub, g, groups = _projected(graph, f)
-    return bool(_eval(sub, g)[graph.ra.locations.index(graph.ra.initial), groups].all())
+    live, g = _projected(graph.ra, f)
+    return _holds(graph._projection(live)[0], g)
+
+
+def check(ra: RegisterAutomaton, f: CtlFormula, config: RepConfig | None = None) -> bool:
+    """``model_check`` of ``f``, or ``config in compute_ctl``, on the graph of
+    the registers live for ``f`` alone; ``ValueError`` past its size limits."""
+    if config is not None:
+        _check_node(ra, config)
+    # looked up per call, so a replaced graph builder (as in the tests) is used
+    from regmc.reach import quotient_graph
+
+    live, g = _projected(ra, f)
+    sub = quotient_graph(_project(ra, live))
+    if config is None:
+        return _holds(sub, g)
+    part = RepMatrix(tuple(tuple(config.matrix.rows[i][j] for j in live) for i in live))
+    return RepConfig(config.location, part) in LabelSet(sub, _eval(sub, g))

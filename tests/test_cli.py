@@ -28,7 +28,7 @@ from regmc.matrices import (
     class_keys, classes_lines, marker_rows, matrix_entries, matrix_of_valuation, universe,
     universe_table,
 )
-from regmc.reach import post, quotient_graph, reach, successor_rows
+from regmc.reach import post, reach, successor_rows
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FIG = str(FIXTURES / "figure1.ra")
@@ -203,9 +203,44 @@ def test_post_over_its_limits_exits_2(capsys, tmp_path):
 
 
 def test_graph_over_the_node_limit_exits_2(capsys, tmp_path):
+    # reach observes every register, so it needs all 300 x 678570 nodes
     path = tmp_path / "chain.ra"
     path.write_text(dsl.serialize(chain(10, 300)))
-    assert run(capsys, "check", str(path), "EF @q299") == (2, "")
+    assert run(capsys, "reach", str(path), _all_distinct(chain(10, 300))) == (2, "")
+
+
+def test_check_builds_only_the_live_registers_table(capsys, tmp_path, monkeypatch):
+    # AG (r1 = r2) on wide11 is labelled on the machine over r1 .. r9; the
+    # 11-register universe is past MAX_CLASSES, and is never asked for
+    asked = []
+    build = universe_table
+
+    def refusing(n_registers, constants):
+        asked.append(n_registers)
+        if n_registers >= 11:
+            raise AssertionError("the full 11-register table was asked for")
+        return build(n_registers, constants)
+
+    for module in ("regmc.matrices", "regmc.reach"):
+        monkeypatch.setattr(importlib.import_module(module), "universe_table", refusing)
+    path = tmp_path / "wide11.ra"
+    path.write_text(dsl.serialize(wide(11)))
+    assert run(capsys, "check", str(path), _AG) == (1, "result: fails\n")
+    config = _all_distinct(wide(11))
+    assert run(capsys, "check", str(path), _AG, "--config", config) == (1, "result: non-member\n")
+    assert asked and max(asked) < 11
+
+
+def test_a_closed_pipe_exits_2():
+    # `regmc universe -n 9 -c 0 | head -1`: 115975 lines, far past a pipe's buffer
+    with subprocess.Popen(
+        [sys.executable, "-m", "regmc.cli", "universe", "-n", "9", "-c", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SUBPROCESS_ENV,
+    ) as child:
+        assert child.stdout.readline() == b"{x1 x2 x3 x4 x5 x6 x7 x8 x9}\n"
+        child.stdout.close()
+        assert child.stderr.read() == b"error: [Errno 32] Broken pipe\n"
+        assert child.wait(timeout=10) == 2
 
 
 def test_joins_past_the_row_limit_exit_2(capsys, tmp_path):
@@ -243,9 +278,10 @@ def _listed(ra, configs) -> list[str]:
 # The robustness contract, one question per shape at or past a size limit:
 # the parameter-storing joins of ``load``, stores pinned by equalities
 # (``load(7, equal=True)``, ``pinned(12)``), a step that releases every
-# register (``havoc(8)``), the node limit (``wide(11)``, ``chain(10,
-# 300)``), and 990 declared constants, whose 982082 classes every limit
-# admits (``many_constants``).  A shape that a later limit or CLI path
+# register (``havoc(8)``), full graphs past the class and node limits
+# whose formulas observe a few registers (``wide(11)``, ``chain(10,
+# 300)``; ``reach`` observes all of them), and 990 declared constants,
+# whose 982082 classes every limit admits (``many_constants``).  A shape that a later limit or CLI path
 # touches joins this list.
 _AG = "AG (r1 = r2)"
 BOUNDED_QUESTIONS = [
@@ -264,7 +300,9 @@ BOUNDED_QUESTIONS = [
     ),
     ("havoc8-check", havoc(8), "check", (_AG,)),
     ("wide11-check", wide(11), "check", (_AG,)),
+    ("wide11-check-config", wide(11), "check", (_AG, "--config", _all_distinct(wide(11)))),
     ("chain10_300-check", chain(10, 300), "check", ("EF @q299",)),
+    ("chain10_300-reach", chain(10, 300), "reach", (_all_distinct(chain(10, 300)),)),
     ("consts990-check", many_constants(990), "check", ("AG (x1 = x2)",)),
     ("consts990-reach", many_constants(990), "reach", ("q | {x1} {x2}",)),
 ]
@@ -280,11 +318,11 @@ def _in_process(ra, command: str, args: tuple[str, ...]) -> tuple[int, str]:
         if command == "reach":
             found = reach(ra, dsl.parse_repconfig(args[0], ra))
             return (0, "result: reachable\n") if found else (1, "result: unreachable\n")
-        graph, formula = quotient_graph(ra), dsl.parse_formula(args[0], ra)
+        formula = dsl.parse_formula(args[0], ra)
         if args[1:]:
-            member = dsl.parse_repconfig(args[2], ra) in ctl.compute_ctl(graph, formula)
+            member = ctl.check(ra, formula, dsl.parse_repconfig(args[2], ra))
             return (0, "result: member\n") if member else (1, "result: non-member\n")
-        holds = ctl.model_check(graph, formula)
+        holds = ctl.check(ra, formula)
         return (0, "result: holds\n") if holds else (1, "result: fails\n")
     except ValueError:
         return 2, ""

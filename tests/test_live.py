@@ -1,5 +1,6 @@
 """CTL answered on the live-register quotient, played against the labelling
-on the graph's own full kernels (``ctl._eval``)."""
+on the graph's own full kernels (``ctl._eval``) and, for ``ctl.check``,
+against the answers on the full graph."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ import pytest
 from gens import D1, D2, D3, R1, R2, R3, S, T, byzantine, chain, havoc, random_automaton, random_formula
 from regmc import ctl
 from regmc.core import Action, Assignment, Atom, ConstantTerm, ParameterTerm, RegisterAutomaton, Transition
-from regmc.matrices import universe_size
+from regmc.classes import RepConfig
+from regmc.matrices import universe, universe_size
 from regmc.reach import live_registers, quotient_graph, reachable_set
 
 reach_module = sys.modules["regmc.reach"]
@@ -39,6 +41,32 @@ def test_projected_labelling_matches_full_kernels_on_random_machines():
         proper += any(len(live) < ra.num_registers for live in graph._projections)
     # most machines leave some register dead for some formula
     assert proper >= 20, proper
+
+
+def test_check_on_the_projection_alone_matches_the_full_graph():
+    # ``check`` builds only the graph over the registers live for the
+    # formula, and looks a class up by its sub-matrix over them
+    rng = random.Random(29)
+    dead = 0
+    for _ in range(60):
+        ra = random_automaton(rng, max_registers=4, max_constants=2)
+        graph = quotient_graph(ra)
+        classes = universe(ra.num_registers, ra.constants)
+        narrowed = False
+        for _ in range(4):
+            f = random_formula(rng, ra, depth=3)
+            assert ctl.check(ra, f) == ctl.model_check(graph, f), (ra, f)
+            sat = ctl.compute_ctl(graph, f)
+            for _ in range(3):
+                config = RepConfig(rng.choice(ra.locations), rng.choice(classes))
+                assert ctl.check(ra, f, config) == (config in sat), (ra, f, config)
+            narrowed |= len(ctl._projected(ra, f)[0]) < ra.num_registers
+        dead += narrowed
+    # most machines leave some register dead for some formula
+    assert dead >= 20, dead
+    wrong = RepConfig(ra.initial, universe(ra.num_registers + 1, ra.constants)[0])
+    with pytest.raises(ValueError, match="not a consistent class"):
+        ctl.check(ra, ctl.TRUE, wrong)
 
 
 @pytest.mark.parametrize("ra", [chain(4, 6), havoc(4, 1)], ids=["chain4_6", "havoc4_1"])
