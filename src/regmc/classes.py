@@ -123,17 +123,24 @@ def fresh_symbols(constants: Sequence[int], count: int) -> list[int]:
     return list(itertools.islice((c for c in itertools.count(1) if c not in constants), count))
 
 
-def canonical_valuation(m: RepMatrix, constants: Sequence[int]) -> Valuation:
-    """The deterministic witness valuation of a consistent matrix.
+def marker_valuation(m: RepMatrix) -> Valuation:
+    """``m`` read as a marker valuation, the engine's one form of a class:
+    register ``i`` holds its diagonal entry when that is a constant, and
+    otherwise ``-1`` minus its first related register (the first ``ONE``
+    of its row).  A class's matrix is ``matrix_of_valuation`` of it; any
+    other matrix gets some valuation whose class differs from it."""
+    return tuple(row[i] if row[i] != ONE else -1 - row.index(ONE) for i, row in enumerate(m.rows))
 
-    A register takes its diagonal constant if it has one, else the fresh
-    symbol numbered by the first register of its class.  Raises
-    ``ValueError`` for an inconsistent matrix.
+
+def canonical_valuation(m: RepMatrix, constants: Sequence[int]) -> Valuation:
+    """The deterministic witness valuation of a consistent matrix: its
+    marker valuation with marker ``-1 - j`` replaced by fresh symbol ``j``.
+    Raises ``ValueError`` for an inconsistent matrix.
     """
     if not has_valid_structure(m, constants):
         raise ValueError("matrix is not consistent")
     fresh = fresh_symbols(constants, m.n)
-    return tuple(row[i] if row[i] != ONE else fresh[row.index(ONE)] for i, row in enumerate(m.rows))
+    return tuple(x if x >= 0 else fresh[-1 - x] for x in marker_valuation(m))
 
 
 def block_text(members: list[int], label: int, registers: tuple[str, ...]) -> str:

@@ -23,9 +23,10 @@ Grumberg, FMSD 2004), so the answer is the full graph's; a byzantine
 formula over ``D1`` and ``D2`` is labelled on 877 classes per location
 instead of 21147.  ``check`` builds that graph alone: every full class
 extends a projected one, so all initial classes satisfy the formula when
-all projected ones do, and a class is a member when its sub-matrix over
-the live registers is.  ``compute_ctl`` lifts to full classes by one
-gather; the ``compute_*`` set operators run on the graph's own kernels.
+all projected ones do, and a class is a member when its marker
+valuation's columns over the live registers are, found by their key.
+``compute_ctl`` lifts to full classes by one gather through the graph's
+grouping; the ``compute_*`` set operators run on the graph's own kernels.
 
 A set of configurations is one (locations × classes) boolean array, rows
 in declaration order and columns in universe order, so NOT, AND and the
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from regmc.classes import RepConfig, RepMatrix
+from regmc.classes import RepConfig, marker_valuation
 from regmc.core import RegisterAutomaton
 # the formula syntax is re-exported, so callers keep one import
 from regmc.formulas import (  # noqa: F401
@@ -74,6 +75,7 @@ from regmc.formulas import (  # noqa: F401
     or_,
     postorder,
 )
+from regmc.matrices import class_keys
 from regmc.reach import LabelSet, QuotientGraph, _check_node, _project, live_registers
 
 
@@ -213,19 +215,20 @@ def compute_ctl(graph: QuotientGraph, f: CtlFormula) -> LabelSet:
     """All configurations satisfying ``f``: labelled on the graph of the
     registers live for ``f`` (``_projected``) and lifted by one gather."""
     live, g = _projected(graph.ra, f)
-    sub, groups = graph._projection(live)
-    return LabelSet(graph, _eval(sub, g)[:, groups])
+    return LabelSet(graph, _eval(graph._projection(live), g)[:, graph._groups(live)])
 
 
 def model_check(graph: QuotientGraph, f: CtlFormula) -> bool:
     """Whether every initial-location configuration satisfies ``f``."""
     live, g = _projected(graph.ra, f)
-    return _holds(graph._projection(live)[0], g)
+    return _holds(graph._projection(live), g)
 
 
 def check(ra: RegisterAutomaton, f: CtlFormula, config: RepConfig | None = None) -> bool:
     """``model_check`` of ``f``, or ``config in compute_ctl``, on the graph of
-    the registers live for ``f`` alone; ``ValueError`` past its size limits."""
+    the registers live for ``f`` alone; ``ValueError`` past its size limits.
+    ``config``'s node there is its marker valuation (``marker_valuation``)
+    over the live registers, found by its key (``class_keys``)."""
     if config is not None:
         _check_node(ra, config)
     # looked up per call, so a replaced graph builder (as in the tests) is used
@@ -235,5 +238,6 @@ def check(ra: RegisterAutomaton, f: CtlFormula, config: RepConfig | None = None)
     sub = quotient_graph(_project(ra, live))
     if config is None:
         return _holds(sub, g)
-    part = RepMatrix(tuple(tuple(config.matrix.rows[i][j] for j in live) for i in live))
-    return RepConfig(config.location, part) in LabelSet(sub, _eval(sub, g))
+    part = np.array([marker_valuation(config.matrix)])[:, live]
+    k = sub.table.key.searchsorted(class_keys(part, ra.constants))[0]
+    return bool(_eval(sub, g)[ra.locations.index(config.location), k])

@@ -12,11 +12,13 @@ marker.  Entry ``(i, j)`` is ``ZERO`` when the values of ``i`` and ``j``
 differ, and otherwise the value when it is a constant, else ``ONE``; so
 every question the successor search and the checker ask of a class is a
 compare of value columns.  ``RepMatrix`` objects and listing lines are
-built from table rows only where a caller reads them, and a matrix is
-located by one sorted search over the table's rank keys.  The rank key is
-one formula over any valuation (``class_keys``), so the sub-matrix of a
-class over some of its registers is found the same way in the smaller
-table.  Universes over ``MAX_CLASSES`` classes are refused.
+built from table rows only where a caller reads them (``build_matrices``),
+and a matrix is read back only as its marker valuation
+(``marker_valuation``): one sorted search over the table's rank keys
+finds it, and the matrix built from the row found confirms it.  The rank
+key is one formula over any valuation (``class_keys``), so a class's
+sub-valuation over some of its registers is found the same way in the
+smaller table.  Universes over ``MAX_CLASSES`` classes are refused.
 
 Reading a class as a system of (dis)equality constraints is left to the
 tests' literal scans (``tests/reference.py``): nothing here imports
@@ -52,6 +54,7 @@ from regmc.classes import (  # noqa: F401
     fresh_symbols,
     has_valid_structure,
     is_class,
+    marker_valuation,
     matrix_of_valuation,
     universe_size,
 )
@@ -73,24 +76,6 @@ def value_dtype(n_registers: int, constants: Sequence[int]) -> np.dtype:
     return np.result_type(*(np.min_scalar_type(-1 - c) for c in (n_registers, *constants)))
 
 
-def matrix_entries(matrices: Sequence[RepMatrix], n_registers: int) -> np.ndarray:
-    """The entries of ``n_registers``-square matrices as one (matrices, n, n) array."""
-    n = n_registers
-    rows = itertools.chain.from_iterable(m.rows for m in matrices)
-    given = np.fromiter(itertools.chain.from_iterable(rows), np.int64, len(matrices) * n * n)
-    return given.reshape(-1, n, n)
-
-
-def marker_rows(entries: np.ndarray) -> np.ndarray:
-    """Each class of ``entries`` (``matrix_entries``) read as a marker
-    valuation: a register holds its diagonal constant, or else ``-1`` minus
-    its first related register (its row's first nonzero entry).  The rows
-    have the keys (``class_keys``) of their classes."""
-    n = entries.shape[1]
-    diag = entries.reshape(-1, n * n)[:, :: n + 1]
-    return np.where(diag == ONE, -1 - (entries != ZERO).argmax(axis=2), diag)
-
-
 def distinct(x: np.ndarray) -> np.ndarray:
     """The distinct values of ``x``, ascending.  (``np.unique`` does the same
     but imports ``numpy.ma`` on first use, which every process would pay.)"""
@@ -104,12 +89,6 @@ def first_of_each(keys: np.ndarray) -> np.ndarray:
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[order[1:]] != keys[order[:-1]]
     return order[first]
-
-
-def diagonal_entries(values: np.ndarray) -> np.ndarray:
-    """The matrix diagonal of marker valuations (``UniverseTable.values``):
-    a value that is a constant, else ``ONE`` for a block marker."""
-    return np.where(values >= 0, values, ONE).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -219,8 +198,8 @@ _set_hash = RepMatrix._hash.__set__  # type: ignore[attr-defined]
 
 def build_matrices(values: np.ndarray, constants: Sequence[int]) -> list[RepMatrix]:
     """The matrices of marker valuations ``values`` (``UniverseTable.values``,
-    ``marker_rows``) over declared ``constants``, built unchecked a chunk
-    of rows at a time.
+    ``marker_valuation``) over declared ``constants``, built unchecked a
+    chunk of rows at a time.
 
     Each register's row is read from its code (``_RowCodes``), computed
     from compares of value columns, so no temporary holds more than n
@@ -311,26 +290,22 @@ class UniverseTable(NamedTuple):
     def positions(self, matrices: Sequence[RepMatrix]) -> np.ndarray:
         """Each matrix's class position, or -1 where it is not a class here.
 
-        A matrix is read as its marker row (``marker_rows``); one sorted
-        search finds that row's key, and the hit stands only if the matrix
-        equals the table row it names, entry for entry.  The matrices are
-        read a chunk at a time, n × n entries per matrix (``chunk_rows``),
-        so no entry array grows with the batch.
+        A matrix is read as its marker valuation (``marker_valuation``) and
+        one sorted search finds that valuation's key (``class_keys``); the
+        position stands only if the matrix equals the one ``build_matrices``
+        makes of the table row it names.  The matrices are looked up a
+        chunk (``chunk_rows``) at a time.
         """
         n = self.values.shape[1]
         found = dict.fromkeys(matrices, -1)
         square = [m for m in found if m.n == n]
-        step = chunk_rows(n * n)
+        step = chunk_rows(n)
         for lo in range(0, len(square), step):
             chunk = square[lo : lo + step]
-            given = matrix_entries(chunk, n)
-            keys = class_keys(marker_rows(given), self.constants)
-            pos = np.minimum(np.searchsorted(self.key, keys), len(self.key) - 1)
-            values = self.values[pos]
-            label = diagonal_entries(values)[:, :, None]
-            named = np.where(values[:, :, None] == values[:, None, :], label, ZERO)
-            hit = (self.key[pos] == keys) & (named == given).all(axis=(1, 2))
-            found.update(zip(chunk, np.where(hit, pos, -1).tolist()))
+            keys = class_keys(np.array(list(map(marker_valuation, chunk))), self.constants)
+            pos = np.minimum(self.key.searchsorted(keys), len(self.key) - 1)
+            named = build_matrices(self.values[pos], self.constants)
+            found.update((m, p if m == b else -1) for m, p, b in zip(chunk, pos.tolist(), named))
         return np.array([found[m] for m in matrices], dtype=np.int64)
 
     def groups(self, registers: tuple[int, ...]) -> np.ndarray:

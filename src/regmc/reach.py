@@ -45,21 +45,23 @@ classes.  A question that observes only some registers needs only the
 *live* ones (``live_registers``): those it observes, those a guard
 reads, and every register copied into a live one.  Classes that agree on
 them are bisimilar, so such a question runs on the graph of the machine
-over the live registers alone (``QuotientGraph._projection``), and its
-answer is lifted back through ``UniverseTable.groups``.
+over the live registers alone (``QuotientGraph._projection``); an
+answer over full classes is lifted back through ``UniverseTable.groups``,
+one grouping per register set and graph (``QuotientGraph._groups``).
 
-``successor_rows`` runs the join from a single class and generates the
-successors' marker valuations instead (``post`` builds their matrices):
-each distinct image class is extended to all n registers by the same
-column growth, one released register at a time (``_extend``), so it
-needs no n-register table.  It counts the extensions
-first by a closed form (``matrices.extension_count``) and refuses more
-than ``MAX_CLASSES``.  A set of nodes is one (locations × classes)
-boolean array, so reachability and the branching-time operators run as
-one worklist over its location rows (``QuotientGraph._fixpoint``; Clarke,
-Emerson & Sistla, TOPLAS 1986, over the partitioned relation of Burch,
-Clarke & Long, "Symbolic model checking with partitioned transition
-relations", 1991).
+``successor_rows`` runs the join from a single class's marker valuation
+(``matrices.marker_valuation``) and generates the successors' marker
+valuations instead (``post`` builds their matrices): each distinct image
+class is extended to all n registers by the same column growth, one
+released register at a time (``_extend``), so it needs no n-register
+table.  It counts the extensions first by a closed form
+(``matrices.extension_count``) and refuses more than ``MAX_CLASSES``.
+A set of nodes is one (locations × classes) boolean array, so
+reachability and the branching-time operators run as one worklist over
+its location rows (``QuotientGraph._fixpoint``; Clarke, Emerson &
+Sistla, TOPLAS 1986, over the partitioned relation of Burch, Clarke &
+Long, "Symbolic model checking with partitioned transition relations",
+1991).
 """
 
 from __future__ import annotations
@@ -97,8 +99,7 @@ from regmc.matrices import (
     extension_count,
     first_of_each,
     is_class,
-    marker_rows,
-    matrix_entries,
+    marker_valuation,
     universe_size,
     universe_table,
     value_dtype,
@@ -414,12 +415,13 @@ def successor_rows(ra: RegisterAutomaton, c: RepConfig) -> list[tuple[str, np.nd
     target location and the marker valuations of its successors.
 
     Every transition from ``c``'s location is joined from ``c``'s marker
-    row, and each distinct image class is extended to every register
-    (``_extend``).  Two transitions may reach one class.  Raises
-    ``ValueError`` for an unknown location, a matrix of the wrong size, an
-    undeclared constant or an inconsistent matrix, before any join past
-    ``MAX_JOIN_ROWS`` (``_check_join``), and, before any row is extended,
-    when there would be more than ``MAX_CLASSES`` successors.
+    valuation (``marker_valuation``), and each distinct image class is
+    extended to every register (``_extend``).  Two transitions may reach
+    one class.  Raises ``ValueError`` for an unknown location, a matrix of
+    the wrong size, an undeclared constant or an inconsistent matrix,
+    before any join past ``MAX_JOIN_ROWS`` (``_check_join``), and, before
+    any row is extended, when there would be more than ``MAX_CLASSES``
+    successors.
     """
     n, constants = ra.num_registers, ra.constants
     _check_node(ra, c)
@@ -427,7 +429,7 @@ def successor_rows(ra: RegisterAutomaton, c: RepConfig) -> list[tuple[str, np.nd
     plans = [(t, plan) for t, plan in plans if plan is not None]
     for t, plan in plans:
         _check_join(t, plan, 1)
-    valuation = marker_rows(matrix_entries([c.matrix], n))
+    valuation = np.array([marker_valuation(c.matrix)])
     steps = []
     for t, plan in plans:
         _, images, _ = _join(ra, plan, valuation[:, plan.reads])
@@ -609,8 +611,8 @@ class QuotientGraph:
     table: UniverseTable
     # each class's matrix once built, by ``_matrices_of``, else None
     _built: list[RepMatrix | None] = field(init=False, repr=False, compare=False)
-    # per live register set: its graph, None for this one, and the grouping
-    _projections: dict[tuple[int, ...], tuple[QuotientGraph | None, np.ndarray]] = field(
+    # the graph of each proper live register set (``_projection``)
+    _projections: dict[tuple[int, ...], QuotientGraph] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -618,30 +620,34 @@ class QuotientGraph:
         self._built = [None] * len(self.table.key)
 
     @cached_property
+    def _groups(self) -> Callable[[tuple[int, ...]], np.ndarray]:
+        """``table.groups``, computed once per register set for the kernels
+        and the lifts of this graph."""
+        return lru_cache(maxsize=None)(self.table.groups)
+
+    @cached_property
     def _steps(self) -> list[tuple[int, int, _Kernel]]:
         """Each transition's source and target location positions and
         kernel, built on the first read: one kernel per step, whatever its
         locations and action, and one grouping per register set."""
-        groups, kernels, steps = lru_cache(maxsize=None)(self.table.groups), {}, []
+        kernels, steps = {}, []
         loc = self.ra.locations.index
         for t in self.ra.transitions:
             step = (t.guard, t.assignment)
             if step not in kernels:
-                kernels[step] = _build_kernel(self.ra, t, self.table, groups)
+                kernels[step] = _build_kernel(self.ra, t, self.table, self._groups)
             steps.append((loc(t.source), loc(t.target), kernels[step]))
         return steps
 
-    def _projection(self, live: tuple[int, ...]) -> tuple[QuotientGraph, np.ndarray]:
+    def _projection(self, live: tuple[int, ...]) -> QuotientGraph:
         """The graph of ``ra`` over the registers ``live`` (``live_registers``,
-        ``_project``) and each class's position in it (``table.groups``),
-        made once per set.  Over every register it is this graph, and each
-        class its own group."""
+        ``_project``), made once per set; over every register, this graph.
+        A class's node in it is its group (``_groups(live)``)."""
+        if len(live) == self.ra.num_registers:
+            return self
         if live not in self._projections:
-            whole = len(live) == self.ra.num_registers
-            sub = None if whole else quotient_graph(_project(self.ra, live))
-            self._projections[live] = sub, self.table.groups(live)
-        sub, groups = self._projections[live]
-        return self if sub is None else sub, groups
+            self._projections[live] = quotient_graph(_project(self.ra, live))
+        return self._projections[live]
 
     def _matrices_of(self, ks: np.ndarray) -> Iterator[list[RepMatrix]]:
         """The matrices of classes ``ks``, in order, one ``build_matrices``

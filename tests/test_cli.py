@@ -25,8 +25,7 @@ from regmc.classes import RepConfig
 from regmc.cli import _listing, main
 from regmc.core import Configuration, check_run
 from regmc.matrices import (
-    class_keys, classes_lines, marker_rows, matrix_entries, matrix_of_valuation, universe,
-    universe_table,
+    class_keys, classes_lines, marker_valuation, matrix_of_valuation, universe, universe_table,
 )
 from regmc.reach import post, reach, successor_rows
 
@@ -70,7 +69,7 @@ def test_universe_oracle_flag_agrees(capsys):
     # the literal scan finds the listed classes, written in listing order
     rc, out = run(capsys, "universe", "-n", "3", "-c", "0")
     scanned = reference.literal_universe(3, (0,))
-    keys = class_keys(marker_rows(matrix_entries(scanned, 3)), (0,)).tolist()
+    keys = class_keys(np.array([marker_valuation(m) for m in scanned]), (0,)).tolist()
     names = ("x1", "x2", "x3")
     lines = [dsl.classes_text(m, names) for _, m in sorted(zip(keys, scanned), key=lambda km: km[0])]
     assert (rc, out) == (0, "".join(line + "\n" for line in lines) + f"count: {len(scanned)}\n")
@@ -267,7 +266,7 @@ def _listed(ra, configs) -> list[str]:
     marker rows (``classes_lines``, which ``test_dsl`` judges against
     ``dsl.classes_text``)."""
     configs = list(configs)
-    values = marker_rows(matrix_entries([c.matrix for c in configs], ra.num_registers))
+    values = np.array([marker_valuation(c.matrix) for c in configs]).reshape(-1, ra.num_registers)
     keys = class_keys(values, ra.constants).tolist()
     locs = [ra.locations.index(c.location) for c in configs]
     order = sorted(range(len(configs)), key=lambda i: (locs[i], keys[i]))
@@ -280,9 +279,11 @@ def _listed(ra, configs) -> list[str]:
 # (``load(7, equal=True)``, ``pinned(12)``), a step that releases every
 # register (``havoc(8)``), full graphs past the class and node limits
 # whose formulas observe a few registers (``wide(11)``, ``chain(10,
-# 300)``; ``reach`` observes all of them), and 990 declared constants,
-# whose 982082 classes every limit admits (``many_constants``).  A shape that a later limit or CLI path
-# touches joins this list.
+# 300)``; ``reach`` observes all of them), the same shapes below those
+# limits, asked with and without ``--config`` (``havoc(8)``, ``wide(10)``,
+# ``chain(8, 120)``), and 990 declared constants, whose 982082 classes
+# every limit admits (``many_constants``).  A shape that a later limit or
+# CLI path touches joins this list.
 _AG = "AG (r1 = r2)"
 BOUNDED_QUESTIONS = [
     *((f"load{n}-post", load(n), "post", (_all_distinct(load(n)),)) for n in range(6, 10)),
@@ -299,6 +300,13 @@ BOUNDED_QUESTIONS = [
         )
     ),
     ("havoc8-check", havoc(8), "check", (_AG,)),
+    ("havoc8-check-config", havoc(8), "check", (_AG, "--config", _all_distinct(havoc(8)))),
+    ("wide10-check-config", wide(10), "check", (_AG, "--config", _all_distinct(wide(10)))),
+    ("chain8_120-check", chain(8, 120), "check", ("EF @q119",)),
+    (
+        "chain8_120-check-config", chain(8, 120), "check",
+        ("EF @q119", "--config", _all_distinct(chain(8, 120))),
+    ),
     ("wide11-check", wide(11), "check", (_AG,)),
     ("wide11-check-config", wide(11), "check", (_AG, "--config", _all_distinct(wide(11)))),
     ("chain10_300-check", chain(10, 300), "check", ("EF @q299",)),

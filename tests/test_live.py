@@ -118,13 +118,38 @@ def test_byzantine_live_set():
     assert live_registers(ra, ()) == (R1, R2, S, T)
     assert live_registers(ra, (R3, D3)) == (R1, R2, R3, D3, S, T)
     graph = quotient_graph(ra)
-    sub, groups = graph._projection(live_registers(ra, (D1, D2)))
-    assert len(sub.table.key) == universe_size(6, 1) == 877
-    assert len(groups) == len(graph.table.key) == 21147
+    live = live_registers(ra, (D1, D2))
+    assert len(graph._projection(live).table.key) == universe_size(6, 1) == 877
+    assert len(graph._groups(live)) == len(graph.table.key) == 21147
     every = tuple(range(8))
-    same, identity = graph._projection(every)
-    assert same is graph
-    assert np.array_equal(identity, np.arange(21147))
+    assert graph._projection(every) is graph
+    assert np.array_equal(graph._groups(every), np.arange(21147))
+
+
+def test_only_the_lift_groups_the_full_table(monkeypatch):
+    # ``model_check`` reads the projected initial row alone, so it groups
+    # none of the 8 registers' classes; ``compute_ctl`` lifts its answer
+    # through one grouping per live set, kept by the graph
+    widths: list[tuple[int, ...]] = []
+    groups = reach_module.UniverseTable.groups
+
+    def counted(table, registers):
+        if table.values.shape[1] == 8:
+            widths.append(registers)
+        return groups(table, registers)
+
+    monkeypatch.setattr(reach_module.UniverseTable, "groups", counted)
+    ra = byzantine()
+    graph = quotient_graph(ra)
+    d12 = ctl.af(ctl.RegEq(D1, D2))
+    assert ctl.model_check(graph, d12) is False
+    assert ctl.model_check(graph, ctl.ag(ctl.RegEq(D1, D2))) is False
+    assert widths == []
+    ctl.compute_ctl(graph, d12)
+    ctl.compute_ctl(graph, ctl.EG(ctl.Not(ctl.RegEq(D1, D2))))
+    assert widths == [live_registers(ra, (D1, D2))]
+    ctl.compute_ctl(graph, ctl.ef(ctl.RegEq(R3, D3)))
+    assert widths == [live_registers(ra, (D1, D2)), live_registers(ra, (R3, D3))]
 
 
 def _kernel_widths(monkeypatch) -> list[int]:

@@ -36,8 +36,8 @@ from regmc.matrices import (
     extension_count,
     fresh_symbols,
     has_valid_structure,
-    marker_rows,
-    matrix_entries,
+    is_class,
+    marker_valuation,
     matrix_of_valuation,
     universe,
     universe_size,
@@ -398,14 +398,14 @@ def assert_built_as_checked(values: np.ndarray, constants: tuple[int, ...]) -> N
 
 
 def test_build_matrices_reads_first_register_markers():
-    # ``marker_rows`` marks a block by -1 minus its first register, where the
-    # table numbers blocks in order of appearance
+    # ``marker_valuation`` marks a block by -1 minus its first register,
+    # where the table numbers blocks in order of appearance
     rng = random.Random(5)
     for n, constants in [(1, ()), (1, (0,)), (4, ()), (5, (0, 7)), (7, (3,))]:
         alphabet = [*constants, 1, 2, 4, 5, 6][: n + len(constants)]
         valuations = [tuple(rng.choice(alphabet) for _ in range(n)) for _ in range(60)]
         matrices = [matrix_of_valuation(v, constants) for v in valuations]
-        values = marker_rows(matrix_entries(matrices, n))
+        values = np.array([marker_valuation(m) for m in matrices])
         assert_built_as_checked(values, constants)
         assert build_matrices(values, constants) == matrices
 
@@ -532,6 +532,38 @@ def test_lookup_refuses_non_classes():
     ]
     assert -1 not in three.positions(missed).tolist()
     assert three.positions(near).tolist() == [-1, -1]
+
+
+@pytest.mark.parametrize("constants", [(), (0,), (3, 1, 2)], ids=["none", "one", "three"])
+def test_lookup_finds_exactly_the_classes(constants):
+    # seeded random matrices over ZERO, ONE, the declared constants and one
+    # undeclared value (7): a class, the same class with one entry redrawn
+    # (often the same marker valuation, so the same key), a matrix drawn
+    # entry by entry, and a class over one register more
+    rng = random.Random(41 + len(constants))
+    alphabet = [ZERO, ONE, *constants, 7]
+    key_hits = 0
+    for n in range(1, 6):
+        table = universe_table(n, constants)
+        classes = universe(n, constants)
+        matrices = [matrix_of_valuation(tuple(range(1, n + 2)), constants)]
+        for _ in range(200):
+            m = rng.choice(classes)
+            rows = [list(row) for row in m.rows]
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.choice(alphabet)
+            drawn = [[rng.choice(alphabet) for _ in range(n)] for _ in range(n)]
+            matrices += [m, mat(*rows), mat(*drawn)]
+        found = table.positions(matrices).tolist()
+        for m, k in zip(matrices, found):
+            assert (k >= 0) == is_class(m, n, constants), (m, k)
+            if k >= 0:
+                assert build_matrices(table.values[[k]], constants) == [m]
+        # non-classes of this size whose marker valuation has a class's key:
+        # only the comparison with the built matrix turns them away
+        square = [m for m, k in zip(matrices, found) if m.n == n and k < 0]
+        keys = class_keys(np.array([marker_valuation(m) for m in square]).reshape(-1, n), constants)
+        key_hits += int(np.isin(keys, table.key).sum())
+    assert key_hits >= 100, key_hits
 
 
 def test_ten_register_table_in_budget():
