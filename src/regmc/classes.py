@@ -11,8 +11,9 @@ declared constant.  The matrix alphabet is ``{ZERO, ONE} ∪ C``:
 * ``ONE``   — equal, but not a constant;
 * ``c ∈ C`` — equal to the constant ``c``.
 
-A matrix is *consistent* when it is the matrix of some valuation;
-``has_valid_structure`` decides this from the entries alone, and
+A matrix is *consistent* when it is the matrix of some valuation, and
+``has_valid_structure`` decides this by the round trip: the matrix of its
+marker valuation (``marker_valuation``) is the matrix itself.
 ``canonical_valuation`` produces the deterministic witness.  The closed
 forms ``extension_count`` and ``universe_size`` count classes without
 building any, so a universe over ``MAX_CLASSES`` classes is refused before
@@ -90,26 +91,12 @@ def matrix_of_valuation(v: Sequence[int], constants: Sequence[int]) -> RepMatrix
 
 
 def has_valid_structure(m: RepMatrix, constants: Sequence[int]) -> bool:
-    """Direct structural characterisation of consistency.
-
-    Every row holds its diagonal entry, ``ONE`` or a declared constant, at
-    the registers related to it and ``ZERO`` elsewhere; related registers
-    have identical rows, which makes relatedness an equivalence; and no two
-    classes claim the same constant.  Agrees with
+    """Whether ``m`` is consistent, by the round trip: it is the matrix of
+    its own marker valuation (``marker_valuation``), as a consistent matrix
+    is, and an inconsistent one is the matrix of no valuation.  Agrees with
     ``is_consistent_matrix`` of the tests' constraint scans
-    (``tests/reference.py``, tested exhaustively); implemented
-    independently of constraint reasoning.
-    """
-    cset = set(constants)
-    rows, n = m.rows, m.n
-    for i, row in enumerate(rows):
-        d = row[i]
-        if (d != ONE and d not in cset) or row.count(d) + row.count(ZERO) != n:
-            return False
-        if any(rows[j] != row for j, e in enumerate(row) if e != ZERO):
-            return False  # related registers must have one row
-    pins = [row[i] for i, row in enumerate(rows) if row[i] != ONE and row.index(row[i]) == i]
-    return len(set(pins)) == len(pins)  # no two classes pinned to one constant
+    (``tests/reference.py``, tested exhaustively)."""
+    return matrix_of_valuation(marker_valuation(m), constants) == m
 
 
 def is_class(m: RepMatrix, n_registers: int, constants: Sequence[int]) -> bool:
@@ -128,7 +115,9 @@ def marker_valuation(m: RepMatrix) -> Valuation:
     register ``i`` holds its diagonal entry when that is a constant, and
     otherwise ``-1`` minus its first related register (the first ``ONE``
     of its row).  A class's matrix is ``matrix_of_valuation`` of it; any
-    other matrix gets some valuation whose class differs from it."""
+    other matrix gets some valuation whose class differs from it.  That
+    round trip is what a class is, for ``has_valid_structure`` and, in bulk
+    through ``build_matrices``, for ``UniverseTable.positions``."""
     return tuple(row[i] if row[i] != ONE else -1 - row.index(ONE) for i, row in enumerate(m.rows))
 
 
@@ -145,8 +134,8 @@ def canonical_valuation(m: RepMatrix, constants: Sequence[int]) -> Valuation:
 
 def block_text(members: list[int], label: int, registers: tuple[str, ...]) -> str:
     """One block of a class as the text formats write it, from its members
-    and the diagonal entry (``label``) they share."""
-    pin = "" if label == ONE else f"={label}"
+    and their ``label``: the constant they hold, or below 0 when unpinned."""
+    pin = f"={label}" if label >= 0 else ""
     return "{" + " ".join(registers[j] + pin for j in members) + "}"
 
 

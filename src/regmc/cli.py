@@ -119,6 +119,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         fresh = len(pool) - len(ra.constants)
         if args.pool_size < fresh:
             raise ValueError(f"pool size must be at least {fresh}")
+        # the pool also holds the constants, and its length must be an int
+        if args.pool_size > sys.maxsize - len(ra.constants):
+            raise ValueError(f"pool size must be at most {sys.maxsize - len(ra.constants)}")
         extra = args.pool_size - fresh
     pool = ValuePool(pool, extra)
     rng = random.Random(args.seed)

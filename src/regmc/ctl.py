@@ -76,7 +76,9 @@ from regmc.formulas import (  # noqa: F401
     postorder,
 )
 from regmc.matrices import class_keys
-from regmc.reach import LabelSet, QuotientGraph, _check_node, _project, live_registers
+from regmc.reach import (
+    LabelSet, QuotientGraph, _check_node, _project, live_registers, quotient_graph,
+)
 
 
 def _ap_masks(graph: QuotientGraph, atom: CtlFormula) -> np.ndarray:
@@ -231,9 +233,6 @@ def check(ra: RegisterAutomaton, f: CtlFormula, config: RepConfig | None = None)
     over the live registers, found by its key (``class_keys``)."""
     if config is not None:
         _check_node(ra, config)
-    # looked up per call, so a replaced graph builder (as in the tests) is used
-    from regmc.reach import quotient_graph
-
     live, g = _projected(ra, f)
     sub = quotient_graph(_project(ra, live))
     if config is None:

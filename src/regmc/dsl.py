@@ -37,7 +37,9 @@ import re
 from dataclasses import dataclass
 
 from regmc import formulas
-from regmc.classes import ZERO, RepConfig, RepMatrix, block_text, is_class, matrix_of_valuation
+from regmc.classes import (
+    RepConfig, RepMatrix, block_text, is_class, marker_valuation, matrix_of_valuation,
+)
 from regmc.core import (
     Action,
     Assignment,
@@ -605,11 +607,12 @@ def parse_classes(text: str, registers: tuple[str, ...], constants: tuple[int, .
 
 def classes_text(matrix: RepMatrix, registers: tuple[str, ...]) -> str:
     """Render a class as its equality classes, every class written out."""
-    # each block from the row of its first register
+    # registers grouped by marker value, each block at its first register
+    v = marker_valuation(matrix)
     return " ".join(
-        block_text([j for j, e in enumerate(row) if e != ZERO], row[i], registers)
-        for i, row in enumerate(matrix.rows)
-        if row.index(row[i]) == i
+        block_text([j for j, y in enumerate(v) if y == x], x, registers)
+        for i, x in enumerate(v)
+        if v.index(x) == i
     )
 
 

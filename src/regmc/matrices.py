@@ -293,8 +293,9 @@ class UniverseTable(NamedTuple):
         A matrix is read as its marker valuation (``marker_valuation``) and
         one sorted search finds that valuation's key (``class_keys``); the
         position stands only if the matrix equals the one ``build_matrices``
-        makes of the table row it names.  The matrices are looked up a
-        chunk (``chunk_rows``) at a time.
+        makes of the table row it names.  That is ``has_valid_structure``'s
+        round trip, applied in bulk through ``build_matrices``.  The
+        matrices are looked up a chunk (``chunk_rows``) at a time.
         """
         n = self.values.shape[1]
         found = dict.fromkeys(matrices, -1)

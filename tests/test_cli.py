@@ -281,8 +281,9 @@ def _listed(ra, configs) -> list[str]:
 # whose formulas observe a few registers (``wide(11)``, ``chain(10,
 # 300)``; ``reach`` observes all of them), the same shapes below those
 # limits, asked with and without ``--config`` (``havoc(8)``, ``wide(10)``,
-# ``chain(8, 120)``), and 990 declared constants, whose 982082 classes
-# every limit admits (``many_constants``).  A shape that a later limit or
+# ``chain(8, 120)``, and ``chain(10, 300)`` past them), and 990 declared
+# constants, whose 982082 classes every limit admits (``many_constants``),
+# asked with and without ``--config`` too.  A shape that a later limit or
 # CLI path touches joins this list.
 _AG = "AG (r1 = r2)"
 BOUNDED_QUESTIONS = [
@@ -310,8 +311,16 @@ BOUNDED_QUESTIONS = [
     ("wide11-check", wide(11), "check", (_AG,)),
     ("wide11-check-config", wide(11), "check", (_AG, "--config", _all_distinct(wide(11)))),
     ("chain10_300-check", chain(10, 300), "check", ("EF @q299",)),
+    (
+        "chain10_300-check-config", chain(10, 300), "check",
+        ("EF @q299", "--config", _all_distinct(chain(10, 300))),
+    ),
     ("chain10_300-reach", chain(10, 300), "reach", (_all_distinct(chain(10, 300)),)),
     ("consts990-check", many_constants(990), "check", ("AG (x1 = x2)",)),
+    (
+        "consts990-check-config", many_constants(990), "check",
+        ("AG (x1 = x2)", "--config", _all_distinct(many_constants(990))),
+    ),
     ("consts990-reach", many_constants(990), "reach", ("q | {x1} {x2}",)),
 ]
 
@@ -518,6 +527,15 @@ def test_simulate_pool_size(capsys):
     rc, out = run(capsys, "simulate", FIG, "--steps", "2", "--pool-size", "1")
     assert rc == 2
     assert out == ""
+    # the pool holds figure one's constant besides the fresh values, so this
+    # pool has sys.maxsize values; one more is refused before any output
+    widest = sys.maxsize - len(figure_one().constants)
+    rc, out = run(capsys, "simulate", FIG, "--steps", "2", "--pool-size", str(widest))
+    assert rc == 0 and out.startswith("config: ")
+    assert main(["simulate", FIG, "--pool-size", str(widest + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_parse_failures_exit_2_silently(capsys):
@@ -541,8 +559,9 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     def broken(ra):
         raise RuntimeError("boom")
 
-    # the subcommand imports the engine when it runs, so patch it at home
-    monkeypatch.setattr(importlib.import_module("regmc.reach"), "quotient_graph", broken)
+    # the subcommand imports the engine when it runs; ``check`` builds its
+    # graph through ``regmc.ctl``'s own name for the builder
+    monkeypatch.setattr(importlib.import_module("regmc.ctl"), "quotient_graph", broken)
     assert main(["check", FIG, "EF @l1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from gens import NOT_A_FIGURE_ONE_CLASS, havoc
 from oracles import enumerate_universe, equivalent
 from regmc import dsl
-from regmc.core import Assignment, ConstantTerm, ParameterTerm, RegisterTerm
+from regmc.core import Assignment, ConstantTerm, ParameterTerm, RegisterAutomaton, RegisterTerm
 from eqlogic import Atom, const, par, primed, reg
 from regmc.matrices import (
     MAX_CLASSES,
@@ -532,6 +532,28 @@ def test_lookup_refuses_non_classes():
     ]
     assert -1 not in three.positions(missed).tolist()
     assert three.positions(near).tolist() == [-1, -1]
+
+
+@pytest.mark.parametrize("constants", [(), (0,)], ids=["none", "one"])
+def test_undeclared_constants_make_no_class(constants):
+    # every 1- and 2-register matrix with an entry 7, a constant the
+    # universe does not declare, anywhere
+    alphabet = (ZERO, ONE, *constants, 7)
+    for n in (1, 2):
+        ra = RegisterAutomaton(constants, tuple(f"x{i + 1}" for i in range(n)), (), ("q",), "q", ())
+        table = universe_table(n, constants)
+        held = [
+            RepMatrix(tuple(entries[i * n : (i + 1) * n] for i in range(n)))
+            for entries in itertools.product(alphabet, repeat=n * n)
+            if 7 in entries
+        ]
+        assert len(held) == len(alphabet) ** (n * n) - (len(alphabet) - 1) ** (n * n)
+        for m in held:
+            assert not has_valid_structure(m, constants), m.rows
+            assert not is_class(m, n, constants), m.rows
+            with pytest.raises(ValueError):
+                dsl.serialize(RepConfig("q", m), ra)
+        assert table.positions(held).tolist() == [-1] * len(held)
 
 
 @pytest.mark.parametrize("constants", [(), (0,), (3, 1, 2)], ids=["none", "one", "three"])
