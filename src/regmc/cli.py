@@ -13,6 +13,10 @@ traceback on stderr, so it never reads as an answer.
 
 Listings are deterministic (``universe`` order, locations in declaration
 order), so they can serve as golden files; they are written in blocks.
+
+Each subcommand imports the modules it runs when it runs: ``universe``
+reads no machine file and loads ``classes`` and ``matrices`` alone, and
+``simulate`` needs no quotient and never loads numpy.
 """
 
 from __future__ import annotations
@@ -25,18 +29,15 @@ import traceback
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
-from regmc import dsl
-from regmc.classes import RepConfig, matrix_of_valuation
-from regmc.core import Configuration, RegisterAutomaton, ValuePool, sample_step, sufficient_pool
-
 if TYPE_CHECKING:
     import numpy as np
 
-# Each subcommand imports the engine it runs when it runs: ``simulate``
-# needs no quotient and never loads numpy.
+    from regmc.core import RegisterAutomaton
 
 
 def _load_automaton(path: str) -> RegisterAutomaton:
+    from regmc import dsl
+
     with open(path, encoding="utf-8") as fh:
         return dsl.parse_automaton(fh.read())
 
@@ -47,6 +48,7 @@ def _listing(ra: RegisterAutomaton, steps: Sequence[tuple[str, np.ndarray]]) -> 
     listing order, by the rank key of each class, which needs no table."""
     import numpy as np
 
+    from regmc import dsl
     from regmc.matrices import class_keys, classes_lines, first_of_each
 
     for loc in ra.locations:
@@ -76,6 +78,7 @@ def _cmd_universe(args: argparse.Namespace) -> int:
 
 
 def _cmd_post(args: argparse.Namespace) -> int:
+    from regmc import dsl
     from regmc.reach import successor_rows
 
     ra = _load_automaton(args.file)
@@ -85,6 +88,7 @@ def _cmd_post(args: argparse.Namespace) -> int:
 
 
 def _cmd_reach(args: argparse.Namespace) -> int:
+    from regmc import dsl
     from regmc.reach import reach
 
     ra = _load_automaton(args.file)
@@ -97,6 +101,7 @@ def _cmd_reach(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from regmc import dsl
     from regmc.ctl import check
 
     ra = _load_automaton(args.file)
@@ -109,6 +114,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from regmc import dsl
+    from regmc.classes import RepConfig, matrix_of_valuation
+    from regmc.core import Configuration, ValuePool, sample_step, sufficient_pool
+
     ra = _load_automaton(args.file)
     if args.steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -195,11 +204,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_errors() -> tuple[type[Exception], ...]:
+    """``dsl.ParseError`` once a subcommand has imported ``dsl``, the only
+    way one can be raised; until then, nothing."""
+    dsl = sys.modules.get("regmc.dsl")
+    return () if dsl is None else (dsl.ParseError,)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except dsl.ParseError as err:
+    except _parse_errors() as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as err:

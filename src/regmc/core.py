@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections.abc import Container, Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass
 
@@ -272,11 +273,17 @@ class ValuePool(Sequence[int]):
     A pool widened by many fresh values (``regmc simulate --pool-size``) is
     described, not listed: length, item access, membership and ``index``
     are arithmetic over the range part, so a step costs the same at any
-    width.
+    width.  A negative ``extra``, or one that makes the length pass
+    ``sys.maxsize`` (where ``len`` stops working), is refused with
+    ``ValueError``.
     """
 
     def __init__(self, base: Iterable[int], extra: int = 0):
         self.base = tuple(base)
+        if extra < 0:
+            raise ValueError(f"extra must be nonnegative, not {extra}")
+        if extra > sys.maxsize - len(self.base):
+            raise ValueError(f"extra must be at most {sys.maxsize - len(self.base)}")
         self._where = {v: i for i, v in enumerate(self.base)}
         start = max(self.base) + 1 if self.base else 0
         self.extra = range(start, start + extra)

@@ -1,9 +1,10 @@
 """Branching-time (CTL) property checking over the quotient graph.
 
-The formulas (``formulas``, re-exported here) speak about locations and
-register (dis)equalities, exactly the observations the finite quotient
-preserves, with next (EX), until (EU) and always-on-some-path (EG) as the
-core temporal operators.  Satisfaction sets are computed by the standard
+The formulas (``formulas``, which also defines the derived operators
+such as ``ef`` and ``ag``) speak about locations and register
+(dis)equalities, exactly the observations the finite quotient preserves,
+with next (EX), until (EU) and always-on-some-path (EG) as the core
+temporal operators.  Satisfaction sets are computed by the standard
 labeling recursion: atoms compare the value columns of the universe table
 (``matrices.universe_table``), EU is a least fixpoint of
 ``Z ↦ f₁ ∪ (f₀ ∩ EX Z)``, EG a greatest fixpoint of ``Z ↦ f ∩ EX Z``
@@ -38,9 +39,8 @@ they take a view of the same graph as it is, and any other collection of
 configurations by one batched lookup.  Evaluation walks each distinct node
 once (``formulas.postorder``), so a formula that shares its subterms costs
 time in its size, not in its unfolded tree.  Each entry still refuses
-formulas nested deeper than
-``MAX_FORMULA_DEPTH`` with ``ValueError``, the limit the parser and the
-serializer keep.
+formulas nested deeper than ``formulas.MAX_FORMULA_DEPTH`` with
+``ValueError``, the limit the parser and the serializer keep.
 """
 
 from __future__ import annotations
@@ -49,30 +49,19 @@ import numpy as np
 
 from regmc.classes import RepConfig, marker_valuation
 from regmc.core import RegisterAutomaton
-# the formula syntax is re-exported, so callers keep one import
-from regmc.formulas import (  # noqa: F401
+from regmc.formulas import (
     EG,
     EU,
     EX,
-    FALSE,
-    MAX_FORMULA_DEPTH,
-    TRUE,
     And,
     AtLocation,
     CtlFormula,
     Not,
     RegEq,
     RegEqConst,
-    af,
-    ag,
-    ax,
     check_atom,
     check_depth,
     children,
-    ef,
-    formula_depth,
-    implies,
-    or_,
     postorder,
 )
 from regmc.matrices import class_keys

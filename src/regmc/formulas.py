@@ -4,8 +4,8 @@ Formulas speak about locations and register (dis)equalities — exactly the
 observations the finite quotient preserves — under the usual boolean and
 path operators with next (EX), until (EU), and always-on-some-path (EG) as
 the core; the remaining operators are abbreviations expanded at
-construction time.  The checker (``ctl``) re-exports every name here; the
-text formats (``dsl``) need only these.
+construction time.  The text formats (``dsl``) need only these; the
+checker (``ctl``) labels them.
 
 ``formula_depth`` walks each distinct node once, with neither recursion
 nor recursive hashing, so a formula that shares its subterms costs time in

@@ -2,7 +2,7 @@
 
 A class is named by its representative matrix (``classes``, which also
 holds the consistency check, the witness valuation and the closed-form
-class counts; they are re-exported here).  There are finitely many such
+class counts).  There are finitely many such
 matrices per register count, so reachability and branching-time questions
 about the infinite concrete system reduce to the same questions over this
 finite universe.  This module owns its one layout, ``universe_table``: one
@@ -37,27 +37,19 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-# the numpy-free names are re-exported, so callers keep one import
-from regmc.classes import (  # noqa: F401
+from regmc.classes import (
     _HASH_MUL,
-    MAX_CLASSES,
     ONE,
     ZERO,
-    RepConfig,
     RepMatrix,
-    Valuation,
     block_text,
-    canonical_valuation,
-    check_universe_args,
     checked_universe_size,
-    extension_count,
-    fresh_symbols,
-    has_valid_structure,
-    is_class,
     marker_valuation,
-    matrix_of_valuation,
-    universe_size,
 )
+
+# Unread here: the benchmark (``perfbench/child.py`` and
+# ``perfbench/make_record.py``) imports these two from this module.
+from regmc.classes import RepConfig, matrix_of_valuation  # noqa: F401
 
 # The bytes of the widest temporary of one chunk of a pass over rows: each
 # pass takes as many rows at once as keep it within this (``chunk_rows``),

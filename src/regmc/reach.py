@@ -50,12 +50,12 @@ answer over full classes is lifted back through ``UniverseTable.groups``,
 one grouping per register set and graph (``QuotientGraph._groups``).
 
 ``successor_rows`` runs the join from a single class's marker valuation
-(``matrices.marker_valuation``) and generates the successors' marker
+(``classes.marker_valuation``) and generates the successors' marker
 valuations instead (``post`` builds their matrices): each distinct image
 class is extended to all n registers by the same column growth, one
 released register at a time (``_extend``), so it needs no n-register
 table.  It counts the extensions first by a closed form
-(``matrices.extension_count``) and refuses more than ``MAX_CLASSES``.
+(``classes.extension_count``) and refuses more than ``MAX_CLASSES``.
 A set of nodes is one (locations × classes) boolean array, so
 reachability and the branching-time operators run as one worklist over
 its location rows (``QuotientGraph._fixpoint``; Clarke, Emerson &
@@ -75,6 +75,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+from regmc.classes import (
+    MAX_CLASSES,
+    RepConfig,
+    RepMatrix,
+    check_universe_args,
+    checked_universe_size,
+    extension_count,
+    is_class,
+    marker_valuation,
+    universe_size,
+)
 from regmc.core import (
     Assignment,
     Atom,
@@ -86,21 +97,12 @@ from regmc.core import (
     Transition,
 )
 from regmc.matrices import (
-    MAX_CLASSES,
-    RepConfig,
-    RepMatrix,
     UniverseTable,
     build_matrices,
-    check_universe_args,
-    checked_universe_size,
     chunk_rows,
     class_keys,
     distinct,
-    extension_count,
     first_of_each,
-    is_class,
-    marker_valuation,
-    universe_size,
     universe_table,
     value_dtype,
 )

@@ -13,7 +13,8 @@ from __future__ import annotations
 import dataclasses
 import random
 
-from regmc import ctl, dsl
+from regmc import dsl, formulas
+from regmc.classes import ONE, ZERO, RepMatrix
 from regmc.core import (
     Action,
     Assignment,
@@ -25,7 +26,6 @@ from regmc.core import (
     Term,
     Transition,
 )
-from regmc.matrices import ONE, ZERO, RepMatrix
 
 P1, P2 = ParameterTerm(1), ParameterTerm(2)
 
@@ -216,7 +216,7 @@ def random_automaton(
     )
 
 
-def random_formula(rng: random.Random, ra: RegisterAutomaton, depth: int) -> ctl.CtlFormula:
+def random_formula(rng: random.Random, ra: RegisterAutomaton, depth: int) -> formulas.CtlFormula:
     n = ra.num_registers
     if depth == 0 or rng.random() < 0.25:
         kinds = ["loc", "eq"]
@@ -224,31 +224,31 @@ def random_formula(rng: random.Random, ra: RegisterAutomaton, depth: int) -> ctl
             kinds.append("eqc")
         kind = rng.choice(kinds)
         if kind == "loc":
-            return ctl.AtLocation(rng.choice(ra.locations))
+            return formulas.AtLocation(rng.choice(ra.locations))
         if kind == "eq":
-            return ctl.RegEq(rng.randrange(n), rng.randrange(n))
-        return ctl.RegEqConst(rng.randrange(n), rng.choice(ra.constants))
+            return formulas.RegEq(rng.randrange(n), rng.randrange(n))
+        return formulas.RegEqConst(rng.randrange(n), rng.choice(ra.constants))
     sub = lambda: random_formula(rng, ra, depth - 1)
     kind = rng.choice(["not", "and", "or", "ex", "ax", "eu", "ef", "eg", "ag", "af"])
     if kind == "not":
-        return ctl.Not(sub())
+        return formulas.Not(sub())
     if kind == "and":
-        return ctl.And(sub(), sub())
+        return formulas.And(sub(), sub())
     if kind == "or":
-        return ctl.or_(sub(), sub())
+        return formulas.or_(sub(), sub())
     if kind == "ex":
-        return ctl.EX(sub())
+        return formulas.EX(sub())
     if kind == "ax":
-        return ctl.ax(sub())
+        return formulas.ax(sub())
     if kind == "eu":
-        return ctl.EU(sub(), sub())
+        return formulas.EU(sub(), sub())
     if kind == "ef":
-        return ctl.ef(sub())
+        return formulas.ef(sub())
     if kind == "eg":
-        return ctl.EG(sub())
+        return formulas.EG(sub())
     if kind == "ag":
-        return ctl.ag(sub())
-    return ctl.af(sub())
+        return formulas.ag(sub())
+    return formulas.af(sub())
 
 def shift_machine() -> RegisterAutomaton:
     """One transition over three registers: x1 gets old x2, the rest the parameters."""

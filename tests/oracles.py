@@ -17,9 +17,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from regmc.classes import ONE, ZERO, RepConfig, RepMatrix, canonical_valuation, matrix_of_valuation
 from regmc.core import Configuration, RegisterAutomaton, concrete_successors
-from regmc.ctl import EG, EU, EX, And, AtLocation, Not, RegEq, RegEqConst
-from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, canonical_valuation, matrix_of_valuation
+from regmc.formulas import EG, EU, EX, And, AtLocation, Not, RegEq, RegEqConst
 
 
 def equivalent(u: Sequence[int], v: Sequence[int], constants: Sequence[int]) -> bool:

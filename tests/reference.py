@@ -18,17 +18,10 @@ from typing import Iterable, Sequence
 
 import eqlogic
 from eqlogic import ConstraintSystem, Var, const, eq, ne, par, primed, reg
+from regmc.classes import ONE, ZERO, RepConfig, RepMatrix, check_universe_args, universe_size
 from regmc.core import Assignment, ParameterTerm, RegisterAutomaton, RegisterTerm, Term
 from regmc.core import Atom as CoreAtom
-from regmc.matrices import (
-    ONE,
-    ZERO,
-    RepConfig,
-    RepMatrix,
-    check_universe_args,
-    universe,
-    universe_size,
-)
+from regmc.matrices import universe
 
 SCAN_LIMIT = 1_000_000
 

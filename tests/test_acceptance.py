@@ -28,22 +28,16 @@ from gens import (
     shift_machine,
 )
 import oracles
-from regmc import ctl, dsl
+from regmc import dsl, formulas
+from regmc.classes import ONE, ZERO, RepConfig, RepMatrix, canonical_valuation, matrix_of_valuation
 from regmc.core import (
     Configuration,
     concrete_successors,
     sufficient_pool,
 )
-from regmc.ctl import EG, Not, RegEq, af, compute_ctl, compute_ex, compute_not, compute_ap
-from regmc.matrices import (
-    ONE,
-    ZERO,
-    RepConfig,
-    RepMatrix,
-    canonical_valuation,
-    matrix_of_valuation,
-    universe,
-)
+from regmc.ctl import compute_ctl, compute_ex, compute_not, compute_ap
+from regmc.formulas import EG, Not, RegEq, af
+from regmc.matrices import universe
 from regmc.reach import post, quotient_graph
 from reference import universe_size
 
@@ -203,7 +197,7 @@ def test_byzantine_label_set_is_counted_and_probed_without_configurations():
     probe = RepConfig("l0", matrix_of_valuation(tuple(range(1, 9)), byz.constants))
     tracemalloc.start()
     try:
-        sat = compute_ctl(graph, ctl.EX(Not(RegEq(D1, D2))))
+        sat = compute_ctl(graph, formulas.EX(Not(RegEq(D1, D2))))
         answers = len(sat), probe in sat
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -21,12 +21,10 @@ from gens import (
 )
 import reference
 from regmc import ctl, dsl
-from regmc.classes import RepConfig
+from regmc.classes import RepConfig, marker_valuation, matrix_of_valuation
 from regmc.cli import _listing, main
 from regmc.core import Configuration, check_run
-from regmc.matrices import (
-    class_keys, classes_lines, marker_valuation, matrix_of_valuation, universe, universe_table,
-)
+from regmc.matrices import class_keys, classes_lines, universe, universe_table
 from regmc.reach import post, reach, successor_rows
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from regmc.core import (
     RegisterAutomaton,
     RegisterTerm,
     Transition,
+    ValuePool,
     apply_assignment,
     check_run,
     concrete_steps,
@@ -216,3 +218,21 @@ def test_sampled_steps_are_concrete_steps():
     for seed in range(10):
         step = sample_step(ra, Configuration("q", (0,)), (0, 1), random.Random(seed))
         assert step == ("a", (0, 1), Configuration("q", (1,)))
+
+
+def test_value_pool_refuses_a_negative_extra():
+    with pytest.raises(ValueError, match="nonnegative"):
+        ValuePool((0, 1), -1)
+    assert list(ValuePool((0, 1), 0)) == [0, 1]
+
+
+def test_value_pool_refuses_a_length_past_maxsize():
+    # the widest pool still has a length, items and random choices
+    widest = ValuePool((0, 5), sys.maxsize - 2)
+    assert len(widest) == sys.maxsize
+    assert widest[-1] == 6 + sys.maxsize - 3
+    assert random.Random(0).choice(widest) in widest
+    with pytest.raises(ValueError, match="at most"):
+        ValuePool((0, 5), sys.maxsize - 1)
+    with pytest.raises(ValueError, match="at most"):
+        ValuePool((), sys.maxsize + 1)

@@ -12,8 +12,19 @@ import pytest
 import oracles
 from gens import NOT_A_FIGURE_ONE_CLASS, random_automaton, random_formula
 from regmc import ctl, dsl
+from regmc.classes import ONE, ZERO, RepConfig, RepMatrix, matrix_of_valuation
 from regmc.core import Configuration, sufficient_pool
 from regmc.ctl import (
+    compute_and,
+    compute_ap,
+    compute_ctl,
+    compute_eg,
+    compute_eu,
+    compute_ex,
+    compute_not,
+    model_check,
+)
+from regmc.formulas import (
     FALSE,
     MAX_FORMULA_DEPTH,
     TRUE,
@@ -28,19 +39,10 @@ from regmc.ctl import (
     af,
     ag,
     ax,
-    compute_and,
-    compute_ap,
-    compute_ctl,
-    compute_eg,
-    compute_eu,
-    compute_ex,
-    compute_not,
     ef,
     implies,
-    model_check,
     or_,
 )
-from regmc.matrices import ONE, ZERO, RepConfig, RepMatrix, matrix_of_valuation
 from regmc.reach import LabelSet, quotient_graph
 
 

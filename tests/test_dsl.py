@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gens import NOT_A_FIGURE_ONE_CLASS, byzantine, figure_one, random_automaton, random_formula
-from regmc import ctl, dsl
+from regmc import dsl, formulas
+from regmc.classes import ONE, ZERO, RepConfig, RepMatrix, matrix_of_valuation
 from regmc.core import Action, RegisterAutomaton
-from regmc.ctl import EG, EU, EX, And, AtLocation, Not, RegEq, RegEqConst
 from regmc.dsl import ParseError
-from regmc.matrices import (
-    ONE, ZERO, RepConfig, RepMatrix, classes_lines, matrix_of_valuation, universe, universe_table,
-)
+from regmc.formulas import EG, EU, EX, And, AtLocation, Not, RegEq, RegEqConst
+from regmc.matrices import classes_lines, universe, universe_table
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -139,20 +138,20 @@ def test_formula_examples():
     byz = byzantine()
     f = dsl.parse_formula("AF (D1 = D2)", byz)
     assert f == Not(EG(Not(RegEq(3, 4))))
-    assert f == ctl.af(RegEq(3, 4))
+    assert f == formulas.af(RegEq(3, 4))
 
     fig = figure_one()
     assert dsl.parse_formula("@l0", fig) == AtLocation("l0")
     assert dsl.parse_formula("x1 = x2", fig) == RegEq(0, 1)
     assert dsl.parse_formula("x1 = 2", fig) == RegEqConst(0, 2)
     assert dsl.parse_formula("2 = x1", fig) == RegEqConst(0, 2)
-    assert dsl.parse_formula("true", fig) == ctl.TRUE
-    assert dsl.parse_formula("false", fig) == ctl.FALSE
+    assert dsl.parse_formula("true", fig) == formulas.TRUE
+    assert dsl.parse_formula("false", fig) == formulas.FALSE
     assert dsl.parse_formula("E [ @l0 U @l1 ]", fig) == EU(AtLocation("l0"), AtLocation("l1"))
     assert dsl.parse_formula("EX @l1", fig) == EX(AtLocation("l1"))
-    assert dsl.parse_formula("AX @l1", fig) == ctl.ax(AtLocation("l1"))
-    assert dsl.parse_formula("EF @l1", fig) == ctl.ef(AtLocation("l1"))
-    assert dsl.parse_formula("AG @l1", fig) == ctl.ag(AtLocation("l1"))
+    assert dsl.parse_formula("AX @l1", fig) == formulas.ax(AtLocation("l1"))
+    assert dsl.parse_formula("EF @l1", fig) == formulas.ef(AtLocation("l1"))
+    assert dsl.parse_formula("AG @l1", fig) == formulas.ag(AtLocation("l1"))
     assert dsl.parse_formula("EG @l1", fig) == EG(AtLocation("l1"))
 
 
@@ -160,9 +159,9 @@ def test_formula_precedence():
     fig = figure_one()
     a, b = AtLocation("l0"), AtLocation("l1")
     got = dsl.parse_formula("! @l0 & @l1 | @l0 -> EX @l1", fig)
-    assert got == ctl.implies(ctl.or_(And(Not(a), b), a), EX(b))
+    assert got == formulas.implies(formulas.or_(And(Not(a), b), a), EX(b))
     # -> is right-associative, & left-associative.
-    assert dsl.parse_formula("@l0 -> @l1 -> @l0", fig) == ctl.implies(a, ctl.implies(b, a))
+    assert dsl.parse_formula("@l0 -> @l1 -> @l0", fig) == formulas.implies(a, formulas.implies(b, a))
     assert dsl.parse_formula("@l0 & @l1 & @l0", fig) == And(And(a, b), a)
     # Prefix operators grab a single operand.
     assert dsl.parse_formula("EX @l0 & @l1", fig) == And(EX(a), b)
@@ -181,11 +180,11 @@ def test_formula_invariant_example():
     f = dsl.parse_formula(
         "AG ((@l_start & !(x1 = x2)) -> EF (@l_end & (x1 = x2)))", ra
     )
-    body = ctl.implies(
+    body = formulas.implies(
         And(AtLocation("l_start"), Not(RegEq(0, 1))),
-        ctl.ef(And(AtLocation("l_end"), RegEq(0, 1))),
+        formulas.ef(And(AtLocation("l_end"), RegEq(0, 1))),
     )
-    assert f == ctl.ag(body)
+    assert f == formulas.ag(body)
     assert dsl.parse_formula(dsl.serialize(f, ra), ra) == f
 
 
@@ -214,7 +213,7 @@ def test_formula_nesting_limit():
     fails(" -> ".join([atom] * 3000), dsl.parse_formula, fig)
     fails("E [ " * 3000 + atom + " U @l0 ]" * 3000, dsl.parse_formula, fig)
 
-    limit = dsl.MAX_FORMULA_DEPTH
+    limit = formulas.MAX_FORMULA_DEPTH
     leaf = RegEq(0, 1)
     chains = [leaf, leaf, leaf]
     for _ in range(limit - 1):
@@ -294,7 +293,7 @@ def test_serialize_needs_the_automaton_for_named_values():
     with pytest.raises(ValueError):
         dsl.serialize(rc)
     with pytest.raises(ValueError):
-        dsl.serialize(ctl.TRUE)
+        dsl.serialize(formulas.TRUE)
     with pytest.raises(TypeError):
         dsl.serialize(42)
 
@@ -308,7 +307,7 @@ def test_serialize_refuses_what_it_cannot_print():
         RegEqConst(0, 7),  # prints a constant the parser refuses
         RegEqConst(2, 2),
         AtLocation("nowhere"),
-        Not(And(ctl.TRUE, RegEq(-1, 0))),
+        Not(And(formulas.TRUE, RegEq(-1, 0))),
         RepConfig("nowhere", some_class),
         *(RepConfig("l0", m) for m in NOT_A_FIGURE_ONE_CLASS),
         RepConfig("l0", universe(3, (2,))[0]),

@@ -4,8 +4,11 @@ The package holds the engine and nothing else: the literal reference
 scans (``reference``) and the constraint reasoning they use (``eqlogic``)
 live in the test tree, and use no engine internals, so they stay
 independent of what they judge.  ``matrices`` is the class layout and
-knows nothing of constraints.  ``regmc simulate`` runs on the numpy-free
-modules alone, which fresh processes confirm with ``-X importtime``.
+knows nothing of constraints.  Each name has one import path: the module
+that defines it, with no re-export beside it.  ``import regmc`` loads no
+submodule, ``regmc universe`` reads no machine file and ``regmc simulate``
+runs on the numpy-free modules alone, which fresh processes confirm with
+``-X importtime``.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -22,6 +26,7 @@ from regmc.cli import main
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "regmc"
+ROOT = SRC.parent.parent
 
 
 def imported_modules(path: pathlib.Path, module_level: bool = False) -> set[str]:
@@ -59,6 +64,69 @@ def test_matrices_imports_no_constraint_reasoning():
     assert not regmc_imports(SRC / "matrices.py") & {"eqlogic", "reference", "core"}
 
 
+def unread_imports(path: pathlib.Path) -> set[str]:
+    """The names a file binds by importing from a regmc module and never
+    reads (a read in an annotation counts)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    bound: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "regmc"):
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names if a.name.split(".")[0] == "regmc")
+    return bound - read
+
+
+def test_unread_imports_reads_every_form(tmp_path):
+    f = tmp_path / "m.py"
+    f.write_text(
+        "import regmc.core\nfrom regmc.classes import ONE, ZERO  # noqa: F401\n"
+        "from .dsl import serialize\ndef g(x: ZERO) -> None:\n    serialize(x)\n"
+    )
+    assert unread_imports(f) == {"regmc", "ONE"}
+
+
+def test_no_module_re_exports_a_name():
+    # a name imported and never read is there only to be imported again,
+    # a second path to it; the benchmark scripts import these two from
+    # ``matrices``, which says so where it imports them
+    unread = {(p.stem, name) for p in SRC.glob("*.py") for name in unread_imports(p)}
+    assert unread == {("matrices", "RepConfig"), ("matrices", "matrix_of_valuation")}
+
+
+def defined_names(path: pathlib.Path) -> set[str]:
+    """The names a module's own top-level statements define."""
+    out: set[str] = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
+
+
+def test_names_come_from_the_module_that_defines_them():
+    defined = {p.stem: defined_names(p) for p in SRC.glob("*.py")}
+    wrong = []
+    for path in [*SRC.glob("*.py"), *TESTS.glob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules: dict[str, str] = {}  # local name -> module, from ``from regmc import m``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "regmc":
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("regmc."):
+                stem = node.module.split(".")[1]
+                wrong += [(path.name, stem, a.name) for a in node.names if a.name not in defined[stem]]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                stem = modules[node.value.id]
+                if node.attr not in defined[stem]:
+                    wrong.append((path.name, stem, node.attr))
+    assert not wrong
+
+
 def test_the_package_holds_the_engine_modules():
     stems = {p.stem for p in SRC.glob("*.py")}
     assert stems == {
@@ -78,7 +146,7 @@ def test_the_judges_use_no_engine_internals():
 
 # What ``regmc simulate`` runs: the concrete semantics and its sampler, the
 # class names and the text formats.  The package and the command-line front
-# end load them, and nothing else, before a subcommand runs.
+# end load none of the engine before a subcommand runs.
 SIMULATE_PATH = ("core", "classes", "formulas", "dsl")
 ENGINE = {"matrices", "reach", "ctl"}
 
@@ -93,16 +161,44 @@ def test_the_simulate_path_needs_no_numpy():
         assert not loaded & (ENGINE | {"reference", "eqlogic"}), stem
 
 
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run from the repository root, with ``src`` on
+    its path; it must exit 0."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, cwd=ROOT, env=env, timeout=60, check=True,
+    )
+
+
 def loaded_modules(*argv: str) -> set[str]:
     """The modules a fresh ``regmc`` process imports, read from ``-X importtime``."""
-    root = SRC.parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "regmc.cli", *argv],
-        capture_output=True, text=True, cwd=root, env=env, timeout=60, check=True,
-    )
+    done = run_python("-X", "importtime", "-m", "regmc.cli", *argv)
     lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
     return {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+def test_the_package_loads_no_submodule():
+    done = run_python("-c", "import regmc, sys; print(sorted(m for m in sys.modules if m.startswith('regmc')))")
+    assert done.stdout == "['regmc']\n"
+    # nothing shadows a submodule on the package
+    import regmc
+    import regmc.reach
+
+    assert regmc.reach is sys.modules["regmc.reach"]
+
+
+def test_universe_reads_no_machine_file_modules():
+    loaded = loaded_modules("universe", "-n", "2", "-c", "0")
+    assert "regmc.matrices" in loaded
+    assert not {"regmc.dsl", "regmc.core"} & loaded
+
+
+def test_the_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S)
+    assert example, "README has no Library use code block"
+    done = run_python("-c", example.group(1))
+    assert done.stdout.split() == ["True", "True", "True"]
 
 
 def test_simulate_loads_no_numpy():

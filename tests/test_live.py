@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from gens import D1, D2, D3, R1, R2, R3, S, T, byzantine, chain, havoc, random_automaton, random_formula
-from regmc import ctl
+from regmc import ctl, formulas
+from regmc.classes import RepConfig, universe_size
 from regmc.core import Action, Assignment, Atom, ConstantTerm, ParameterTerm, RegisterAutomaton, Transition
-from regmc.classes import RepConfig
-from regmc.matrices import universe, universe_size
+from regmc.matrices import universe
 from regmc.reach import live_registers, quotient_graph, reachable_set
 
 reach_module = sys.modules["regmc.reach"]
@@ -66,7 +66,7 @@ def test_check_on_the_projection_alone_matches_the_full_graph():
     assert dead >= 20, dead
     wrong = RepConfig(ra.initial, universe(ra.num_registers + 1, ra.constants)[0])
     with pytest.raises(ValueError, match="not a consistent class"):
-        ctl.check(ra, ctl.TRUE, wrong)
+        ctl.check(ra, formulas.TRUE, wrong)
 
 
 @pytest.mark.parametrize("ra", [chain(4, 6), havoc(4, 1)], ids=["chain4_6", "havoc4_1"])
@@ -75,8 +75,8 @@ def test_projected_labelling_matches_full_kernels_on_dead_registers(ra):
     graph = quotient_graph(ra)
     for _ in range(25):
         _agrees(graph, random_formula(rng, ra, depth=3))
-    last = ctl.AtLocation(ra.locations[-1])
-    for f in (ctl.ef(last), ctl.ag(ctl.RegEq(0, 1)), ctl.EG(ctl.RegEqConst(2, 0)), ctl.TRUE):
+    last = formulas.AtLocation(ra.locations[-1])
+    for f in (formulas.ef(last), formulas.ag(formulas.RegEq(0, 1)), formulas.EG(formulas.RegEqConst(2, 0)), formulas.TRUE):
         _agrees(graph, f)
 
 
@@ -98,16 +98,16 @@ def test_location_only_formulas_when_no_guard_reads_a_register():
     )
     assert live_registers(ra, ()) == ()
     assert live_registers(havoc(4), ()) == ()
-    u, w = ctl.AtLocation("u"), ctl.AtLocation("w")
+    u, w = formulas.AtLocation("u"), formulas.AtLocation("w")
     for machine in (ra, havoc(4)):
         graph = quotient_graph(machine)
-        here = ctl.AtLocation(machine.initial)
-        for f in (here, ctl.ef(here), ctl.EG(here), ctl.ax(here), ctl.TRUE, ctl.FALSE):
+        here = formulas.AtLocation(machine.initial)
+        for f in (here, formulas.ef(here), formulas.EG(here), formulas.ax(here), formulas.TRUE, formulas.FALSE):
             _agrees(graph, f)
     graph = quotient_graph(ra)
-    for f in (ctl.ef(w), ctl.ag(ctl.implies(w, ctl.ax(ctl.FALSE))), ctl.EU(u, ctl.EX(w))):
+    for f in (formulas.ef(w), formulas.ag(formulas.implies(w, formulas.ax(formulas.FALSE))), formulas.EU(u, formulas.EX(w))):
         _agrees(graph, f)
-    assert ctl.model_check(graph, ctl.ef(w)) is True
+    assert ctl.model_check(graph, formulas.ef(w)) is True
 
 
 def test_byzantine_live_set():
@@ -141,14 +141,14 @@ def test_only_the_lift_groups_the_full_table(monkeypatch):
     monkeypatch.setattr(reach_module.UniverseTable, "groups", counted)
     ra = byzantine()
     graph = quotient_graph(ra)
-    d12 = ctl.af(ctl.RegEq(D1, D2))
+    d12 = formulas.af(formulas.RegEq(D1, D2))
     assert ctl.model_check(graph, d12) is False
-    assert ctl.model_check(graph, ctl.ag(ctl.RegEq(D1, D2))) is False
+    assert ctl.model_check(graph, formulas.ag(formulas.RegEq(D1, D2))) is False
     assert widths == []
     ctl.compute_ctl(graph, d12)
-    ctl.compute_ctl(graph, ctl.EG(ctl.Not(ctl.RegEq(D1, D2))))
+    ctl.compute_ctl(graph, formulas.EG(formulas.Not(formulas.RegEq(D1, D2))))
     assert widths == [live_registers(ra, (D1, D2))]
-    ctl.compute_ctl(graph, ctl.ef(ctl.RegEq(R3, D3)))
+    ctl.compute_ctl(graph, formulas.ef(formulas.RegEq(R3, D3)))
     assert widths == [live_registers(ra, (D1, D2)), live_registers(ra, (R3, D3))]
 
 
@@ -169,10 +169,10 @@ def test_byzantine_questions_build_no_full_kernel(monkeypatch):
     ra = byzantine()
     widths = _kernel_widths(monkeypatch)
     graph = quotient_graph(ra)
-    agree = ctl.RegEq(D1, D2)
-    assert ctl.model_check(graph, ctl.af(agree)) is False
-    assert len(ctl.compute_ctl(graph, ctl.EG(ctl.Not(agree)))) == 92676
-    assert len(ctl.compute_ctl(graph, ctl.EX(ctl.Not(agree)))) == 118602
+    agree = formulas.RegEq(D1, D2)
+    assert ctl.model_check(graph, formulas.af(agree)) is False
+    assert len(ctl.compute_ctl(graph, formulas.EG(formulas.Not(agree)))) == 92676
+    assert len(ctl.compute_ctl(graph, formulas.EX(formulas.Not(agree)))) == 118602
     assert widths and set(widths) == {6}
 
 
@@ -182,7 +182,7 @@ def test_set_operators_and_reachability_build_full_kernels_once_per_graph(monkey
     widths = _kernel_widths(monkeypatch)
     graph = quotient_graph(ra)
     assert widths == []
-    disagree = ctl.compute_not(graph, ctl.compute_ap(graph, ctl.RegEq(D1, D2)))
+    disagree = ctl.compute_not(graph, ctl.compute_ap(graph, formulas.RegEq(D1, D2)))
     assert widths == []
     assert len(ctl.compute_ex(graph, disagree)) == 118602
     assert widths == [8] * steps
@@ -204,7 +204,7 @@ def test_chain_check_memory_stays_off_the_full_graph():
     graph = quotient_graph(chain(8, 120))
     tracemalloc.start()
     try:
-        assert ctl.model_check(graph, ctl.ef(ctl.AtLocation("q119"))) is False
+        assert ctl.model_check(graph, formulas.ef(formulas.AtLocation("q119"))) is False
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -214,12 +214,12 @@ def test_chain_check_memory_stays_off_the_full_graph():
 def test_errors_are_those_of_the_full_labelling():
     ra = byzantine()
     graph = quotient_graph(ra)
-    agree = ctl.RegEq(D1, D2)
+    agree = formulas.RegEq(D1, D2)
     for bad in (
-        ctl.And(agree, ctl.AtLocation("nowhere")),
-        ctl.EX(ctl.RegEq(D1, 8)),
-        ctl.ef(ctl.RegEqConst(S, 7)),
-        ctl.And(ctl.EG(agree), ctl.Not("agree")),
+        formulas.And(agree, formulas.AtLocation("nowhere")),
+        formulas.EX(formulas.RegEq(D1, 8)),
+        formulas.ef(formulas.RegEqConst(S, 7)),
+        formulas.And(formulas.EG(agree), formulas.Not("agree")),
     ):
         with pytest.raises(ValueError) as full:
             ctl._eval(graph, bad)

@@ -23,26 +23,22 @@ from oracles import enumerate_universe, equivalent
 from regmc import dsl
 from regmc.core import Assignment, ConstantTerm, ParameterTerm, RegisterAutomaton, RegisterTerm
 from eqlogic import Atom, const, par, primed, reg
-from regmc.matrices import (
+from regmc.classes import (
     MAX_CLASSES,
     ONE,
     ZERO,
     RepConfig,
     RepMatrix,
-    build_matrices,
     canonical_valuation,
-    class_keys,
-    classes_lines,
     extension_count,
     fresh_symbols,
     has_valid_structure,
     is_class,
     marker_valuation,
     matrix_of_valuation,
-    universe,
     universe_size,
-    universe_table,
 )
+from regmc.matrices import build_matrices, class_keys, classes_lines, universe, universe_table
 from reference import formula_E_of_assignment, formula_E_of_matrix, is_consistent_matrix
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import itertools
 import random
 import tracemalloc
@@ -27,7 +26,8 @@ from gens import (
     shift_machine,
     wide,
 )
-from regmc import ctl
+from regmc import ctl, formulas
+from regmc.classes import ONE, ZERO, RepConfig, RepMatrix, matrix_of_valuation, universe_size
 from regmc.core import (
     Action,
     Assignment,
@@ -40,17 +40,7 @@ from regmc.core import (
     Transition,
     sufficient_pool,
 )
-from regmc.matrices import (
-    ONE,
-    ZERO,
-    RepConfig,
-    RepMatrix,
-    class_keys,
-    matrix_of_valuation,
-    universe,
-    universe_size,
-    universe_table,
-)
+from regmc.matrices import class_keys, universe, universe_table
 from regmc.reach import (
     MAX_NODES,
     LabelSet,
@@ -63,8 +53,8 @@ from regmc.reach import (
 )
 from reference import literal_post
 
-# the package re-exports the function ``reach`` under the module's name
-reach_module = importlib.import_module("regmc.reach")
+# the module, for patching; this file's ``reach`` is the function
+import regmc.reach as reach_module
 
 O, Z = ONE, ZERO
 
@@ -182,7 +172,7 @@ def test_reachable_set_matches_concrete_quotient(fig):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    from regmc.matrices import matrix_of_valuation
+    from regmc.classes import matrix_of_valuation
 
     want = {RepConfig(c.location, matrix_of_valuation(c.valuation, fig.constants)) for c in seen}
     assert got == want
@@ -752,7 +742,7 @@ def test_joins_past_the_row_limit_are_refused_before_joining(monkeypatch):
     assert plan.rows == 37260
     monkeypatch.setattr(reach_module, "_join", None)
     with pytest.raises(ValueError, match="row limit"):
-        ctl.model_check(graph, ctl.ag(ctl.RegEq(0, 1)))
+        ctl.model_check(graph, formulas.ag(formulas.RegEq(0, 1)))
     with pytest.raises(ValueError, match="row limit"):
         reach(load(7), RepConfig("q", matrix_of_valuation(range(1, 8), (0,))))
     # post checks one class against the same limit
@@ -775,7 +765,7 @@ def test_label_set_iteration_builds_only_what_it_yields():
     # the first element of a 118602-node byzantine view builds a few
     # matrices, not all 21147 of the universe
     graph = quotient_graph(byzantine())
-    view = ctl.compute_ctl(graph, ctl.EX(ctl.Not(ctl.RegEq(D1, D2))))
+    view = ctl.compute_ctl(graph, formulas.EX(formulas.Not(formulas.RegEq(D1, D2))))
     assert len(view) == 118602
     universe.cache_clear()  # measure from a cold start, as a fresh process would
     tracemalloc.start()
@@ -791,7 +781,7 @@ def test_label_set_iteration_builds_only_what_it_yields():
     # reads the same matrices as a later pass, and they are the universe's
     nodes = iter(graph.nodes)
     begun = [c.matrix for c in itertools.islice(nodes, 100)]
-    assert 0 < len(list(ctl.compute_ctl(graph, ctl.RegEq(D1, D2)))) < len(view)
+    assert 0 < len(list(ctl.compute_ctl(graph, formulas.RegEq(D1, D2)))) < len(view)
     resumed = begun + [c.matrix for c in nodes]
     whole = [c.matrix for c in graph.nodes]
     assert len({id(m) for m in whole}) == 21147
@@ -842,7 +832,7 @@ def test_fixpoint_kernel_calls_grow_linearly_with_locations(monkeypatch):
     for length in (30, 60, 120):
         graph = quotient_graph(chain(8, length))
         calls.clear()
-        got = ctl.compute_ctl(graph, ctl.ef(ctl.AtLocation(f"q{length - 1}")))
+        got = ctl.compute_ctl(graph, formulas.ef(formulas.AtLocation(f"q{length - 1}")))
         assert len(got) == len(values) + (length - 1) * fires
         counts[length] = len(calls)
     assert counts[120] - counts[60] == 2 * (counts[60] - counts[30]), counts

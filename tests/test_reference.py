@@ -7,7 +7,8 @@ import random
 import pytest
 
 from gens import NOT_A_FIGURE_ONE_CLASS, random_automaton
-from regmc.matrices import ONE, RepConfig, RepMatrix, universe
+from regmc.classes import ONE, RepConfig, RepMatrix
+from regmc.matrices import universe
 from reference import literal_post, literal_universe, universe_size
 
 
@@ -55,7 +56,7 @@ def test_literal_post_agrees_with_post():
 
 
 def test_literal_post_validation(fig):
-    from regmc.matrices import ZERO
+    from regmc.classes import ZERO
 
     ident = RepMatrix(((ONE, ZERO), (ZERO, ONE)))
     with pytest.raises(ValueError):
