@@ -219,13 +219,6 @@ def concrete_steps(
                 yield t.action, args, Configuration(t.target, val)
 
 
-def concrete_successors(
-    ra: RegisterAutomaton, config: Configuration, pool: Sequence[int]
-) -> set[Configuration]:
-    """One-step successors with action arguments and havoc drawn from ``pool``."""
-    return {c for _, _, c in concrete_steps(ra, config, pool)}
-
-
 def _extends(
     guard: Sequence[Atom], valuation: Sequence[int], args: Sequence[int], pool: Container[int]
 ) -> bool:

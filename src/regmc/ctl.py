@@ -27,17 +27,17 @@ extends a projected one, so all initial classes satisfy the formula when
 all projected ones do, and a class is a member when its marker
 valuation's columns over the live registers are, found by their key.
 ``compute_ctl`` lifts to full classes by one gather through the graph's
-grouping; the ``compute_*`` set operators run on the graph's own kernels.
+grouping.  ``compute_ctl``, ``model_check`` and ``check`` are the public
+entry points, and ``_eval`` is the one labelling path under all three.
 
 A set of configurations is one (locations × classes) boolean array, rows
 in declaration order and columns in universe order, so NOT, AND and the
 fixpoint steps are plain array expressions, with results memoized per
-structurally-equal subformula.  The public operations answer with a
-read-only ``LabelSet`` view over that array, which counts, tests
-membership and combines with other sets without building a configuration;
-they take a view of the same graph as it is, and any other collection of
-configurations by one batched lookup.  Evaluation walks each distinct node
-once (``formulas.postorder``), so a formula that shares its subterms costs
+structurally-equal subformula.  ``compute_ctl`` answers with a read-only
+``LabelSet`` view over that array, which counts and tests membership
+without building a configuration, and builds each one only as iteration
+reaches it.  Evaluation walks each distinct node once
+(``formulas.postorder``), so a formula that shares its subterms costs
 time in its size, not in its unfolded tree.  Each entry still refuses
 formulas nested deeper than ``formulas.MAX_FORMULA_DEPTH`` with
 ``ValueError``, the limit the parser and the serializer keep.
@@ -78,10 +78,8 @@ def _ap_masks(graph: QuotientGraph, atom: CtlFormula) -> np.ndarray:
         return masks
     if isinstance(atom, RegEq):
         row = graph.table.values[:, atom.i] == graph.table.values[:, atom.j]
-    elif isinstance(atom, RegEqConst):
-        row = graph.table.values[:, atom.i] == atom.c
     else:
-        raise ValueError(f"not an atomic formula: {atom}")
+        row = graph.table.values[:, atom.i] == atom.c
     return np.repeat(row[None, :], len(graph.ra.locations), axis=0)
 
 
@@ -128,35 +126,6 @@ def _eval(graph: QuotientGraph, f: CtlFormula) -> np.ndarray:
             sats.append(_apply(graph, g, [sats[k] for k in kids]))
         key_of[id(g)] = keys[sig]
     return sats[key_of[id(f)]]
-
-
-def compute_ap(graph: QuotientGraph, atom: CtlFormula) -> LabelSet:
-    """Configurations satisfying one atom; rejects non-atomic input."""
-    return LabelSet(graph, _ap_masks(graph, atom))
-
-
-def compute_not(graph: QuotientGraph, s: LabelSet) -> LabelSet:
-    """Complement within the graph's node set."""
-    return LabelSet(graph, ~graph._masks_of(s))
-
-
-def compute_and(s0: LabelSet, s1: LabelSet) -> LabelSet:
-    return s0 & s1
-
-
-def compute_ex(graph: QuotientGraph, s: LabelSet) -> LabelSet:
-    """Configurations with at least one successor in ``s``."""
-    return LabelSet(graph, graph._ex_masks(graph._masks_of(s)))
-
-
-def compute_eu(graph: QuotientGraph, s0: LabelSet, s1: LabelSet) -> LabelSet:
-    """Least fixpoint of ``Z ↦ s1 ∪ (s0 ∩ EX Z)``."""
-    return LabelSet(graph, _eu_masks(graph, graph._masks_of(s0), graph._masks_of(s1)))
-
-
-def compute_eg(graph: QuotientGraph, s: LabelSet) -> LabelSet:
-    """Greatest fixpoint of ``Z ↦ s ∩ EX Z``, started at ``s``."""
-    return LabelSet(graph, _eg_masks(graph, graph._masks_of(s)))
 
 
 def _projected(ra: RegisterAutomaton, f: CtlFormula) -> tuple[tuple[int, ...], CtlFormula]:

@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from collections.abc import Callable, Iterable, Iterator, Sequence, Set
+from collections.abc import Callable, Iterable, Iterator, Set
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -682,23 +682,16 @@ class QuotientGraph:
     def _empty_masks(self) -> np.ndarray:
         return np.zeros((len(self.ra.locations), len(self.table.key)), dtype=bool)
 
-    def _split(self, configs: Iterable[object]) -> tuple[np.ndarray, list[object]]:
-        """The nodes among ``configs`` as masks, and the elements that are
-        not nodes.  A view of the same nodes gives its masks as they are."""
-        if isinstance(configs, LabelSet) and _layout(configs.graph) == _layout(self):
-            return configs.masks, []
+    def _masks_of(self, configs: Iterable[RepConfig]) -> np.ndarray:
+        """The masks of ``configs``, by one batched lookup; raises
+        ``ValueError`` for the first element that is not a node."""
         configs = list(configs)
         locs, ks = _node_positions(self.ra, self.table, configs)
+        bad = np.flatnonzero(locs < 0)
+        if bad.size:
+            raise _not_a_node(self.ra, configs[bad[0]])
         masks = self._empty_masks()
-        hit = locs >= 0
-        masks[locs[hit], ks[hit]] = True
-        return masks, [configs[i] for i in np.flatnonzero(~hit).tolist()]
-
-    def _masks_of(self, configs: Iterable[RepConfig]) -> np.ndarray:
-        """The masks of ``configs``; raises ``ValueError`` for a non-node."""
-        masks, foreign = self._split(configs)
-        if foreign:
-            raise _not_a_node(self.ra, foreign[0])
+        masks[locs, ks] = True
         return masks
 
     def _ex_masks(self, target: np.ndarray) -> np.ndarray:
@@ -752,24 +745,20 @@ class QuotientGraph:
         return self._fixpoint(start.copy(), lambda r, x: start[r] | x, forward=True)
 
 
-def _layout(graph: QuotientGraph) -> tuple[object, ...]:
-    """What fixes a graph's node order: its locations and its universe."""
-    return graph.ra.locations, graph.ra.num_registers, graph.ra.constants
-
-
 class LabelSet(Set):
     """A read-only set of nodes of one quotient graph, held as its
     (locations × classes) boolean array (``masks``).
 
-    ``len`` counts the array; ``in`` is one universe lookup, and anything
-    that is not a node is simply not a member; iteration builds each
-    ``RepConfig`` as it is reached, in location and universe order, over
-    matrices the graph builds once (``QuotientGraph._matrices_of``).  The
-    comparisons and operators read a view of the same nodes by its masks
-    and any other operand by one batched lookup (``QuotientGraph._split``),
-    and answer on masks.  An operand's non-nodes are in no view, so an
-    answer that holds some (``|``, ``^`` or a reflected ``-``) is a builtin
-    ``set``; every other answer is a view of the same graph.
+    Three primitives: ``len`` counts the array; ``in`` is one universe
+    lookup, and anything that is not a node is simply not a member;
+    iteration builds each ``RepConfig`` as it is reached, in location and
+    universe order, over matrices the graph builds once
+    (``QuotientGraph._matrices_of``).  The ``collections.abc.Set`` mixins
+    derive every comparison and operator from them, and answer with a
+    builtin ``frozenset`` (``_from_iterable``).  A mixin that tests each
+    element of another set for membership here does one lookup per
+    element, so a caller that compares large sets turns a view into a
+    builtin set first.
     """
 
     __slots__ = ("_graph", "_masks")
@@ -803,58 +792,9 @@ class LabelSet(Set):
     def __repr__(self) -> str:
         return f"<LabelSet: {len(self)} of {self._masks.size} nodes>"
 
-    def _answer(self, masks: np.ndarray, foreign: Sequence[object] = ()) -> LabelSet | set[object]:
-        view = LabelSet(self._graph, masks)
-        return set(view).union(foreign) if foreign else view
-
-    # ``Set`` derives ``==``, ``<`` and ``>`` from these and the lengths
-    def __le__(self, other: object) -> bool:
-        if not isinstance(other, Set):
-            return NotImplemented
-        return not (self._masks & ~self._graph._split(other)[0]).any()
-
-    def __ge__(self, other: object) -> bool:
-        if not isinstance(other, Set):
-            return NotImplemented
-        masks, foreign = self._graph._split(other)
-        return not foreign and not (masks & ~self._masks).any()
-
-    def isdisjoint(self, other: Iterable[object]) -> bool:
-        return not (self._masks & self._graph._split(other)[0]).any()
-
-    def __and__(self, other: object) -> LabelSet:
-        if not isinstance(other, Iterable):
-            return NotImplemented
-        return self._answer(self._masks & self._graph._split(other)[0])
-
-    __rand__ = __and__
-
-    def __or__(self, other: object) -> LabelSet | set[object]:
-        if not isinstance(other, Iterable):
-            return NotImplemented
-        masks, foreign = self._graph._split(other)
-        return self._answer(self._masks | masks, foreign)
-
-    __ror__ = __or__
-
-    def __xor__(self, other: object) -> LabelSet | set[object]:
-        if not isinstance(other, Iterable):
-            return NotImplemented
-        masks, foreign = self._graph._split(other)
-        return self._answer(self._masks ^ masks, foreign)
-
-    __rxor__ = __xor__
-
-    def __sub__(self, other: object) -> LabelSet:
-        if not isinstance(other, Iterable):
-            return NotImplemented
-        return self._answer(self._masks & ~self._graph._split(other)[0])
-
-    def __rsub__(self, other: object) -> LabelSet | set[object]:
-        if not isinstance(other, Iterable):
-            return NotImplemented
-        masks, foreign = self._graph._split(other)
-        return self._answer(masks & ~self._masks, foreign)
+    @classmethod
+    def _from_iterable(cls, it: Iterable[object]) -> frozenset[object]:
+        return frozenset(it)
 
 
 def quotient_graph(ra: RegisterAutomaton) -> QuotientGraph:

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from regmc.classes import ONE, ZERO, RepConfig, RepMatrix, canonical_valuation, matrix_of_valuation
-from regmc.core import Configuration, RegisterAutomaton, concrete_successors
+from regmc.core import Configuration, RegisterAutomaton, concrete_steps
 from regmc.formulas import EG, EU, EX, And, AtLocation, Not, RegEq, RegEqConst
 
 
@@ -113,6 +113,11 @@ def check_pool(ra: RegisterAutomaton, pool) -> None:
             f"pool has {len(fresh)} non-constant values, "
             f"need at least {ra.num_registers + max_arity + 1}"
         )
+
+
+def concrete_successors(ra: RegisterAutomaton, config: Configuration, pool) -> set[Configuration]:
+    """One-step successors over ``pool``: ``concrete_steps`` without the labels."""
+    return {c for _, _, c in concrete_steps(ra, config, pool)}
 
 
 def concrete_graph(ra: RegisterAutomaton, pool) -> OracleGraph:

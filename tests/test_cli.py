@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from gens import (
-    byzantine, chain, figure_one, havoc, load, many_constants, pinned, random_automaton,
+    chain, figure_one, havoc, load, many_constants, pinned, random_automaton,
     shift_machine, wide,
 )
 import reference

@@ -182,13 +182,13 @@ def test_set_operators_and_reachability_build_full_kernels_once_per_graph(monkey
     widths = _kernel_widths(monkeypatch)
     graph = quotient_graph(ra)
     assert widths == []
-    disagree = ctl.compute_not(graph, ctl.compute_ap(graph, formulas.RegEq(D1, D2)))
+    disagree = ctl.compute_ctl(graph, formulas.Not(formulas.RegEq(D1, D2)))
     assert widths == []
-    assert len(ctl.compute_ex(graph, disagree)) == 118602
+    assert np.count_nonzero(graph._ex_masks(disagree.masks)) == 118602
     assert widths == [8] * steps
     node = next(iter(disagree))
     assert graph.edges(node)
-    ctl.compute_ex(graph, disagree)
+    graph._ex_masks(disagree.masks)
     assert widths == [8] * steps
     widths.clear()
     reached = reachable_set(ra)

@@ -32,7 +32,6 @@ from regmc.core import (
     Action,
     Assignment,
     Atom,
-    Configuration,
     ConstantTerm,
     ParameterTerm,
     RegisterAutomaton,
