@@ -107,10 +107,11 @@ from regmc.matrices import (
     value_dtype,
 )
 
-# ``_build_kernel`` joins as many read groups at once as keep the join's
-# rows under half the table's class count, or under this floor on small
-# tables, so they stay within the per-class arrays the kernel stores.
-_JOIN_ROWS = 1 << 13
+# One chunk of ``_build_kernel`` joins as many read groups as the plan
+# bounds (``_Plan.rows``) under this many rows, or under half the table's
+# class count on larger tables, so the rows stay within the per-class
+# arrays the kernel stores.
+_JOIN_ROWS = 1 << 16
 
 # The most rows one transition's join may hold in all, over every start
 # row, counted before it runs (``_Plan.rows``): a kernel build joins every
@@ -281,7 +282,7 @@ def _check_join(t: Transition, plan: _Plan, starts: int) -> None:
 
 def _join(
     ra: RegisterAutomaton, plan: _Plan, start: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The firing rows of a transition over the classes ``start``, and their
     images.
 
@@ -292,9 +293,9 @@ def _join(
     columns: one int64 code per row, the rank of its class key
     (``class_keys``) among the stage's combined with its origin.  Returns,
     for every kept row that satisfies the guard, the index of the ``start``
-    row it extends and the values of the assigned terms, in target order;
-    and the most rows the join held at once.  The rows are held in the
-    smallest integer type that holds every value they can take.
+    row it extends and the values of the assigned terms, in target order.
+    The rows are held in the smallest integer type that holds every value
+    they can take.
     """
     m = len(plan.constants)
     # each stage's fresh value is one below the least value before it
@@ -302,12 +303,10 @@ def _join(
     fixed = np.broadcast_to(np.array(plan.constants, dtype=dtype), (len(start), m))
     rows = np.column_stack((fixed, start.astype(dtype, copy=False)))
     origin = np.arange(len(start))
-    peak = len(rows)
     for s, stage in enumerate(plan.stages):
         if s:
             counts, rows = _grow(rows, ra.constants)
             origin = np.repeat(origin, counts)
-            peak = max(peak, len(rows))
         keep = np.ones(len(rows), dtype=bool)
         for a, b, equal in stage.atoms:
             keep &= (rows[:, a] == rows[:, b]) == equal
@@ -319,7 +318,7 @@ def _join(
             ranks = distinct(keys)
             once = first_of_each(origin * len(ranks) + ranks.searchsorted(keys))
             rows, origin = rows[once], origin[once]
-    return origin, rows[:, plan.image], peak
+    return origin, rows[:, plan.image]
 
 
 def _node_positions(
@@ -434,7 +433,7 @@ def successor_rows(ra: RegisterAutomaton, c: RepConfig) -> list[tuple[str, np.nd
     valuation = np.array([marker_valuation(c.matrix)])
     steps = []
     for t, plan in plans:
-        _, images, _ = _join(ra, plan, valuation[:, plan.reads])
+        _, images = _join(ra, plan, valuation[:, plan.reads])
         if len(images):
             steps.append((t, _image_classes(images, value_dtype(n, constants), constants)))
     count = sum(
@@ -456,7 +455,7 @@ def post(ra: RegisterAutomaton, c: RepConfig) -> set[RepConfig]:
     return {RepConfig(loc, m) for loc, rows in steps for m in build_matrices(rows, ra.constants)}
 
 
-@dataclass
+@dataclass(eq=False)
 class _Kernel:
     """One transition's successor relation over universe indices, factored.
 
@@ -507,16 +506,15 @@ def _build_kernel(
     ra: RegisterAutomaton,
     t: Transition,
     table: UniverseTable,
-    groups: Callable[[tuple[int, ...]], np.ndarray] | None = None,
+    groups: Callable[[tuple[int, ...]], np.ndarray],
 ) -> _Kernel:
     """``t``'s relation over ``table``, by one join per chunk of read groups;
-    ``groups`` (``table.groups`` by default) gives the groupings.
+    ``groups`` gives the groupings (``table.groups`` or a cache of it).
 
     Raises ``ValueError`` before any join past ``MAX_JOIN_ROWS``
-    (``_check_join``).  The first chunk is sized by the most rows the join
-    holds per read group (``_Plan.rows``) and each next one by the rows the
-    last one held, to half the budget and at most twice as many groups, so
-    rows far below the worst case take few chunks.
+    (``_check_join``).  Every chunk holds the same number of read groups:
+    as many as keep the join's bound (``_Plan.rows`` per group) under
+    ``_JOIN_ROWS`` or half the table's class count, whichever is more.
     """
     plan = _plan(t, ra.constants)
     reads = () if plan is None else plan.reads
@@ -527,17 +525,14 @@ def _build_kernel(
     pairs = [np.zeros(0, dtype=np.int64)]
     if plan is not None:
         _check_join(t, plan, num_groups)
-        budget = max(len(table.key) // 2, _JOIN_ROWS)
-        lo, step = 0, max(1, budget // plan.rows)
-        while lo < num_groups:
-            origin, images, peak = _join(ra, plan, read_table.values[lo : lo + step])
+        step = max(1, max(len(table.key) // 2, _JOIN_ROWS) // plan.rows)
+        for lo in range(0, num_groups, step):
+            origin, images = _join(ra, plan, read_table.values[lo : lo + step])
             found = np.searchsorted(target_keys, class_keys(images, ra.constants))
             pairs.append(distinct((lo + origin) * len(target_keys) + found))
-            lo, step = lo + step, max(1, min(2 * step, step * budget // (2 * peak)))
     read, found = np.divmod(np.concatenate(pairs), len(target_keys))
     indptr = np.zeros(num_groups + 1, dtype=np.int64)
     np.cumsum(np.bincount(read, minlength=num_groups), out=indptr[1:])
-    groups = groups or table.groups
     return _Kernel(groups(reads), groups(targets), indptr, found.astype(np.int32), len(target_keys))
 
 
@@ -592,7 +587,7 @@ def _project(ra: RegisterAutomaton, live: tuple[int, ...]) -> RegisterAutomaton:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class QuotientGraph:
     """The full abstract transition system of one automaton.
 
@@ -606,20 +601,21 @@ class QuotientGraph:
     columns in universe order, so a fixpoint round is one vectorized pass
     per kernel and location row (``_fixpoint``).  A question about a few
     registers runs on the graph of the registers live for it
-    (``_projection``) instead.
+    (``_projection``) instead.  A graph compares equal to itself alone.
     """
 
     ra: RegisterAutomaton
     table: UniverseTable
-    # each class's matrix once built, by ``_matrices_of``, else None
-    _built: list[RepMatrix | None] = field(init=False, repr=False, compare=False)
     # the graph of each proper live register set (``_projection``)
     _projections: dict[tuple[int, ...], QuotientGraph] = field(
-        init=False, repr=False, compare=False, default_factory=dict
+        init=False, repr=False, default_factory=dict
     )
 
-    def __post_init__(self) -> None:
-        self._built = [None] * len(self.table.key)
+    @cached_property
+    def _built(self) -> list[RepMatrix | None]:
+        """Each class's matrix once ``_matrices_of`` has built it, else None;
+        made on the first read, so a graph no view iterates holds none."""
+        return [None] * len(self.table.key)
 
     @cached_property
     def _groups(self) -> Callable[[tuple[int, ...]], np.ndarray]:

@@ -4,8 +4,8 @@
 programmatically; the DSL tests check that parsing ``fixtures/*.ra`` yields
 exactly these objects.  The ``random_*`` helpers generate seeded instances
 for differential testing against the brute-force oracles.  ``wide``,
-``load``, ``chain``, ``havoc`` and ``many_constants`` build the scaling
-machines the ROADMAP measures, at any size.
+``load``, ``chain``, ``keep``, ``havoc`` and ``many_constants`` build the
+scaling machines the ROADMAP measures, at any size.
 """
 
 from __future__ import annotations
@@ -343,6 +343,14 @@ def chain(n: int, length: int) -> RegisterAutomaton:
         for a, b in zip(locations, locations[1:])
     )
     return RegisterAutomaton((0,), _registers(n), (Action("go", 0),), locations, "q0", steps)
+
+
+def keep(n: int) -> RegisterAutomaton:
+    """One step from ``q`` to ``p``, guarded by ``r1 != r2``, that keeps
+    every register: a class has one successor, at any width."""
+    guard = (Atom(RegisterTerm(0), RegisterTerm(1), False),)
+    step = Transition("q", "go", guard, Assignment.identity(range(n)), "p")
+    return RegisterAutomaton((0,), _registers(n), (Action("go", 0),), ("q", "p"), "q", (step,))
 
 
 def havoc(n: int, kept: int = 0) -> RegisterAutomaton:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from gens import (
-    chain, figure_one, havoc, load, many_constants, pinned, random_automaton,
+    chain, figure_one, havoc, keep, load, many_constants, pinned, random_automaton,
     shift_machine, wide,
 )
 import reference
@@ -320,6 +320,7 @@ BOUNDED_QUESTIONS = [
         ("AG (x1 = x2)", "--config", _all_distinct(many_constants(990))),
     ),
     ("consts990-reach", many_constants(990), "reach", ("q | {x1} {x2}",)),
+    *((f"keep{n}-post", keep(n), "post", (_all_distinct(keep(n)),)) for n in (16, 17)),
 ]
 
 

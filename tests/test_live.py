@@ -157,7 +157,7 @@ def _kernel_widths(monkeypatch) -> list[int]:
     widths: list[int] = []
     build = reach_module._build_kernel
 
-    def counted(ra, t, table, groups=None):
+    def counted(ra, t, table, groups):
         widths.append(table.values.shape[1])
         return build(ra, t, table, groups)
 

@@ -532,7 +532,7 @@ def test_kernel_join_memory_is_bounded():
     def build() -> tuple[object, int]:
         tracemalloc.start()
         try:
-            kernel = _build_kernel(ra, t, table)
+            kernel = _build_kernel(ra, t, table, table.groups)
             return kernel, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -620,9 +620,18 @@ def test_many_atom_machines_match_literal_scan():
             assert g.edges(node) == want, (ra, node)
 
 
-def test_join_rows_stay_within_the_plan_bound():
+def test_join_rows_stay_within_the_plan_bound(monkeypatch):
     # the bound the limit and the chunk sizes rest on: no stage of a join
     # holds more than ``_Plan.rows`` rows per start row
+    sizes: list[int] = []
+    grow = reach_module._grow
+
+    def recorded(rows, constants):
+        counts, grown = grow(rows, constants)
+        sizes.append(len(grown))
+        return counts, grown
+
+    monkeypatch.setattr(reach_module, "_grow", recorded)
     rng = random.Random(35)
     stages = 0
     for _ in range(40):
@@ -632,10 +641,21 @@ def test_join_rows_stay_within_the_plan_bound():
             if plan is None:
                 continue
             start = reach_module._sub_universe(len(plan.reads), ra.constants).values
-            _, _, peak = reach_module._join(ra, plan, start)
-            assert peak <= len(start) * plan.rows, (t, peak, plan)
+            sizes[:] = [len(start)]
+            reach_module._join(ra, plan, start)
+            assert max(sizes) <= len(start) * plan.rows, (t, sizes, plan)
             stages += sum(stage.dedupe for stage in plan.stages)
     assert stages > 0  # some stage keeps one row per origin and live class
+
+
+def test_kernel_build_joins_in_few_chunks(monkeypatch):
+    # load(6)'s plan bounds a read group at 7016 rows: chunks of 2^16 rows
+    # or more take its 877 read groups in under a hundred joins
+    calls = []
+    join = reach_module._join
+    monkeypatch.setattr(reach_module, "_join", lambda *args: calls.append(1) or join(*args))
+    quotient_graph(load(6))._steps
+    assert 0 < len(calls) <= 100, len(calls)
 
 
 def test_post_join_memory_is_bounded():
@@ -788,6 +808,32 @@ def test_label_set_iteration_builds_only_what_it_yields():
     assert whole == list(universe(8, byzantine().constants)) * 6
     # every location reads the same objects: one matrix per class and graph
     assert all(a is b for a, b in zip(whole, whole[:21147] * 6, strict=True))
+
+
+def test_quotient_graph_holds_nothing_per_class_before_a_view_is_read():
+    # the graph keeps no per-class list until a view is iterated; the
+    # table of 678570 classes is the only per-class array it holds
+    ra = wide(10)
+    table = universe_table(ra.num_registers, ra.constants)
+    tracemalloc.start()
+    try:
+        graph = quotient_graph(ra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.table is table
+    assert peak < 1 << 20, peak
+
+
+def test_graphs_and_kernels_compare_by_identity(fig):
+    first = quotient_graph(fig)
+    universe_table.cache_clear()
+    second = quotient_graph(fig)
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+    kernel, other = first._steps[0][2], second._steps[0][2]
+    assert kernel == kernel and kernel != other
+    assert len({kernel, other, kernel}) == 2
 
 
 def test_kernels_are_shared_per_step_and_groupings_per_register_set():
