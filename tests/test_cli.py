@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import pathlib
 import random
@@ -19,6 +20,7 @@ from gens import (
     chain, figure_one, havoc, keep, load, many_constants, pinned, random_automaton,
     shift_machine, wide,
 )
+import cli_sweep
 import reference
 from regmc import ctl, dsl
 from regmc.classes import RepConfig, marker_valuation, matrix_of_valuation
@@ -369,6 +371,20 @@ def test_every_question_gets_bounded_work(tmp_path, name, ra, command, args):
     else:
         assert done.stderr == ""
     assert (done.returncode, done.stdout) == _in_process(ra, command, args)
+
+
+def test_cli_answers_match_the_sweep(capsys, tmp_path, monkeypatch):
+    """Every command of the committed sweep (``cli_sweep``) exits and prints
+    as it did when ``cli_answers.json`` was written."""
+    cli_sweep.write(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    want = json.loads(cli_sweep.ANSWERS.read_text())
+    got = []
+    for entry in want:
+        rc = main(entry["argv"])
+        got.append(cli_sweep.answer(entry["argv"], rc, capsys.readouterr().out))
+    changed = [g["argv"] for g, w in zip(got, want) if g != w]
+    assert not changed, f"{len(changed)} of {len(want)} commands changed, first {changed[:5]}"
 
 
 def test_post_oracle_flag_agrees(capsys):
