@@ -56,12 +56,14 @@ class is extended to all n registers by the same column growth, one
 released register at a time (``_extend``), so it needs no n-register
 table.  It counts the extensions first by a closed form
 (``classes.extension_count``) and refuses more than ``MAX_CLASSES``.
-A set of nodes is one (locations × classes) boolean array, so
-reachability and the branching-time operators run as one worklist over
-its location rows (``QuotientGraph._fixpoint``; Clarke, Emerson &
-Sistla, TOPLAS 1986, over the partitioned relation of Burch, Clarke &
-Long, "Symbolic model checking with partitioned transition relations",
-1991).
+A set of nodes is one (locations × classes) boolean array, so the
+branching-time operators run as one backward worklist over its location
+rows, through each kernel's predecessors (``QuotientGraph._fixpoint``;
+Clarke, Emerson & Sistla, TOPLAS 1986, over the partitioned relation of
+Burch, Clarke & Long, "Symbolic model checking with partitioned
+transition relations", 1991).  Reachability is one of them: a class is
+reachable exactly when some initial-location node satisfies EF of it
+(``reach``).
 """
 
 from __future__ import annotations
@@ -484,14 +486,6 @@ class _Kernel:
         seen = np.concatenate(([0], np.cumsum(hit[self.indices])))
         return (seen[self.indptr[1:]] > seen[self.indptr[:-1]])[self.key_of]
 
-    def image(self, source: np.ndarray) -> np.ndarray:
-        """Classes with at least one predecessor inside ``source``."""
-        active = np.zeros(len(self.indptr) - 1, dtype=bool)
-        active[self.key_of[source]] = True
-        hit = np.zeros(self.num_targets, dtype=bool)
-        hit[self.indices[np.repeat(active, np.diff(self.indptr))]] = True
-        return hit[self.tkey_of]
-
 
 def _sub_universe(width: int, constants: tuple[int, ...]) -> UniverseTable:
     """The universe over ``width`` registers.  Over none it has one class,
@@ -665,14 +659,6 @@ class QuotientGraph:
     def nodes(self) -> LabelSet:
         return LabelSet(self, ~self._empty_masks())
 
-    def edges(self, node: RepConfig) -> set[RepConfig]:
-        source = self._masks_of([node])
-        out = self._empty_masks()
-        for src, dst, ker in self._steps:
-            if source[src].any():
-                out[dst] |= ker.image(source[src])
-        return set(LabelSet(self, out))
-
     # --- (locations × classes) arrays shared with the branching-time operators ---
 
     def _empty_masks(self) -> np.ndarray:
@@ -698,33 +684,27 @@ class QuotientGraph:
         return out
 
     def _fixpoint(
-        self,
-        z: np.ndarray,
-        update: Callable[[int, np.ndarray], np.ndarray],
-        forward: bool = False,
+        self, z: np.ndarray, update: Callable[[int, np.ndarray], np.ndarray]
     ) -> np.ndarray:
         """Replace each row ``r`` of ``z`` by ``update(r, x)`` until nothing
-        changes, where ``x`` is row ``r`` of EX ``z`` (``_ex_masks``), or
-        with ``forward`` of the successors of ``z``.
+        changes, where ``x`` is row ``r`` of EX ``z`` (``_ex_masks``).
 
-        Each transition's kernel runs on its input row (its target row, or
-        its source row when ``forward``) and its last answer is kept: a
-        round re-runs only the kernels whose input row changed in the last
-        one, and updates only the rows they feed.
+        Each transition's kernel runs on its target row and its last answer
+        is kept: a round re-runs only the kernels whose target row changed
+        in the last one, and updates only the source rows they feed.
         """
-        # (input row, output row, kernel) per transition
-        steps = [(s, d, k) if forward else (d, s, k) for s, d, k in self._steps]
+        steps = self._steps
         last = [None] * len(steps)
         dirty, touched = range(len(steps)), range(len(z))
         while True:
             for i in dirty:
-                inp, _, ker = steps[i]
-                last[i] = ker.image(z[inp]) if forward else ker.pre(z[inp])
+                _, dst, ker = steps[i]
+                last[i] = ker.pre(z[dst])
             changed = set()
             for r in touched:
                 x = np.zeros(z.shape[1], dtype=bool)
-                for i, (_, out, _) in enumerate(steps):
-                    if out == r:
+                for i, (src, _, _) in enumerate(steps):
+                    if src == r:
                         x |= last[i]
                 new = update(r, x)
                 if not np.array_equal(new, z[r]):
@@ -732,13 +712,8 @@ class QuotientGraph:
                     changed.add(r)
             if not changed:
                 return z
-            dirty = [i for i, (inp, _, _) in enumerate(steps) if inp in changed]
-            touched = {steps[i][1] for i in dirty}
-
-    def _reachable_masks(self) -> np.ndarray:
-        start = self._empty_masks()
-        start[self.ra.locations.index(self.ra.initial)] = True
-        return self._fixpoint(start.copy(), lambda r, x: start[r] | x, forward=True)
+            dirty = [i for i, (_, dst, _) in enumerate(steps) if dst in changed]
+            touched = {steps[i][0] for i in dirty}
 
 
 class LabelSet(Set):
@@ -810,25 +785,18 @@ def quotient_graph(ra: RegisterAutomaton) -> QuotientGraph:
 
 
 def reach(ra: RegisterAutomaton, target: RepConfig) -> bool:
-    """Whether ``target`` is reachable from any initial-location class."""
-    _check_node(ra, target)
-    return target in reachable_set(ra)
+    """Whether ``target`` is reachable from any initial-location class.
 
-
-# the last automaton asked about and its reachable nodes' masks
-_reached: list[object] = [None, None]
-
-
-def reachable_set(ra: RegisterAutomaton) -> LabelSet:
-    """Least set of classes containing every initial one and closed under post.
-
-    The reachable nodes of the last automaton asked about are kept, one
-    flag per node and not its graph or kernels, so many questions about one
-    machine build its kernels and run the fixpoint once, on the graph of
-    the first answer.
+    Computes EF ``target``, the least fixpoint ``E[true U target]``, backward
+    from the target's mask (``QuotientGraph._fixpoint``), and reads the
+    initial location's row.  Each call builds its own graph and keeps
+    nothing.  Raises ``ValueError`` unless ``target`` is a node of ``ra``'s
+    graph (``_check_node``), and where ``quotient_graph`` or a kernel build
+    refuses.
     """
+    _check_node(ra, target)
     graph = quotient_graph(ra)
-    if _reached[0] != ra:
-        _reached[:] = ra, graph._reachable_masks()
-    return LabelSet(graph, _reached[1])
+    start = graph._masks_of([target])
+    ef = graph._fixpoint(start.copy(), lambda r, x: start[r] | x)
+    return bool(ef[ra.locations.index(ra.initial)].any())
 

@@ -25,9 +25,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import pathlib
 import random
 import sys
+import tempfile
 
 from gens import (
     chain, figure_one, havoc, keep, load, many_constants, pinned, random_automaton,
@@ -143,9 +145,6 @@ def write(directory: pathlib.Path) -> None:
 
 
 if __name__ == "__main__":
-    import os
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         write(pathlib.Path(tmp))
         here = os.getcwd()

@@ -5,11 +5,14 @@ graphs come from enumerating concrete steps over an explicit value pool,
 the CTL labeling is the textbook explicit-state one over materialized
 edge sets (predecessor worklist for until, iterative pruning for EG), and
 the universe listing is the class-at-a-time recursive enumeration that
-``matrices.universe_table`` replaces with array passes.
+``matrices.universe_table`` replaces with array passes.  A quotient
+graph's edges are read one node at a time off its kernels' stored rows
+(``edges``), never through the vector passes the fixpoints run.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
@@ -20,6 +23,7 @@ import numpy as np
 from regmc.classes import ONE, ZERO, RepConfig, RepMatrix, canonical_valuation, matrix_of_valuation
 from regmc.core import Configuration, RegisterAutomaton, concrete_steps
 from regmc.formulas import EG, EU, EX, And, AtLocation, Not, RegEq, RegEqConst
+from regmc.reach import LabelSet, QuotientGraph
 
 
 def equivalent(u: Sequence[int], v: Sequence[int], constants: Sequence[int]) -> bool:
@@ -103,6 +107,34 @@ class OracleGraph:
         return self.edge_map[n]
 
 
+def edges(graph: QuotientGraph, node: RepConfig) -> set[RepConfig]:
+    """The successors of one node of a quotient graph, read off each
+    outgoing kernel's CSR row: the node's read group ``key_of[k]`` relates
+    to the target groups ``indices[indptr[g]:indptr[g + 1]]``, and every
+    class whose ``tkey_of`` is one of them is a successor.  Raises
+    ``ValueError`` when ``node`` is not a node of ``graph``."""
+    (loc, k), = np.argwhere(graph._masks_of([node]))
+    out = graph._empty_masks()
+    for src, dst, ker in graph._steps:
+        if src == loc:
+            g = ker.key_of[k]
+            out[dst] |= np.isin(ker.tkey_of, ker.indices[ker.indptr[g] : ker.indptr[g + 1]])
+    return set(LabelSet(graph, out))
+
+
+def reachable(graph: QuotientGraph) -> set[RepConfig]:
+    """The nodes of a quotient graph reachable from an initial-location
+    node, by a forward search over ``edges``."""
+    seen = {c for c in graph.nodes if c.location == graph.ra.initial}
+    frontier = list(seen)
+    while frontier:
+        for nxt in edges(graph, frontier.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
 def check_pool(ra: RegisterAutomaton, pool) -> None:
     max_arity = max((a.arity for a in ra.actions), default=0)
     fresh = set(pool) - set(ra.constants)
@@ -171,13 +203,14 @@ def explicit_ctl(graph, f) -> set:
     """Textbook explicit-state CTL labeling over any finite graph.
 
     Works over concrete graphs (valuation nodes) and quotient graphs
-    (matrix nodes) alike; atoms read whichever representation the node
-    carries.
+    (matrix nodes, their successors read by ``edges``) alike; atoms read
+    whichever representation the node carries.
     """
     nodes = set(graph.nodes)
-    edges = {n: set(graph.edges(n)) for n in nodes}
+    successors = graph.edges if isinstance(graph, OracleGraph) else functools.partial(edges, graph)
+    succ = {n: set(successors(n)) for n in nodes}
     preds = defaultdict(set)
-    for n, succs in edges.items():
+    for n, succs in succ.items():
         for m in succs:
             preds[m].add(n)
 
@@ -190,7 +223,7 @@ def explicit_ctl(graph, f) -> set:
             return sat(g.f0) & sat(g.f1)
         if isinstance(g, EX):
             s = sat(g.f)
-            return {n for n in nodes if edges[n] & s}
+            return {n for n in nodes if succ[n] & s}
         if isinstance(g, EU):
             s0, s1 = sat(g.f0), sat(g.f1)
             result = set(s1)
@@ -205,7 +238,7 @@ def explicit_ctl(graph, f) -> set:
         if isinstance(g, EG):
             u = sat(g.f)
             while True:
-                drop = [n for n in u if not (edges[n] & u)]
+                drop = [n for n in u if not (succ[n] & u)]
                 if not drop:
                     return u
                 u -= set(drop)

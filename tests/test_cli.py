@@ -281,10 +281,12 @@ def _listed(ra, configs) -> list[str]:
 # whose formulas observe a few registers (``wide(11)``, ``chain(10,
 # 300)``; ``reach`` observes all of them), the same shapes below those
 # limits, asked with and without ``--config`` (``havoc(8)``, ``wide(10)``,
-# ``chain(8, 120)``, and ``chain(10, 300)`` past them), and 990 declared
-# constants, whose 982082 classes every limit admits (``many_constants``),
-# asked with and without ``--config`` too.  A shape that a later limit or
-# CLI path touches joins this list.
+# ``chain(8, 120)``, and ``chain(10, 300)`` past them), ``reach`` of the
+# all-distinct class on those machines and on ``keep(16)``, answered or
+# refused at the class limit, and 990 declared constants, whose 982082
+# classes every limit admits (``many_constants``), asked with and without
+# ``--config`` too.  A shape that a later limit or CLI path touches joins
+# this list.
 _AG = "AG (r1 = r2)"
 BOUNDED_QUESTIONS = [
     *((f"load{n}-post", load(n), "post", (_all_distinct(load(n)),)) for n in range(6, 10)),
@@ -302,14 +304,17 @@ BOUNDED_QUESTIONS = [
     ),
     ("havoc8-check", havoc(8), "check", (_AG,)),
     ("havoc8-check-config", havoc(8), "check", (_AG, "--config", _all_distinct(havoc(8)))),
+    ("havoc8-reach", havoc(8), "reach", (_all_distinct(havoc(8)),)),
     ("wide10-check-config", wide(10), "check", (_AG, "--config", _all_distinct(wide(10)))),
     ("chain8_120-check", chain(8, 120), "check", ("EF @q119",)),
     (
         "chain8_120-check-config", chain(8, 120), "check",
         ("EF @q119", "--config", _all_distinct(chain(8, 120))),
     ),
+    ("chain8_120-reach", chain(8, 120), "reach", (_all_distinct(chain(8, 120)),)),
     ("wide11-check", wide(11), "check", (_AG,)),
     ("wide11-check-config", wide(11), "check", (_AG, "--config", _all_distinct(wide(11)))),
+    ("wide11-reach", wide(11), "reach", (_all_distinct(wide(11)),)),
     ("chain10_300-check", chain(10, 300), "check", ("EF @q299",)),
     (
         "chain10_300-check-config", chain(10, 300), "check",
@@ -323,6 +328,7 @@ BOUNDED_QUESTIONS = [
     ),
     ("consts990-reach", many_constants(990), "reach", ("q | {x1} {x2}",)),
     *((f"keep{n}-post", keep(n), "post", (_all_distinct(keep(n)),)) for n in (16, 17)),
+    ("keep16-reach", keep(16), "reach", (_all_distinct(keep(16)),)),
 ]
 
 

@@ -101,6 +101,37 @@ def test_no_module_re_exports_a_name():
     }
 
 
+def question_state(path: pathlib.Path) -> list[int]:
+    """The lines of a file that bind a module-level list or set display, or
+    that hold a ``global`` statement: state one call could leave for the
+    next.  A dict of constants is not flagged."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    displays = (ast.List, ast.Set, ast.ListComp, ast.SetComp)
+    lines = [
+        node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, displays)
+    ]
+    return lines + [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
+
+
+def test_question_state_reads_every_form(tmp_path):
+    f = tmp_path / "m.py"
+    f.write_text(
+        "A = [1]\nB: set[int] = {1}\nC = {1: 2}\nD = (1,)\n"
+        "def f():\n    global E\n    F = [1]\n"
+    )
+    assert question_state(f) == [1, 2, 6]
+
+
+def test_modules_keep_no_question_state():
+    # a question's answer is what the call returns: nothing in ``src/regmc``
+    # keeps answers in a module-level list or set, or rebinds a global;
+    # process-lifetime caches are ``functools.lru_cache``
+    found = {p.name: question_state(p) for p in SRC.glob("*.py")}
+    assert not {name: lines for name, lines in found.items() if lines}
+
+
 def defined_names(path: pathlib.Path) -> set[str]:
     """The names a module's own top-level statements define."""
     out: set[str] = set()

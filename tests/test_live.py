@@ -11,12 +11,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from gens import D1, D2, D3, R1, R2, R3, S, T, byzantine, chain, havoc, random_automaton, random_formula
 from regmc import ctl, formulas
 from regmc.classes import RepConfig, universe_size
 from regmc.core import Action, Assignment, Atom, ConstantTerm, ParameterTerm, RegisterAutomaton, Transition
 from regmc.matrices import universe
-from regmc.reach import live_registers, quotient_graph, reachable_set
+from regmc.reach import live_registers, quotient_graph, reach
 
 reach_module = sys.modules["regmc.reach"]
 
@@ -187,13 +188,12 @@ def test_set_operators_and_reachability_build_full_kernels_once_per_graph(monkey
     assert np.count_nonzero(graph._ex_masks(disagree.masks)) == 118602
     assert widths == [8] * steps
     node = next(iter(disagree))
-    assert graph.edges(node)
+    assert oracles.edges(graph, node)
     graph._ex_masks(disagree.masks)
     assert widths == [8] * steps
+    # ``reach`` builds a graph of its own, and its kernels once
     widths.clear()
-    reached = reachable_set(ra)
-    assert widths == [8] * steps
-    reached.graph.edges(next(iter(reached)))
+    assert reach(ra, node)
     assert widths == [8] * steps
 
 

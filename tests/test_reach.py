@@ -47,7 +47,6 @@ from regmc.reach import (
     post,
     quotient_graph,
     reach,
-    reachable_set,
     successor_rows,
 )
 from reference import literal_post
@@ -103,7 +102,7 @@ def test_post_validation(fig):
         with pytest.raises(ValueError):
             post(fig, c)
         with pytest.raises(ValueError):
-            graph.edges(c)
+            oracles.edges(graph, c)
 
 
 def test_figure_one_graph_against_all_oracles(fig):
@@ -114,7 +113,7 @@ def test_figure_one_graph_against_all_oracles(fig):
     assert g.nodes == cq.nodes
     for node in sorted(g.nodes, key=lambda c: (c.location, c.matrix.rows)):
         direct = post(fig, node)
-        assert g.edges(node) == direct
+        assert oracles.edges(g, node) == direct
         assert direct == literal_post(fig, node)
         assert direct == cq.edges(node)
         assert direct == oracles.concrete_post_of(fig, node, pool)
@@ -130,7 +129,7 @@ def test_figure_one_chain_edges(fig):
         RepConfig("l0", IDENT2),
     ]
     for src, dst in zip(chain, chain[1:]):
-        assert dst in g.edges(src)
+        assert dst in oracles.edges(g, src)
 
 
 def test_reach_goldens(fig):
@@ -160,7 +159,7 @@ def test_quotient_graph_refuses_a_universe_over_the_class_limit():
 
 
 def test_reachable_set_matches_concrete_quotient(fig):
-    got = reachable_set(fig)
+    got = {c for c in quotient_graph(fig).nodes if reach(fig, c)}
     pool = sufficient_pool(fig)
     cg = oracles.concrete_graph(fig, pool)
     seen = {c for c in cg.nodes if c.location == fig.initial}
@@ -171,8 +170,6 @@ def test_reachable_set_matches_concrete_quotient(fig):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    from regmc.classes import matrix_of_valuation
-
     want = {RepConfig(c.location, matrix_of_valuation(c.valuation, fig.constants)) for c in seen}
     assert got == want
     assert len(got) == 9
@@ -187,9 +184,9 @@ def test_reachable_set_no_transitions():
         initial="l0",
         transitions=(),
     )
-    assert reachable_set(ra) == {RepConfig("l0", m) for m in universe(2, (0,))}
     g = quotient_graph(ra)
-    assert all(g.edges(n) == set() for n in g.nodes)
+    assert {c for c in g.nodes if reach(ra, c)} == {RepConfig("l0", m) for m in universe(2, (0,))}
+    assert all(oracles.edges(g, n) == set() for n in g.nodes)
 
 
 def test_random_graphs_match_concrete_quotient():
@@ -200,7 +197,7 @@ def test_random_graphs_match_concrete_quotient():
         cq = oracles.concrete_quotient(ra, sufficient_pool(ra))
         assert g.nodes == cq.nodes
         for node in g.nodes:
-            assert g.edges(node) == cq.edges(node), (ra, node)
+            assert oracles.edges(g, node) == cq.edges(node), (ra, node)
 
 
 def test_random_post_matches_literal_scan():
@@ -247,50 +244,35 @@ def test_post_ignores_unrelated_transitions():
 
 
 def test_reach_agrees_with_reachable_set():
+    # ``reach``, a backward EF from its target, against a forward search
+    # from the initial location over the kernels' rows, at every node
     rng = random.Random(24)
-    for _ in range(10):
-        ra = random_automaton(rng, max_registers=2)
-        everything = reachable_set(ra)
-        g_nodes = quotient_graph(ra).nodes
-        for node in g_nodes:
-            assert reach(ra, node) == (node in everything)
+    machines = [random_automaton(rng, max_locations=4) for _ in range(40)]
+    machines += [_with_special_transitions(rng, random_automaton(rng)) for _ in range(10)]
+    machines.append(dataclasses.replace(machines[0], locations=("q0", "q1", "q2"), transitions=()))
+    assert sum(len(ra.locations) > 1 for ra in machines) >= 10
+    assert sum(not ra.transitions for ra in machines) >= 1
+    unreachable = 0
+    for ra in machines:
+        g = quotient_graph(ra)
+        reachable = oracles.reachable(g)
+        for node in g.nodes:
+            assert reach(ra, node) == (node in reachable), (ra, node)
+        unreachable += len(g.nodes) - len(reachable)
+    assert unreachable > 0
 
 
-def test_reach_builds_each_kernel_once_per_machine(monkeypatch):
-    # many membership questions about one machine share its reachable set;
-    # no other test asks about this machine, so the first question builds
-    ra = dataclasses.replace(byzantine(), initial="L1")
+def test_reach_builds_each_kernel_once(monkeypatch):
+    # one question builds each of byzantine's 12 distinct steps once
+    ra = byzantine()
     built = []
     build = reach_module._build_kernel
     monkeypatch.setattr(
         reach_module, "_build_kernel", lambda *args: built.append(args[1]) or build(*args)
     )
-    rng = random.Random(25)
-    answers = [
-        reach(ra, RepConfig(rng.choice(ra.locations), m))
-        for m in rng.sample(universe(8, ra.constants), 4)
-    ]
-    assert True in answers
-    assert len(built) == len({(t.guard, t.assignment) for t in ra.transitions}) == 12
-
-
-def test_reachable_set_reuses_the_reach_fixpoint(monkeypatch, fig):
-    # ``reach`` keeps the last machine's reachable nodes, and
-    # ``reachable_set`` answers from them with no fixpoint of its own; no
-    # other test asks about this machine, so the first question runs one
-    ra = dataclasses.replace(fig, initial="l1")
-    runs = []
-    run = reach_module.QuotientGraph._reachable_masks
-    monkeypatch.setattr(
-        reach_module.QuotientGraph, "_reachable_masks", lambda g: runs.append(g) or run(g)
-    )
-    node = RepConfig("l0", universe(2, ra.constants)[0])
-    answer = reach(ra, node)
-    assert len(runs) == 1
-    everything = reachable_set(ra)
-    assert len(runs) == 1
-    assert (node in everything) == answer
-    assert everything == LabelSet(runs[0], run(runs[0]))
+    assert reach(ra, RepConfig("L2", universe(8, ra.constants)[0]))
+    steps = [(t.guard, t.assignment) for t in built]
+    assert len(steps) == len(set(steps)) == len({(t.guard, t.assignment) for t in ra.transitions}) == 12
 
 
 def test_oracle_pool_validation(fig):
@@ -308,7 +290,7 @@ def test_byzantine_edges_match_post(byz):
     for loc in byz.locations:
         for m in rng.sample(matrices, 6):
             node = RepConfig(loc, m)
-            assert g.edges(node) == post(byz, node), node
+            assert oracles.edges(g, node) == post(byz, node), node
 
 
 def _with_special_transitions(rng: random.Random, ra: RegisterAutomaton) -> RegisterAutomaton:
@@ -349,7 +331,7 @@ def test_every_node_post_matches_literal_scan_and_graph():
         for node in g.nodes:
             direct = post(ra, node)
             assert direct == literal_post(ra, node), (ra, node)
-            assert g.edges(node) == direct, (ra, node)
+            assert oracles.edges(g, node) == direct, (ra, node)
 
 
 def test_vector_passes_match_per_node_edges():
@@ -361,21 +343,7 @@ def test_vector_passes_match_per_node_edges():
         some = set(rng.sample(nodes, len(nodes) // 3))
         masks = g._masks_of(some)
         ex = LabelSet(g, g._ex_masks(masks))
-        assert ex == {c for c in nodes if g.edges(c) & some}, ra
-
-        image = g._empty_masks()
-        for src, dst, ker in g._steps:
-            image[dst] |= ker.image(masks[src])
-        assert LabelSet(g, image) == {v for u in some for v in g.edges(u)}, ra
-
-        seen = {c for c in nodes if c.location == ra.initial}
-        frontier = list(seen)
-        while frontier:
-            for nxt in g.edges(frontier.pop()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        assert LabelSet(g, g._reachable_masks()) == seen, ra
+        assert ex == {c for c in nodes if oracles.edges(g, c) & some}, ra
 
 
 @pytest.mark.parametrize("constants", [(), (0,), (0, 5)])
@@ -512,7 +480,7 @@ def test_kernels_match_literal_post(constants):
         g = quotient_graph(ra)
         for node in g.nodes:
             want = literal_post(ra, node)
-            assert g.edges(node) == want, (ra, node)
+            assert oracles.edges(g, node) == want, (ra, node)
             assert post(ra, node) == want, (ra, node)
 
 
@@ -617,7 +585,7 @@ def test_many_atom_machines_match_literal_scan():
         for node in rng.sample(sorted(g.nodes, key=repr), min(6, len(g.nodes))):
             want = literal_post(ra, node)
             assert post(ra, node) == want, (ra, node)
-            assert g.edges(node) == want, (ra, node)
+            assert oracles.edges(g, node) == want, (ra, node)
 
 
 def test_join_rows_stay_within_the_plan_bound(monkeypatch):
@@ -716,7 +684,7 @@ def test_equality_pinned_stores_add_no_rows():
             for node in g.nodes:
                 want = literal_post(ra, node)
                 assert post(ra, node) == want, node
-                assert g.edges(node) == want, node
+                assert oracles.edges(g, node) == want, node
 
 
 def test_no_plan_stage_checks_an_equality_on_a_parameter():
@@ -751,7 +719,7 @@ def test_contradictory_parameter_equalities_plan_to_nothing():
         assert not g._steps[0][2].indices.size
         for node in g.nodes:
             assert post(ra, node) == literal_post(ra, node) == set()
-            assert g.edges(node) == set()
+            assert oracles.edges(g, node) == set()
 
 
 def test_joins_past_the_row_limit_are_refused_before_joining(monkeypatch):
@@ -777,7 +745,7 @@ def test_load_post_matches_literal_scan_and_graph():
         for node in g.nodes:
             want = literal_post(ra, node)
             assert post(ra, node) == want, node
-            assert g.edges(node) == want, node
+            assert oracles.edges(g, node) == want, node
 
 
 def test_label_set_iteration_builds_only_what_it_yields():
