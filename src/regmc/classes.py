@@ -116,8 +116,9 @@ def marker_valuation(m: RepMatrix) -> Valuation:
     otherwise ``-1`` minus its first related register (the first ``ONE``
     of its row).  A class's matrix is ``matrix_of_valuation`` of it; any
     other matrix gets some valuation whose class differs from it.  That
-    round trip is what a class is, for ``has_valid_structure`` and, in bulk
-    through ``build_matrices``, for ``UniverseTable.positions``."""
+    round trip is what a class is (``has_valid_structure``), so a matrix is
+    looked up by its marker valuation (``UniverseTable.position``) only
+    once ``is_class`` has accepted it."""
     return tuple(row[i] if row[i] != ONE else -1 - row.index(ONE) for i, row in enumerate(m.rows))
 
 

@@ -64,7 +64,6 @@ from regmc.formulas import (
     children,
     postorder,
 )
-from regmc.matrices import class_keys
 from regmc.reach import (
     LabelSet, QuotientGraph, _check_node, _project, live_registers, quotient_graph,
 )
@@ -188,13 +187,13 @@ def check(ra: RegisterAutomaton, f: CtlFormula, config: RepConfig | None = None)
     """``model_check`` of ``f``, or ``config in compute_ctl``, on the graph of
     the registers live for ``f`` alone; ``ValueError`` past its size limits.
     ``config``'s node there is its marker valuation (``marker_valuation``)
-    over the live registers, found by its key (``class_keys``)."""
+    over the live registers, found by its key (``UniverseTable.position``)."""
     if config is not None:
         _check_node(ra, config)
     live, g = _projected(ra, f)
     sub = quotient_graph(_project(ra, live))
     if config is None:
         return _holds(sub, g)
-    part = np.array([marker_valuation(config.matrix)])[:, live]
-    k = sub.table.key.searchsorted(class_keys(part, ra.constants))[0]
+    valuation = marker_valuation(config.matrix)
+    k = sub.table.position([valuation[r] for r in live])
     return bool(_eval(sub, g)[ra.locations.index(config.location), k])

@@ -12,13 +12,13 @@ marker.  Entry ``(i, j)`` is ``ZERO`` when the values of ``i`` and ``j``
 differ, and otherwise the value when it is a constant, else ``ONE``; so
 every question the successor search and the checker ask of a class is a
 compare of value columns.  ``RepMatrix`` objects and listing lines are
-built from table rows only where a caller reads them (``build_matrices``),
-and a matrix is read back only as its marker valuation
-(``marker_valuation``): one sorted search over the table's rank keys
-finds it, and the matrix built from the row found confirms it.  The rank
-key is one formula over any valuation (``class_keys``), so a class's
-sub-valuation over some of its registers is found the same way in the
-smaller table.  Universes over ``MAX_CLASSES`` classes are refused.
+built from table rows only where a caller reads them (``build_matrices``).
+The rank key is one formula over any valuation (``class_keys``), so one
+sorted search of the keys finds a valuation's class
+(``UniverseTable.position``), and a class's sub-valuation over some of
+its registers is found the same way in the smaller table.  A matrix is
+found by its marker valuation once ``classes.is_class`` has accepted it.
+Universes over ``MAX_CLASSES`` classes are refused.
 
 Reading a class as a system of (dis)equality constraints is left to the
 tests' literal scans (``tests/reference.py``): nothing here imports
@@ -44,7 +44,6 @@ from regmc.classes import (
     RepMatrix,
     block_text,
     checked_universe_size,
-    marker_valuation,
 )
 
 # Unread here: the benchmark (``perfbench/child.py`` and
@@ -279,27 +278,11 @@ class UniverseTable(NamedTuple):
     key: np.ndarray
     constants: tuple[int, ...]
 
-    def positions(self, matrices: Sequence[RepMatrix]) -> np.ndarray:
-        """Each matrix's class position, or -1 where it is not a class here.
-
-        A matrix is read as its marker valuation (``marker_valuation``) and
-        one sorted search finds that valuation's key (``class_keys``); the
-        position stands only if the matrix equals the one ``build_matrices``
-        makes of the table row it names.  That is ``has_valid_structure``'s
-        round trip, applied in bulk through ``build_matrices``.  The
-        matrices are looked up a chunk (``chunk_rows``) at a time.
-        """
-        n = self.values.shape[1]
-        found = dict.fromkeys(matrices, -1)
-        square = [m for m in found if m.n == n]
-        step = chunk_rows(n)
-        for lo in range(0, len(square), step):
-            chunk = square[lo : lo + step]
-            keys = class_keys(np.array(list(map(marker_valuation, chunk))), self.constants)
-            pos = np.minimum(self.key.searchsorted(keys), len(self.key) - 1)
-            named = build_matrices(self.values[pos], self.constants)
-            found.update((m, p if m == b else -1) for m, p, b in zip(chunk, pos.tolist(), named))
-        return np.array([found[m] for m in matrices], dtype=np.int64)
+    def position(self, valuation: Sequence[int]) -> int:
+        """The position of ``valuation``'s class: one sorted search of its
+        key (``class_keys``), which every valuation over as many registers
+        has."""
+        return int(self.key.searchsorted(class_keys(np.array([valuation]), self.constants)[0]))
 
     def groups(self, registers: tuple[int, ...]) -> np.ndarray:
         """Each class's sub-matrix over ``registers`` as its position in the

@@ -63,7 +63,10 @@ Clarke, Emerson & Sistla, TOPLAS 1986, over the partitioned relation of
 Burch, Clarke & Long, "Symbolic model checking with partitioned
 transition relations", 1991).  Reachability is one of them: a class is
 reachable exactly when some initial-location node satisfies EF of it
-(``reach``).
+(``reach``).  A configuration becomes a node in one way: it is one when
+it is a ``RepConfig`` at a declared location whose matrix is a class
+(``_is_node``), and its column is its marker valuation's position in the
+table, one key search (``QuotientGraph._node``).
 """
 
 from __future__ import annotations
@@ -323,51 +326,33 @@ def _join(
     return origin, rows[:, plan.image]
 
 
-def _node_positions(
-    ra: RegisterAutomaton, table: UniverseTable, configs: list[object]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each element's location index and universe position, by one batched
-    ``positions`` lookup; both are -1 where the element is no node: not a
-    ``RepConfig``, at an unknown location, or with a matrix that is not a
-    class of ``table``."""
-    index = {loc: i for i, loc in enumerate(ra.locations)}
-    locs = np.full(len(configs), -1, dtype=np.intp)
-    ks = np.full(len(configs), -1, dtype=np.intp)
-    found = [
-        i
-        for i, c in enumerate(configs)
-        if isinstance(c, RepConfig) and isinstance(c.matrix, RepMatrix) and c.location in index
-    ]
-    if found:
-        ks[found] = table.positions([configs[i].matrix for i in found])
-        locs[found] = [index[configs[i].location] for i in found]
-    locs[ks < 0] = -1
-    return locs, ks
-
-
-def _not_a_node(ra: RegisterAutomaton, c: object) -> ValueError:
-    if not isinstance(c, RepConfig):
-        return ValueError(f"not a configuration: {c!r}")
-    if c.location not in ra.locations:
-        return ValueError(f"unknown location: {c.location}")
-    return ValueError(
-        f"matrix is not a consistent class over {ra.num_registers} registers "
-        f"and constants {ra.constants}"
+def _is_node(ra: RegisterAutomaton, c: object) -> bool:
+    """Whether ``c`` is a node of ``ra``'s graph: a ``RepConfig`` with a
+    ``RepMatrix``, at a declared location, whose matrix is a class
+    (``is_class``)."""
+    return (
+        isinstance(c, RepConfig)
+        and isinstance(c.matrix, RepMatrix)
+        and c.location in ra.locations
+        and is_class(c.matrix, ra.num_registers, ra.constants)
     )
 
 
 def _check_node(ra: RegisterAutomaton, c: object) -> None:
     """Raise ``ValueError`` for invalid universe arguments
-    (``check_universe_args``) or unless ``c`` is a node of ``ra``'s graph,
-    without building any table."""
+    (``check_universe_args``) or unless ``c`` is a node of ``ra``'s graph
+    (``_is_node``), without building any table."""
     check_universe_args(ra.num_registers, ra.constants)
-    if not (
-        isinstance(c, RepConfig)
-        and isinstance(c.matrix, RepMatrix)
-        and c.location in ra.locations
-        and is_class(c.matrix, ra.num_registers, ra.constants)
-    ):
-        raise _not_a_node(ra, c)
+    if _is_node(ra, c):
+        return
+    if not isinstance(c, RepConfig):
+        raise ValueError(f"not a configuration: {c!r}")
+    if c.location not in ra.locations:
+        raise ValueError(f"unknown location: {c.location}")
+    raise ValueError(
+        f"matrix is not a consistent class over {ra.num_registers} registers "
+        f"and constants {ra.constants}"
+    )
 
 
 def _image_classes(images: np.ndarray, dtype: np.dtype, constants: tuple[int, ...]) -> np.ndarray:
@@ -664,17 +649,10 @@ class QuotientGraph:
     def _empty_masks(self) -> np.ndarray:
         return np.zeros((len(self.ra.locations), len(self.table.key)), dtype=bool)
 
-    def _masks_of(self, configs: Iterable[RepConfig]) -> np.ndarray:
-        """The masks of ``configs``, by one batched lookup; raises
-        ``ValueError`` for the first element that is not a node."""
-        configs = list(configs)
-        locs, ks = _node_positions(self.ra, self.table, configs)
-        bad = np.flatnonzero(locs < 0)
-        if bad.size:
-            raise _not_a_node(self.ra, configs[bad[0]])
-        masks = self._empty_masks()
-        masks[locs, ks] = True
-        return masks
+    def _node(self, c: RepConfig) -> tuple[int, int]:
+        """The location row and class column of node ``c`` (``_is_node``):
+        its marker valuation's position in the table."""
+        return self.ra.locations.index(c.location), self.table.position(marker_valuation(c.matrix))
 
     def _ex_masks(self, target: np.ndarray) -> np.ndarray:
         """Sources with at least one successor inside ``target``."""
@@ -720,8 +698,9 @@ class LabelSet(Set):
     """A read-only set of nodes of one quotient graph, held as its
     (locations × classes) boolean array (``masks``).
 
-    Three primitives: ``len`` counts the array; ``in`` is one universe
-    lookup, and anything that is not a node is simply not a member;
+    Three primitives: ``len`` counts the array; ``in`` is ``_is_node`` and
+    one key search (``QuotientGraph._node``), and anything that is not a
+    node is simply not a member;
     iteration builds each ``RepConfig`` as it is reached, in location and
     universe order, over matrices the graph builds once
     (``QuotientGraph._matrices_of``).  The ``collections.abc.Set`` mixins
@@ -750,8 +729,8 @@ class LabelSet(Set):
         return int(np.count_nonzero(self._masks))
 
     def __contains__(self, x: object) -> bool:
-        locs, ks = _node_positions(self._graph.ra, self._graph.table, [x])
-        return bool(locs[0] >= 0 and self._masks[locs[0], ks[0]])
+        graph = self._graph
+        return _is_node(graph.ra, x) and bool(self._masks[graph._node(x)])
 
     def __iter__(self) -> Iterator[RepConfig]:
         graph = self._graph
@@ -788,7 +767,7 @@ def reach(ra: RegisterAutomaton, target: RepConfig) -> bool:
     """Whether ``target`` is reachable from any initial-location class.
 
     Computes EF ``target``, the least fixpoint ``E[true U target]``, backward
-    from the target's mask (``QuotientGraph._fixpoint``), and reads the
+    from the target's node (``QuotientGraph._fixpoint``), and reads the
     initial location's row.  Each call builds its own graph and keeps
     nothing.  Raises ``ValueError`` unless ``target`` is a node of ``ra``'s
     graph (``_check_node``), and where ``quotient_graph`` or a kernel build
@@ -796,7 +775,8 @@ def reach(ra: RegisterAutomaton, target: RepConfig) -> bool:
     """
     _check_node(ra, target)
     graph = quotient_graph(ra)
-    start = graph._masks_of([target])
+    start = graph._empty_masks()
+    start[graph._node(target)] = True
     ef = graph._fixpoint(start.copy(), lambda r, x: start[r] | x)
     return bool(ef[ra.locations.index(ra.initial)].any())
 

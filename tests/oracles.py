@@ -16,14 +16,14 @@ import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from regmc.classes import ONE, ZERO, RepConfig, RepMatrix, canonical_valuation, matrix_of_valuation
 from regmc.core import Configuration, RegisterAutomaton, concrete_steps
 from regmc.formulas import EG, EU, EX, And, AtLocation, Not, RegEq, RegEqConst
-from regmc.reach import LabelSet, QuotientGraph
+from regmc.reach import LabelSet, QuotientGraph, _check_node
 
 
 def equivalent(u: Sequence[int], v: Sequence[int], constants: Sequence[int]) -> bool:
@@ -107,13 +107,25 @@ class OracleGraph:
         return self.edge_map[n]
 
 
+def masks_of(graph: QuotientGraph, configs: Iterable[object]) -> np.ndarray:
+    """The (locations × classes) masks of ``configs``, one node at a time
+    (``QuotientGraph._node``); raises ``ValueError`` for the first element
+    that is not a node of ``graph`` (``_check_node``)."""
+    masks = graph._empty_masks()
+    for c in configs:
+        _check_node(graph.ra, c)
+        masks[graph._node(c)] = True
+    return masks
+
+
 def edges(graph: QuotientGraph, node: RepConfig) -> set[RepConfig]:
     """The successors of one node of a quotient graph, read off each
     outgoing kernel's CSR row: the node's read group ``key_of[k]`` relates
     to the target groups ``indices[indptr[g]:indptr[g + 1]]``, and every
     class whose ``tkey_of`` is one of them is a successor.  Raises
     ``ValueError`` when ``node`` is not a node of ``graph``."""
-    (loc, k), = np.argwhere(graph._masks_of([node]))
+    _check_node(graph.ra, node)
+    loc, k = graph._node(node)
     out = graph._empty_masks()
     for src, dst, ker in graph._steps:
         if src == loc:

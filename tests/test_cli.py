@@ -285,9 +285,16 @@ def _listed(ra, configs) -> list[str]:
 # all-distinct class on those machines and on ``keep(16)``, answered or
 # refused at the class limit, and 990 declared constants, whose 982082
 # classes every limit admits (``many_constants``), asked with and without
-# ``--config`` too.  A shape that a later limit or CLI path touches joins
-# this list.
+# ``--config`` too, a self-loop that keeps some registers and releases the
+# rest (``havoc(10, 4)``, and ``havoc(12, 9)``, whose ``reach`` is past the
+# class limit), and seeded machines whose guards hold up to six atoms.  A
+# shape that a later limit or CLI path touches joins this list.
 _AG = "AG (r1 = r2)"
+_RNG = random.Random(4102)
+_GUARDED = [
+    random_automaton(_RNG, max_registers=6, max_locations=3, max_constants=2, max_atoms=6)
+    for _ in range(3)
+]
 BOUNDED_QUESTIONS = [
     *((f"load{n}-post", load(n), "post", (_all_distinct(load(n)),)) for n in range(6, 10)),
     *((f"load{n}-check", load(n), "check", (_AG,)) for n in range(6, 10)),
@@ -329,6 +336,19 @@ BOUNDED_QUESTIONS = [
     ("consts990-reach", many_constants(990), "reach", ("q | {x1} {x2}",)),
     *((f"keep{n}-post", keep(n), "post", (_all_distinct(keep(n)),)) for n in (16, 17)),
     ("keep16-reach", keep(16), "reach", (_all_distinct(keep(16)),)),
+    *(
+        (f"havoc{n}_{kept}-{command}", havoc(n, kept), command, (_all_distinct(havoc(n, kept)),))
+        for n, kept in ((10, 4), (12, 9))
+        for command in ("post", "reach")
+    ),
+    *(
+        question
+        for i, ra in enumerate(_GUARDED)
+        for question in (
+            (f"guarded{i}-check", ra, "check", (f"AG ({ra.registers[0]} = {ra.registers[-1]})",)),
+            (f"guarded{i}-reach", ra, "reach", (_all_distinct(ra),)),
+        )
+    ),
 ]
 
 
@@ -385,6 +405,8 @@ def test_cli_answers_match_the_sweep(capsys, tmp_path, monkeypatch):
     cli_sweep.write(tmp_path)
     monkeypatch.chdir(tmp_path)
     want = json.loads(cli_sweep.ANSWERS.read_text())
+    # a generator change that was not written out would replay stale commands
+    assert [entry["argv"] for entry in want] == cli_sweep.commands()
     got = []
     for entry in want:
         rc = main(entry["argv"])

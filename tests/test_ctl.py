@@ -92,11 +92,11 @@ def test_set_operations(figraph):
     assert compute_ctl(figraph, Not(l1)) == nodes - s
     assert compute_ctl(figraph, And(l1, l1)) == s
     assert compute_ctl(figraph, And(l1, FALSE)) == set()
-    assert not figraph._ex_masks(figraph._masks_of(set())).any()
+    assert not figraph._ex_masks(oracles.masks_of(figraph, set())).any()
 
 
 def test_until_trivia(figraph):
-    none, every = figraph._masks_of(set()), figraph.nodes.masks
+    none, every = oracles.masks_of(figraph, set()), figraph.nodes.masks
     s = compute_ctl(figraph, RegEqConst(0, 2)).masks
     assert np.array_equal(ctl._eu_masks(figraph, none, s), s)
     assert np.array_equal(ctl._eu_masks(figraph, s, every), every)
@@ -106,7 +106,7 @@ def test_until_trivia(figraph):
 def test_eg_on_a_self_loop(fig, figraph):
     ident = RepConfig("l1", RepMatrix(((ONE, ZERO), (ZERO, ONE))))
     assert ident in oracles.edges(quotient_graph(fig), ident)
-    masks = figraph._masks_of({ident})
+    masks = oracles.masks_of(figraph, {ident})
     assert np.array_equal(ctl._eg_masks(figraph, masks), masks)
 
 
@@ -138,8 +138,8 @@ def test_fixpoint_laws(figraph):
     rng = random.Random(11)
     nodes = sorted(figraph.nodes, key=lambda c: (c.location, c.matrix.rows))
     for _ in range(20):
-        s0 = figraph._masks_of({c for c in nodes if rng.random() < 0.5})
-        s1 = figraph._masks_of({c for c in nodes if rng.random() < 0.3})
+        s0 = oracles.masks_of(figraph, {c for c in nodes if rng.random() < 0.5})
+        s1 = oracles.masks_of(figraph, {c for c in nodes if rng.random() < 0.3})
         eu = ctl._eu_masks(figraph, s0, s1)
         assert np.array_equal(eu, s1 | (s0 & figraph._ex_masks(eu)))
         eg = ctl._eg_masks(figraph, s0)
@@ -216,7 +216,7 @@ def test_label_set_views_match_builtin_sets(fig):
         views.append(compute_ctl(quotient_graph(flipped), EX(TRUE)))
         views.append(g.nodes)
         for view in views:
-            assert set(LabelSet(g, ~g._masks_of(view))) == nodes - set(view), ra
+            assert set(LabelSet(g, ~oracles.masks_of(g, view))) == nodes - set(view), ra
             members = sorted(view, key=lambda c: (c.location, c.matrix.rows))
             some = set(rng.sample(members, len(members) // 2))
             builtins = [set(), set(view), some, some | set(strangers[:2]), nodes, set(strangers)]
@@ -235,7 +235,7 @@ def test_label_set_views_match_builtin_sets(fig):
     # a view from another machine's graph is refused like any set of non-nodes
     other = quotient_graph(random_automaton(random.Random(3), max_registers=1))
     with pytest.raises(ValueError):
-        quotient_graph(fig)._masks_of(other.nodes)
+        oracles.masks_of(quotient_graph(fig), other.nodes)
 
 
 def _pool_bijection(rng: random.Random, pool: tuple[int, ...], constants: tuple[int, ...]):

@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from gens import NOT_A_FIGURE_ONE_CLASS, havoc
 from oracles import enumerate_universe, equivalent
-from regmc import dsl
+from regmc import ctl, dsl
 from regmc.core import Assignment, ConstantTerm, ParameterTerm, RegisterAutomaton, RegisterTerm
 from eqlogic import Atom, const, par, primed, reg
 from regmc.classes import (
@@ -38,12 +39,26 @@ from regmc.classes import (
     matrix_of_valuation,
     universe_size,
 )
-from regmc.matrices import build_matrices, class_keys, classes_lines, universe, universe_table
+from regmc.matrices import (
+    UniverseTable, build_matrices, class_keys, classes_lines, universe, universe_table,
+)
+from regmc.formulas import TRUE
+from regmc.reach import post, quotient_graph, reach
 from reference import formula_E_of_assignment, formula_E_of_matrix, is_consistent_matrix
 
 
 def mat(*rows: tuple[int, ...]) -> RepMatrix:
     return RepMatrix(tuple(tuple(r) for r in rows))
+
+
+def positions(table: UniverseTable, matrices: Sequence[RepMatrix]) -> list[int]:
+    """Each matrix's class position in ``table``, -1 where it is no class
+    there: the engine's one lookup, ``is_class`` then one key search."""
+    n = table.values.shape[1]
+    return [
+        table.position(marker_valuation(m)) if is_class(m, n, table.constants) else -1
+        for m in matrices
+    ]
 
 
 def normalized(atoms: tuple[Atom, ...]) -> set[tuple[frozenset, bool]]:
@@ -340,7 +355,7 @@ def test_universe_table_matches_matrices(constants):
                 assert diagonal == m.entry(i, i)
                 for j in range(n):
                     assert (table.values[k, i] == table.values[k, j]) == (m.entry(i, j) != ZERO)
-        assert table.positions(matrices).tolist() == list(range(len(matrices)))
+        assert positions(table, matrices) == list(range(len(matrices)))
         assert len(set(matrices)) == len(matrices)
 
 
@@ -364,7 +379,6 @@ def test_universe_table_matches_recursive_enumerator(constants):
             assert m == checked and hash(m) == hash(checked)
         # the hash names the class, so no two classes share one
         assert len({hash(m) for m in built}) == len(built)
-        assert table.positions(want).tolist() == list(range(len(want)))
         ks = np.array(sorted(rng.sample(range(len(want)), min(len(want), 40))))
         assert build_matrices(table.values[ks], constants) == [built[k] for k in ks]
 
@@ -379,7 +393,7 @@ def test_value_dtype_holds_the_constants(constants, dtype):
         assert table.values.max() == constants[0] and table.values.min() == -n
         assert np.array_equal(class_keys(table.values, constants), table.key)
         matrices = universe(n, constants)
-        assert table.positions(matrices).tolist() == list(range(len(matrices)))
+        assert positions(table, matrices) == list(range(len(matrices)))
         assert build_matrices(table.values[::-1], constants) == list(matrices[::-1])
 
 
@@ -489,32 +503,14 @@ def test_build_matrices_scratch_does_not_grow_with_the_rows():
     assert every < 1 << 18, every
 
 
-def test_lookup_memory_is_bounded_by_a_chunk():
-    # five 8192-matrix chunks of the 9-register table: read whole, the
-    # batch's (matrices, n, n) int64 entries alone would be five times one
-    # chunk's, and the lookup then builds a second such array to compare
-    table = universe_table(9, (0,))
-    chunk_entries = 8192 * 9 * 9 * 8
-    matrices = build_matrices(table.values[: 5 * 8192], (0,))
-    table.positions(matrices[:8])  # caches, outside the measurement
-    tracemalloc.start()
-    try:
-        found = table.positions(matrices)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert found.tolist() == list(range(len(matrices)))
-    assert peak < 6 * chunk_entries, (peak, chunk_entries)
-
-
 def test_lookup_refuses_non_classes():
     table = universe_table(2, (2,))
-    assert table.positions(NOT_A_FIGURE_ONE_CLASS).tolist() == [-1] * len(NOT_A_FIGURE_ONE_CLASS)
+    assert positions(table, NOT_A_FIGURE_ONE_CLASS) == [-1] * len(NOT_A_FIGURE_ONE_CLASS)
     # classes of other universes: other sizes, other constants
     for other in [universe(1, (2,)), universe(3, (2,)), universe(2, (5,)), universe(2, (2, 5))]:
-        ks = table.positions(other)
+        ks = positions(table, other)
         assert all((k >= 0) == (m in universe(2, (2,))) for k, m in zip(ks, other))
-    assert table.positions(universe(2, (2, 5))).tolist() == [0, 1, -1, 2, 3, -1, 4, -1, -1, -1]
+    assert positions(table, universe(2, (2, 5))) == [0, 1, -1, 2, 3, -1, 4, -1, -1, -1]
     # near misses: the first related registers and the diagonal name a class,
     # one off-diagonal entry does not
     three = universe_table(3, (2,))
@@ -526,8 +522,8 @@ def test_lookup_refuses_non_classes():
         mat((2, 2, ZERO), (2, 2, 2), (ZERO, ZERO, ONE)),
         mat((ONE, ZERO, ZERO), (ZERO, ONE, ONE), (ZERO, ZERO, ONE)),
     ]
-    assert -1 not in three.positions(missed).tolist()
-    assert three.positions(near).tolist() == [-1, -1]
+    assert -1 not in positions(three, missed)
+    assert positions(three, near) == [-1, -1]
 
 
 @pytest.mark.parametrize("constants", [(), (0,)], ids=["none", "one"])
@@ -549,7 +545,7 @@ def test_undeclared_constants_make_no_class(constants):
             assert not is_class(m, n, constants), m.rows
             with pytest.raises(ValueError):
                 dsl.serialize(RepConfig("q", m), ra)
-        assert table.positions(held).tolist() == [-1] * len(held)
+        assert positions(table, held) == [-1] * len(held)
 
 
 @pytest.mark.parametrize("constants", [(), (0,), (3, 1, 2)], ids=["none", "one", "three"])
@@ -571,16 +567,27 @@ def test_lookup_finds_exactly_the_classes(constants):
             rows[rng.randrange(n)][rng.randrange(n)] = rng.choice(alphabet)
             drawn = [[rng.choice(alphabet) for _ in range(n)] for _ in range(n)]
             matrices += [m, mat(*rows), mat(*drawn)]
-        found = table.positions(matrices).tolist()
+        found = positions(table, matrices)
         for m, k in zip(matrices, found):
             assert (k >= 0) == is_class(m, n, constants), (m, k)
             if k >= 0:
                 assert build_matrices(table.values[[k]], constants) == [m]
         # non-classes of this size whose marker valuation has a class's key:
-        # only the comparison with the built matrix turns them away
+        # only ``is_class`` turns them away, as no node and as no question
         square = [m for m, k in zip(matrices, found) if m.n == n and k < 0]
         keys = class_keys(np.array([marker_valuation(m) for m in square]).reshape(-1, n), constants)
-        key_hits += int(np.isin(keys, table.key).sum())
+        hits = [m for m, hit in zip(square, np.isin(keys, table.key)) if hit]
+        key_hits += len(hits)
+        ra = RegisterAutomaton(constants, tuple(f"x{i + 1}" for i in range(n)), (), ("q",), "q", ())
+        nodes = quotient_graph(ra).nodes
+        refusal = f"matrix is not a consistent class over {n} registers and constants {constants}"
+        for m in hits:
+            c = RepConfig("q", m)
+            assert c not in nodes, m.rows
+            for ask in (reach, post, lambda ra, c: ctl.check(ra, TRUE, c)):
+                with pytest.raises(ValueError) as refused:
+                    ask(ra, c)
+                assert str(refused.value) == refusal, m.rows
     assert key_hits >= 100, key_hits
 
 

@@ -341,7 +341,7 @@ def test_vector_passes_match_per_node_edges():
         g = quotient_graph(ra)
         nodes = sorted(g.nodes, key=lambda c: (c.location, c.matrix.rows))
         some = set(rng.sample(nodes, len(nodes) // 3))
-        masks = g._masks_of(some)
+        masks = oracles.masks_of(g, some)
         ex = LabelSet(g, g._ex_masks(masks))
         assert ex == {c for c in nodes if oracles.edges(g, c) & some}, ra
 
